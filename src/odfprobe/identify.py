@@ -51,6 +51,11 @@ class Measurement:
     f_ip_hz: float
 
     def __post_init__(self):
+        for name in ("wavelength_nm", "intensity_w_m2", "shift_hz", "sigma_hz", "f_ip_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.f_ip_hz <= 0.0:
+            raise ValueError("in-phase mode frequency must be > 0")
         if self.shift_hz < 0.0:
             raise ValueError("measured shift magnitude must be >= 0")
         if self.sigma_hz <= 0.0:

@@ -321,6 +321,16 @@ class CalibrationSet:
         the frequency-aligned interpolation)."""
         return np.array([fit_rabi(tpl).frequency_hz for tpl in self.templates])
 
+    def with_partner_fraction(self, fraction: float) -> "CalibrationSet":
+        """The same calibration under another partner-fraction belief.
+
+        The fitted template frequencies do not depend on the belief, so they
+        are carried over instead of being refitted.
+        """
+        other = replace(self, partner_fraction=fraction)
+        other.__dict__["template_frequencies_hz"] = self.template_frequencies_hz
+        return other
+
     def _family(self):
         """(shifts, frequencies, curves) including the zero anchor if present."""
         s = self.model_shifts_hz
@@ -332,17 +342,30 @@ class CalibrationSet:
             curves = np.vstack([self.zero_template.p, curves])
         return s, f, curves
 
-    def _frequency_at(self, shift_hz: float, s, f) -> float:
-        interp = PchipInterpolator(s, f, extrapolate=False)
-        if s[0] <= shift_hz <= s[-1]:
-            return float(interp(shift_hz))
-        derivative = interp.derivative()
-        edge = s[0] if shift_hz < s[0] else s[-1]
-        value = float(interp(edge)) + float(derivative(edge)) * (shift_hz - edge)
-        return max(value, 0.02 * min(fk for fk in f if fk > 0.0))
+    @cached_property
+    def _alignment(self):
+        """The family and its frequency interpolant, built once per instance.
 
-    def interpolate(self, shift_hz: float) -> np.ndarray:
-        """Template curve at an arbitrary shift.
+        Returns the nodes, the frequency PCHIP, its value and slope at the two
+        edge nodes (for linear extrapolation), the floor of extrapolated
+        frequencies, and the curves as linear pieces: with the sample index
+        m = searchsorted(t, x, "right"), a curve at time x is
+        slope[m] * (x - knot[m]) + base[m], flat beyond both ends of t, the
+        same arithmetic and end clamps as ``np.interp``.
+        """
+        s, f, curves = self._family()
+        pchip = PchipInterpolator(s, f, extrapolate=False)
+        edges = s[[0, -1]]
+        t = self.pipeline.probe_times_s
+        flat = np.zeros((len(curves), 1))
+        slope = np.hstack([flat, np.diff(curves, axis=1) / np.diff(t), flat])
+        base = np.hstack([curves[:, :1], curves])
+        knot = np.concatenate([t[:1], t])
+        return (s, f, pchip, edges, pchip(edges), pchip.derivative()(edges),
+                0.02 * f[f > 0.0].min(), slope, base, knot)
+
+    def curves(self, shifts_hz) -> np.ndarray:
+        """Template curves at many shifts, one row per shift.
 
         The signal family is oscillatory with a flopping frequency that grows
         with the shift, so curves are blended after rescaling time to align
@@ -350,17 +373,29 @@ class CalibrationSet:
         wash the oscillation out.  Beyond the anchored range the alignment
         extrapolates linearly (the extraction flags that case).
         """
-        s, f, curves = self._family()
-        hi = int(np.clip(np.searchsorted(s, shift_hz), 1, len(s) - 1))
-        lo = hi - 1
-        f_target = self._frequency_at(shift_hz, s, f)
+        s, f, pchip, edges, f_edge, df_edge, f_floor, slope, base, knot = self._alignment
+        x = np.asarray(shifts_hz, dtype=float)
+        f_target = pchip(np.clip(x, s[0], s[-1]))
+        outside = (x < s[0]) | (x > s[-1])
+        if outside.any():
+            side = (x > s[-1]).astype(int)
+            linear = f_edge[side] + df_edge[side] * (x - edges[side])
+            f_target = np.where(outside, np.maximum(linear, f_floor), f_target)
         t = self.pipeline.probe_times_s
+        hi = np.clip(np.searchsorted(s, x), 1, len(s) - 1)
         aligned = []
-        for k in (lo, hi):
-            aligned.append(np.interp(t * f_target / f[k], t, curves[k]))
-        w = (shift_hz - s[lo]) / (s[hi] - s[lo])
-        blended = (1.0 - w) * aligned[0] + w * aligned[1]
-        return np.clip(blended, 0.0, 1.0)
+        for k in (hi - 1, hi):
+            # curve k[i] sampled at times t * f_target[i] / f[k[i]]
+            times = t * f_target[:, None] / f[k][:, None]
+            m = np.searchsorted(t, times, side="right")
+            piece = m + (k * slope.shape[1])[:, None]
+            aligned.append(slope.take(piece) * (times - knot[m]) + base.take(piece))
+        w = ((x - s[hi - 1]) / (s[hi] - s[hi - 1]))[:, None]
+        return np.clip((1.0 - w) * aligned[0] + w * aligned[1], 0.0, 1.0)
+
+    def interpolate(self, shift_hz: float) -> np.ndarray:
+        """Template curve at an arbitrary shift (one row of ``curves``)."""
+        return self.curves([shift_hz])[0]
 
 
 def build_calibration(shifts_hz, pipeline: ReadoutPipeline,
@@ -399,6 +434,7 @@ class ShiftEstimate:
     sigma_hz: float
     extrapolated: bool = False
     uninformative: bool = False
+    reduced_chi2: float = 1.0       # 1 for noiseless input (no shot-noise scale)
 
 
 def extract_shift(signal: RabiSignal, cal: CalibrationSet) -> ShiftEstimate:
@@ -425,7 +461,8 @@ def extract_shift(signal: RabiSignal, cal: CalibrationSet) -> ShiftEstimate:
     lo = 0.0 if cal.zero_template is not None else 0.25 * s_model[0]
     hi = 1.5 * s_model[-1]
     grid = np.linspace(lo, hi, 600)
-    values = np.array([sse(s) for s in grid])
+    residuals = signal.p - cal.curves(grid)
+    values = np.einsum("ij,ij->i", residuals, residuals)
     spread = values.max() - values.min()
     if not math.isfinite(spread) or spread <= 0.0:
         raise FitError("degenerate template fit: flat chi-square landscape")
@@ -455,8 +492,8 @@ def extract_shift(signal: RabiSignal, cal: CalibrationSet) -> ShiftEstimate:
     # a fit the model cannot describe carries no shift information
     uninformative = sigma >= span or reduced_chi2 > 5.0
     extrapolated = not s_model[0] <= best <= s_model[-1]
-    return ShiftEstimate(shift_hz=best, sigma_hz=sigma,
-                         extrapolated=extrapolated, uninformative=uninformative)
+    return ShiftEstimate(shift_hz=best, sigma_hz=sigma, extrapolated=extrapolated,
+                         uninformative=uninformative, reduced_chi2=reduced_chi2)
 
 
 @dataclass(frozen=True)
@@ -488,7 +525,7 @@ def iterate_partner_correction(cal: CalibrationSet, measured: RabiSignal,
     trace = []
     previous_step = None
     for _ in range(max_iterations):
-        estimate = extract_shift(measured, replace(cal, partner_fraction=r_hat))
+        estimate = extract_shift(measured, cal.with_partner_fraction(r_hat))
         r_new = estimate.shift_hz / abs(atomic_shift_hz)
         if not -1.0 < r_new < 1.0:
             raise ConvergenceError(
@@ -509,7 +546,7 @@ def iterate_partner_correction(cal: CalibrationSet, measured: RabiSignal,
                 partner_shift_hz=sign * abs(r_hat) * abs(atomic_shift_hz),
                 fraction=r_hat,
                 trace_hz=tuple(trace),
-                calibration=replace(cal, partner_fraction=r_hat),
+                calibration=cal.with_partner_fraction(r_hat),
                 converged=True,
             )
         previous_step = step
@@ -517,6 +554,6 @@ def iterate_partner_correction(cal: CalibrationSet, measured: RabiSignal,
         partner_shift_hz=sign * abs(r_hat) * abs(atomic_shift_hz),
         fraction=r_hat,
         trace_hz=tuple(trace),
-        calibration=replace(cal, partner_fraction=r_hat),
+        calibration=cal.with_partner_fraction(r_hat),
         converged=False,
     )

@@ -161,6 +161,26 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 2
 
+    def test_nan_measurement_is_validation_error(self, tmp_path, capsys):
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MEASUREMENTS + "789.0,1.1508e7,nan,nan,red,694920.0\n")
+        code = main(["identify", "--measurements", str(meas),
+                     "--nmax", "4", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "must be finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert "excluded" not in captured.out
+
+    def test_zero_f_ip_is_validation_error(self, tmp_path, capsys):
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MEASUREMENTS.replace("red,694920.0", "red,0.0", 1))
+        code = main(["classify", "--measurements", str(meas), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "in-phase mode frequency must be > 0" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_bad_config_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[trap]\n")

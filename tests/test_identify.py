@@ -47,6 +47,21 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             Measurement(789.0, 1e7, 1.0, 10.0, "violet", F_IP)
 
+    @pytest.mark.parametrize("field", ["wavelength", "intensity", "shift", "sigma",
+                                       "f_ip"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        values = dict(wavelength=789.0, intensity=1e7, shift=1.0, sigma=10.0, f_ip=F_IP)
+        values[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            Measurement(values["wavelength"], values["intensity"], values["shift"],
+                        values["sigma"], "red", values["f_ip"])
+
+    @pytest.mark.parametrize("f_ip", [0.0, -F_IP])
+    def test_non_positive_f_ip_rejected(self, f_ip):
+        with pytest.raises(ValueError, match="in-phase"):
+            Measurement(789.0, 1e7, 1.0, 10.0, "red", f_ip)
+
     def test_combined_sigma_quadrature(self):
         assert combined_sigma(1000.0, 30.0) == pytest.approx(math.hypot(30.0, 100.0))
 
@@ -268,4 +283,14 @@ class TestMeasurementFile:
             "789.0,1.15e7,1477.0,150.0,purple,695858.0\n"
         )
         with pytest.raises(ValueError, match="bad2.csv:2"):
+            read_measurements(path)
+
+    def test_nan_row_reports_line(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "wavelength_nm,intensity_W_m2,shift_Hz,sigma_Hz,sign,f_ip_Hz\n"
+            "789.0,1.15e7,1477.0,150.0,red,695858.0\n"
+            "789.0,1.15e7,nan,nan,red,695858.0\n"
+        )
+        with pytest.raises(ValueError, match="nan.csv:3: shift_hz must be finite"):
             read_measurements(path)

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
+import odfprobe.readout as readout
 from odfprobe.readout import (CalibrationSet, ConvergenceError,
                               MotionalDistribution, RabiSignal,
                               build_calibration, extract_shift, fit_rabi,
@@ -151,6 +153,77 @@ class TestCalibration:
                            partner_fraction=1.5)
 
 
+def reference_curve(cal, shift_hz):
+    """Per-point reference for the template family: a fresh frequency PCHIP
+    for the one shift, then ``np.interp`` of the two bracketing curves."""
+    s = list(cal.model_shifts_hz)
+    f = list(cal.template_frequencies_hz)
+    curves = [tpl.p for tpl in cal.templates]
+    if cal.zero_template is not None:
+        s, f = [0.0] + s, [cal.zero_frequency_hz] + f
+        curves = [cal.zero_template.p] + curves
+    s, f = np.array(s), np.array(f)
+    pchip = PchipInterpolator(s, f, extrapolate=False)
+    if s[0] <= shift_hz <= s[-1]:
+        f_target = float(pchip(shift_hz))
+    else:
+        edge = s[0] if shift_hz < s[0] else s[-1]
+        f_target = float(pchip(edge)) + float(pchip.derivative()(edge)) * (shift_hz - edge)
+        f_target = max(f_target, 0.02 * f[f > 0.0].min())
+    hi = min(max(int(np.searchsorted(s, shift_hz)), 1), len(s) - 1)
+    lo = hi - 1
+    t = cal.pipeline.probe_times_s
+    below = np.interp(t * f_target / f[lo], t, curves[lo])
+    above = np.interp(t * f_target / f[hi], t, curves[hi])
+    w = (shift_hz - s[lo]) / (s[hi] - s[lo])
+    return np.clip((1.0 - w) * below + w * above, 0.0, 1.0)
+
+
+class TestTemplateFamily:
+    def test_batch_matches_per_point_reference(self, six_shift_calibration):
+        anchored = six_shift_calibration.with_partner_fraction(0.1)
+        nodes = list(anchored.model_shifts_hz)
+        shifts = [0.0, 350.0] + nodes + [1234.5, 3999.0, 5200.0, 6900.0, 9000.0]
+        batch = anchored.curves(shifts)
+        assert batch.shape == (len(shifts), len(anchored.pipeline.probe_times_s))
+        for row, shift in zip(batch, shifts):
+            assert np.max(np.abs(row - reference_curve(anchored, shift))) <= 1e-12
+            assert np.array_equal(anchored.interpolate(shift), row)
+
+    def test_below_lowest_node_without_zero_anchor(self, six_shift_calibration):
+        cal = CalibrationSet(six_shift_calibration.shifts_hz,
+                             six_shift_calibration.templates,
+                             six_shift_calibration.pipeline)
+        # -1000 Hz extrapolates below the frequency floor
+        shifts = [-1000.0, 5.0, 200.0, 650.0, 800.0, 2000.0, 4600.0, 5500.0]
+        for row, shift in zip(cal.curves(shifts), shifts):
+            assert np.max(np.abs(row - reference_curve(cal, shift))) <= 1e-12
+
+    def test_time_grid_not_starting_at_zero(self, pipeline):
+        # slower-aligned curves then sample before the first probe time,
+        # where np.interp holds the first value
+        late = replace(pipeline, probe_times_s=np.linspace(10e-6, 120e-6, 45))
+        cal = build_calibration([800.0, 2000.0, 3500.0, 4600.0], late)
+        shifts = [100.0, 900.0, 2700.0, 4600.0, 6000.0]
+        for row, shift in zip(cal.curves(shifts), shifts):
+            assert np.max(np.abs(row - reference_curve(cal, shift))) <= 1e-12
+
+    def test_interpolant_built_once_per_instance(self, six_shift_calibration,
+                                                 monkeypatch):
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return PchipInterpolator(*args, **kwargs)
+
+        monkeypatch.setattr(readout, "PchipInterpolator", counting)
+        cal = six_shift_calibration.with_partner_fraction(0.05)
+        for shift in (900.0, 2500.0, 7000.0):
+            cal.interpolate(shift)
+        cal.curves(np.linspace(0.0, 7000.0, 50))
+        assert len(builds) == 1
+
+
 class TestExtraction:
     def test_template_fixed_point(self, six_shift_calibration):
         for index in (0, 2, 5):
@@ -197,6 +270,33 @@ class TestExtraction:
                      for s in np.linspace(900.0, 4500.0, 7)]
         assert all(b > a for a, b in zip(estimates, estimates[1:]))
 
+    # (true shift, seed, extracted shift, sigma) recorded from the per-shift
+    # interpolation the batched family replaced; the last one extrapolates
+    RECORDED = [
+        (400.0, 11, 394.5186111731763, 3.4159326185065617),
+        (1200.0, 12, 1193.5249773045366, 11.21821961764993),
+        (2500.0, 13, 2497.432937546156, 11.224217441549792),
+        (4000.0, 14, 4009.476464093663, 11.469336273244307),
+        (6000.0, 15, 5978.338721355677, 9.980906914313422),
+    ]
+
+    @pytest.mark.parametrize("truth, seed, shift, sigma", RECORDED)
+    def test_recorded_extractions_reproduced(self, pipeline, wide_calibration,
+                                             truth, seed, shift, sigma):
+        est = extract_shift(pipeline.signal(truth, shots=20, seed=seed), wide_calibration)
+        assert est.shift_hz == pytest.approx(shift, rel=1e-9)
+        assert est.sigma_hz == pytest.approx(sigma, rel=1e-9)
+        assert est.extrapolated == (truth > wide_calibration.shifts_hz[-1])
+
+    def test_reduced_chi2_near_one_for_shot_noise(self, pipeline, wide_calibration):
+        values = [extract_shift(pipeline.signal(2000.0, shots=20, seed=seed),
+                                wide_calibration).reduced_chi2 for seed in range(20)]
+        assert all(math.isfinite(v) and 0.3 < v < 3.0 for v in values)
+        assert np.mean(values) == pytest.approx(1.0, abs=0.2)
+
+    def test_reduced_chi2_unit_when_noiseless(self, pipeline, wide_calibration):
+        assert extract_shift(pipeline.signal(2000.0), wide_calibration).reduced_chi2 == 1.0
+
     def test_extraction_against_noisy_templates(self, pipeline):
         cal = build_calibration(np.linspace(800.0, 4600.0, 6), pipeline,
                                 shots=200, seed=42)
@@ -239,6 +339,22 @@ class TestPartnerIteration:
             return
         assert result.converged
         assert result.fraction == pytest.approx(0.5, rel=0.05)
+
+    def test_each_template_fitted_once(self, pipeline, monkeypatch):
+        fits = []
+        fit = readout.fit_rabi
+
+        def counting(signal):
+            fits.append(signal)
+            return fit(signal)
+
+        monkeypatch.setattr(readout, "fit_rabi", counting)
+        cal = build_calibration(np.linspace(800.0, 4600.0, 6), pipeline,
+                                true_partner_fraction=0.185)
+        result = iterate_partner_correction(cal, pipeline.signal(0.185 * 5410.0), -5410.0)
+        assert len(result.trace_hz) >= 3
+        result.calibration.template_frequencies_hz
+        assert len(fits) == len(cal.templates)
 
     def test_zero_atomic_shift_rejected(self, pipeline, six_shift_calibration):
         with pytest.raises(ValueError):
