@@ -86,10 +86,6 @@ class TransitionLine:
             )
 
     @property
-    def upper_component(self) -> int:
-        return parse_branch(self.branch)[1]
-
-    @property
     def angular_frequency(self) -> float:
         return wavelength_to_angular_frequency(self.wavelength_nm)
 

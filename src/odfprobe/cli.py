@@ -30,7 +30,7 @@ from .identify import (apply_partial_readout, background_shift_hz,
 from .quantities import polarizability_to_shift
 from .readout import (ConvergenceError, FitError, ReadoutPipeline, build_calibration)
 from .states import enumerate_states
-from .stark import NearResonanceError, atomic_polarizability, polarizability_breakdown
+from .stark import atomic_polarizability
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,6 +75,9 @@ def cmd_spectrum(args, config: RunConfig) -> int:
     catalog = config.catalog()
     states = [s for s in enumerate_states(args.nmax)
               if s.n >= args.nmin and (args.isomer is None or s.i_nuc == args.isomer)]
+    if not states:
+        raise ValueError(f"no states selected (nmin {args.nmin}, nmax {args.nmax}, "
+                         f"isomer {args.isomer})")
     wavelengths = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     outdir = _outdir(args)
     path = outdir / "stark_spectrum.csv"
@@ -84,17 +87,16 @@ def cmd_spectrum(args, config: RunConfig) -> int:
         writer.writerow(["wavelength_nm", "N", "J_x2", "I", "F_x2", "m_x2",
                          "shift_hz"])
         for lam in wavelengths:
-            for s in states:
-                try:
-                    alpha = polarizability_breakdown(
-                        s, lam, catalog, guard_hz=config.resonance_guard_hz).total_au
-                except NearResonanceError:
+            for pred in predict_catalog_shifts(
+                    lam, config.intensity_w_m2, states, catalog,
+                    guard_hz=config.resonance_guard_hz):
+                if pred.shift_hz is None:
                     skipped += 1
                     continue
-                shift = polarizability_to_shift(alpha, config.intensity_w_m2)
+                s = pred.state
                 writer.writerow([f"{lam:.5f}", s.n, s.j.twice, s.i_nuc,
                                  "" if s.f is None else s.f.twice, s.m.twice,
-                                 f"{shift:.4f}"])
+                                 f"{pred.shift_hz:.4f}"])
     _write_manifest(outdir, "spectrum", config,
                     {"states": len(states), "wavelengths": len(wavelengths),
                      "near_resonant_skipped": skipped})
@@ -104,10 +106,9 @@ def cmd_spectrum(args, config: RunConfig) -> int:
 
 
 def _build_drive(config: RunConfig, crystal: TwoIonCrystal, shift1_hz: float,
-                 shift2_hz: float, extra_distance_m: float = 0.0) -> LatticeDrive:
+                 shift2_hz: float) -> LatticeDrive:
     return LatticeDrive.for_crystal(
         crystal, config.wavelength_nm, shift1_hz, shift2_hz,
-        extra_distance_m=extra_distance_m,
         beat_frequency_hz=config.beat_frequency_hz,
         duration_s=config.pulse_ms * 1e-3,
     )

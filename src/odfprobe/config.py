@@ -52,7 +52,6 @@ class RunConfig:
     sigma_multiplier: float
     resonance_guard_hz: float
     reaction_rel_change: float
-    power_fraction: float
 
     raw_items: dict = field(default_factory=dict, repr=False)
 
@@ -159,7 +158,6 @@ def load_config(path=None) -> RunConfig:
         sigma_multiplier=get("thresholds", "sigma_multiplier", float, 2.0),
         resonance_guard_hz=get("thresholds", "resonance_guard_hz", float, 1e9),
         reaction_rel_change=get("thresholds", "reaction_rel_change", float, 3e-3),
-        power_fraction=get("thresholds", "power_fraction", float, 0.10),
         raw_items={s: dict(parser.items(s)) for s in parser.sections()},
     )
     _validate(config, path)
@@ -179,7 +177,6 @@ def _validate(config: RunConfig, path) -> None:
         (config.sigma_multiplier > 0.0, "sigma_multiplier must be > 0"),
         (config.resonance_guard_hz > 0.0, "resonance_guard_hz must be > 0"),
         (0.0 < config.reaction_rel_change < 1.0, "reaction_rel_change must be in (0, 1)"),
-        (0.0 <= config.power_fraction < 1.0, "power_fraction must be in [0, 1)"),
         (math.isfinite(config.intensity_w_m2), "intensity must be finite"),
     ]
     for ok, message in checks:

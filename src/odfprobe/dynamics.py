@@ -21,6 +21,9 @@ from scipy.integrate import solve_ivp
 from .crystal import LatticeDrive, TwoIonCrystal
 from .quantities import ATOMIC_MASS, COULOMB_PREFACTOR, HBAR, PLANCK
 
+# Absolute step tolerances of (q1, q2, v1, v2): m and m/s.
+_ATOL = (1e-16, 1e-16, 1e-10, 1e-10)
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -28,8 +31,6 @@ class SimulationConfig:
     drive: LatticeDrive
     initial_state: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     rtol: float = 1e-10
-    atol_q: float = 1e-16
-    atol_v: float = 1e-10
     duration_s: float | None = None       # defaults to the drive pulse length
     samples_per_period: int = 25          # of the out-of-phase mode
 
@@ -171,7 +172,7 @@ def simulate_odf(config: SimulationConfig) -> Trajectory:
         method="DOP853",
         t_eval=t_eval,
         rtol=config.rtol,
-        atol=[config.atol_q, config.atol_q, config.atol_v, config.atol_v],
+        atol=_ATOL,
         max_step=config.max_step,
     )
     if not result.success:
@@ -185,57 +186,32 @@ def simulate_odf(config: SimulationConfig) -> Trajectory:
 
 
 # Composition coefficients of the 6th-order symplectic scheme (solution A).
-_YOSHIDA6_W = (
-    0.784513610477560,
-    0.235573213359357,
-    -1.17767998417887,
-)
-_YOSHIDA6_STAGES = None
+_W3, _W2, _W1 = 0.784513610477560, 0.235573213359357, -1.17767998417887
+_YOSHIDA6_STAGES = (_W3, _W2, _W1, 1.0 - 2.0 * (_W1 + _W2 + _W3), _W1, _W2, _W3)
+# Fixed steps per in-phase mode period of the symplectic integrator.
+_SYMPLECTIC_STEPS_PER_PERIOD = 220
 
 
-def _yoshida6_stages():
-    global _YOSHIDA6_STAGES
-    if _YOSHIDA6_STAGES is None:
-        w3, w2, w1 = _YOSHIDA6_W
-        w0 = 1.0 - 2.0 * (w1 + w2 + w3)
-        _YOSHIDA6_STAGES = (w3, w2, w1, w0, w1, w2, w3)
-    return _YOSHIDA6_STAGES
-
-
-def simulate_symplectic(config: SimulationConfig, steps_per_period: int = 220,
-                        sample_stride: int | None = None) -> Trajectory:
+def simulate_symplectic(config: SimulationConfig) -> Trajectory:
     """Fixed-step 6th-order symplectic integration, the cross-check mode used
     for energy audits: the energy error is bounded instead of drifting."""
     m1, m2, d, u0, k, omega_d, amp1, amp2, phi1, phi2 = _force_constants(config)
     half_d, two_k = d / 2.0, 2.0 * k
     duration = config.duration
     period = 2.0 * math.pi / config.crystal.omega_minus
-    dt = period / steps_per_period
+    dt = period / _SYMPLECTIC_STEPS_PER_PERIOD
     n_steps = int(math.ceil(duration / dt))
     dt = duration / n_steps
-    if sample_stride is None:
-        # Keep the sample spacing fine enough for the faster mode.
-        plus_period = 2.0 * math.pi / config.crystal.omega_plus
-        sample_stride = max(1, int(plus_period / (config.samples_per_period * dt)))
-
-    def force(q1, q2, t):
-        r = d + q2 - q1
-        fc = COULOMB_PREFACTOR / (r * r)
-        f1 = -u0 * (q1 - half_d) - fc
-        f2 = -u0 * (q2 + half_d) + fc
-        if amp1 != 0.0:
-            f1 += amp1 * math.sin(two_k * q1 - omega_d * t + phi1)
-        if amp2 != 0.0:
-            f2 += amp2 * math.sin(two_k * q2 - omega_d * t + phi2)
-        return f1, f2
+    # Keep the sample spacing fine enough for the faster mode.
+    plus_period = 2.0 * math.pi / config.crystal.omega_plus
+    sample_stride = max(1, int(plus_period / (config.samples_per_period * dt)))
 
     q1, q2, v1, v2 = config.initial_state
     t = 0.0
     ts, q1s, q2s, v1s, v2s = [0.0], [q1], [q2], [v1], [v2]
-    stages = _yoshida6_stages()
     sin = math.sin
     for step in range(n_steps):
-        for w in stages:
+        for w in _YOSHIDA6_STAGES:
             h = w * dt
             # drift half, kick, drift half (position Verlet per stage)
             q1 += 0.5 * h * v1

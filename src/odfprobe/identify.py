@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .angular import HalfInt
 from .catalog import LineCatalog
-from .quantities import polarizability_to_shift
-from .stark import NearResonanceError, polarizability_breakdown
+from .quantities import polarizability_to_shift, wavelength_to_angular_frequency
+from .stark import (DEFAULT_RESONANCE_GUARD_HZ, NearResonanceError, _far_band_au,
+                    polarizability_breakdown)
 from .states import MolecularState
 
 # Fractional intensity (lattice power) uncertainty folded into measurement
@@ -84,18 +84,19 @@ class ShiftPrediction:
 
 def predict_catalog_shifts(wavelength_nm: float, intensity_w_m2: float,
                            states, catalog: LineCatalog,
-                           guard_hz: float | None = None) -> list[ShiftPrediction]:
+                           guard_hz: float = DEFAULT_RESONANCE_GUARD_HZ,
+                           ) -> list[ShiftPrediction]:
     """Signed shift predictions for every state, in deterministic order.
 
-    States whose polarizability cannot be evaluated (a catalog line inside
-    the near-resonance guard) are flagged, not dropped.
+    This is the one place catalog states become shift predictions.  States
+    whose polarizability cannot be evaluated (a catalog line inside the
+    near-resonance guard) are flagged, not dropped.
     """
-    kwargs = {} if guard_hz is None else {"guard_hz": guard_hz}
     predictions = []
     for state in sorted(states, key=MolecularState.sort_key):
         try:
             alpha = polarizability_breakdown(state, wavelength_nm, catalog,
-                                             **kwargs).total_au
+                                             guard_hz).total_au
         except NearResonanceError as exc:
             predictions.append(ShiftPrediction(state, None, flagged_line=str(exc)))
             continue
@@ -110,9 +111,9 @@ def background_shift_hz(wavelength_nm: float, intensity_w_m2: float,
                         catalog: LineCatalog) -> float:
     """Shift magnitude a state far from every resolved line would show
     (far-band plus core polarizability only)."""
-    state = MolecularState(0, j=HalfInt(1), i_nuc=0, f=None, m=HalfInt(1))
-    breakdown = polarizability_breakdown(state, wavelength_nm, catalog)
-    alpha = breakdown.far_band_au + breakdown.core_au
+    omega = wavelength_to_angular_frequency(wavelength_nm)
+    alpha = (_far_band_au(omega, catalog, DEFAULT_RESONANCE_GUARD_HZ)
+             + catalog.core_polarizability_au)
     return abs(polarizability_to_shift(alpha, intensity_w_m2))
 
 
@@ -128,7 +129,8 @@ class CandidateSet:
 
     @property
     def excluded_states(self) -> int:
-        return self.total_states - len(self.candidates)
+        # Flagged states were never evaluated, so they are not excluded.
+        return self.total_states - len(self.candidates) - len(self.flagged)
 
     @property
     def exclusion_fraction(self) -> float:

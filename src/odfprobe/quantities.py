@@ -52,11 +52,6 @@ def wavelength_to_angular_frequency(wavelength_nm: float) -> float:
     return 2.0 * math.pi * SPEED_OF_LIGHT / (wavelength_nm * 1e-9)
 
 
-def wavenumber_to_angular_frequency(nu_cm: float) -> float:
-    """Wavenumber in cm^-1 -> angular frequency in rad/s."""
-    return 2.0 * math.pi * SPEED_OF_LIGHT * nu_cm * 100.0
-
-
 def wavenumber_to_wavelength_nm(nu_cm: float) -> float:
     """Wavenumber in cm^-1 -> vacuum wavelength in nm."""
     if nu_cm <= 0.0:

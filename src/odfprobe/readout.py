@@ -496,6 +496,12 @@ def extract_shift(signal: RabiSignal, cal: CalibrationSet) -> ShiftEstimate:
                          uninformative=uninformative, reduced_chi2=reduced_chi2)
 
 
+# Partner-fraction iteration: converged once a step is below this fraction
+# of the estimate; given up (converged=False) after this many extractions.
+PARTNER_REL_TOLERANCE = 1e-3
+PARTNER_MAX_ITERATIONS = 10
+
+
 @dataclass(frozen=True)
 class PartnerIteration:
     partner_shift_hz: float          # signed, shares the atomic-shift sign
@@ -506,17 +512,15 @@ class PartnerIteration:
 
 
 def iterate_partner_correction(cal: CalibrationSet, measured: RabiSignal,
-                               atomic_shift_hz: float,
-                               rel_tolerance: float = 1e-3,
-                               max_iterations: int = 10) -> PartnerIteration:
+                               atomic_shift_hz: float) -> PartnerIteration:
     """Fixed-point iteration for the partner-molecule shift.
 
     Extracts the partner shift from ``measured`` with the current template
     attribution, folds the estimate back into the calibration model (template
     k -> shift_k * (1 + r)), and repeats until the estimate changes by less
-    than ``rel_tolerance`` or ``max_iterations`` is hit.  The measured signal
-    is the partner-only excitation recorded at the power where the atomic
-    reference shift is ``atomic_shift_hz``.
+    than ``PARTNER_REL_TOLERANCE`` or ``PARTNER_MAX_ITERATIONS`` is hit.  The
+    measured signal is the partner-only excitation recorded at the power
+    where the atomic reference shift is ``atomic_shift_hz``.
     """
     if atomic_shift_hz == 0.0:
         raise ValueError("atomic reference shift must be nonzero")
@@ -524,7 +528,7 @@ def iterate_partner_correction(cal: CalibrationSet, measured: RabiSignal,
     r_hat = cal.partner_fraction
     trace = []
     previous_step = None
-    for _ in range(max_iterations):
+    for _ in range(PARTNER_MAX_ITERATIONS):
         estimate = extract_shift(measured, cal.with_partner_fraction(r_hat))
         r_new = estimate.shift_hz / abs(atomic_shift_hz)
         if not -1.0 < r_new < 1.0:
@@ -534,12 +538,12 @@ def iterate_partner_correction(cal: CalibrationSet, measured: RabiSignal,
         trace.append(sign * estimate.shift_hz)
         step = abs(r_new - r_hat)
         if previous_step is not None and step > previous_step * (1.0 + 1e-9) \
-                and step > rel_tolerance * max(abs(r_new), 1e-12):
+                and step > PARTNER_REL_TOLERANCE * max(abs(r_new), 1e-12):
             raise ConvergenceError(
                 "partner-fraction iteration is not contracting "
                 f"(steps {previous_step:.3g} -> {step:.3g})"
             )
-        converged = step <= rel_tolerance * max(abs(r_new), 1e-12)
+        converged = step <= PARTNER_REL_TOLERANCE * max(abs(r_new), 1e-12)
         r_hat = r_new
         if converged:
             return PartnerIteration(

@@ -48,17 +48,15 @@ class NearResonanceError(ValueError):
         )
 
 
-def transition_strength(state: MolecularState, line: TransitionLine,
-                        polarization: str = "pi") -> float:
-    """Squared dipole moment (au) of one line for a specific initial state.
+def transition_strength(state: MolecularState, line: TransitionLine) -> float:
+    """Squared pi-polarization dipole moment (au) of one line for a specific
+    initial state.
 
     Multiplies the line's reduced strength by the hyperfine recoupling factor
     (summed over the degenerate upper F' levels when I = 2) and the q = 0
-    Zeeman 3j factor; only pi polarization is supported because the lattice
-    beams are polarized parallel to the magnetic field.
+    Zeeman 3j factor; the lattice beams are polarized parallel to the
+    magnetic field, so q = 0 is the only component.
     """
-    if polarization != "pi":
-        raise ValueError(f"unsupported polarization {polarization!r}; only 'pi'")
     if line.n_lower != state.n or line.j_lower != state.j:
         raise ValueError(
             f"line {line.branch}({line.j_lower}) does not start from state {state.label()}"
@@ -113,6 +111,16 @@ def _check_guard(line, omega: float, guard_hz: float) -> None:
         raise NearResonanceError(line, detuning_hz, guard_hz)
 
 
+def _far_band_au(omega: float, catalog: LineCatalog, guard_hz: float) -> float:
+    # Rotationless isotropic terms: one third of each band strength per
+    # polarization component.
+    far = 0.0
+    for band in catalog.far_bands:
+        _check_guard(band, omega, guard_hz)
+        far += _sum_term_au(band.angular_frequency, omega, band.strength_au / 3.0)
+    return far
+
+
 def polarizability_breakdown(state: MolecularState, wavelength_nm: float,
                              catalog: LineCatalog,
                              guard_hz: float = DEFAULT_RESONANCE_GUARD_HZ,
@@ -124,15 +132,9 @@ def polarizability_breakdown(state: MolecularState, wavelength_nm: float,
         _check_guard(line, omega, guard_hz)
         strength = transition_strength(state, line)
         resonant += _sum_term_au(line.angular_frequency, omega, strength)
-    far = 0.0
-    for band in catalog.far_bands:
-        _check_guard(band, omega, guard_hz)
-        # Rotationless isotropic term: one third of the band strength per
-        # polarization component.
-        far += _sum_term_au(band.angular_frequency, omega, band.strength_au / 3.0)
     return PolarizabilityBreakdown(
         resonant_au=resonant,
-        far_band_au=far,
+        far_band_au=_far_band_au(omega, catalog, guard_hz),
         core_au=catalog.core_polarizability_au,
     )
 

@@ -1,9 +1,14 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from odfprobe.cli import main
 from odfprobe.config import ConfigError, load_config
+from odfprobe.quantities import polarizability_to_shift
+from odfprobe.stark import NearResonanceError, polarizability_breakdown
+from odfprobe.states import enumerate_states
 
 BASE_CONFIG = """\
 [trap]
@@ -91,6 +96,26 @@ wavelength_nm,intensity_W_m2,shift_Hz,sigma_Hz,sign,f_ip_Hz
 """
 
 
+def reference_spectrum(config, states, wavelengths):
+    """CSV rows and skipped count of a Stark sweep, from a per-state loop
+    over ``polarizability_breakdown`` that skips guarded states."""
+    catalog = config.catalog()
+    rows, skipped = [], 0
+    for lam in wavelengths:
+        for s in states:
+            try:
+                alpha = polarizability_breakdown(
+                    s, lam, catalog, guard_hz=config.resonance_guard_hz).total_au
+            except NearResonanceError:
+                skipped += 1
+                continue
+            shift = polarizability_to_shift(alpha, config.intensity_w_m2)
+            rows.append([f"{lam:.5f}", str(s.n), str(s.j.twice), str(s.i_nuc),
+                         "" if s.f is None else str(s.f.twice), str(s.m.twice),
+                         f"{shift:.4f}"])
+    return rows, skipped
+
+
 class TestCli:
     def test_enumerate(self, tmp_path, capsys):
         assert main(["enumerate", "--nmax", "8", "--out", str(tmp_path)]) == 0
@@ -123,6 +148,17 @@ class TestCli:
         report = json.loads((tmp_path / "identification.json").read_text())
         assert len(report["reports"]) == 2
         assert "candidate" in capsys.readouterr().out
+
+    def test_identify_near_resonance_flags_without_refusing(self, tmp_path, capsys):
+        # 18 MHz from R1(1/2): only the 12 N=0 J=1/2 states are refused.
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MEASUREMENTS.splitlines()[0] + "\n"
+                        + "787.4755,1.1508e7,1200.0,150.0,blue,694920.0\n")
+        code = main(["identify", "--measurements", str(meas), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "12 flagged" in captured.out
+        assert "Traceback" not in captured.err
 
     def test_classify(self, tmp_path, capsys):
         meas = tmp_path / "meas.csv"
@@ -193,3 +229,26 @@ class TestCli:
                      "--steps", "5", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "stark_spectrum.csv").exists()
+
+    def test_spectrum_matches_reference_loop(self, tmp_path, capsys):
+        # The window holds R1(1/2) at 787.4755 nm, so guarded points occur.
+        code = main(["spectrum", "--lambda-min", "787.47", "--lambda-max", "787.48",
+                     "--steps", "5", "--out", str(tmp_path)])
+        assert code == 0
+        with (tmp_path / "stark_spectrum.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        skipped = json.loads((tmp_path / "manifest.json").read_text())[
+            "near_resonant_skipped"]
+        expected_rows, expected_skipped = reference_spectrum(
+            load_config("default"), enumerate_states(8),
+            np.linspace(787.47, 787.48, 5))
+        assert expected_skipped == 24
+        assert skipped == expected_skipped
+        assert rows == expected_rows
+
+    def test_spectrum_empty_selection_is_validation_error(self, tmp_path, capsys):
+        code = main(["spectrum", "--nmin", "10", "--nmax", "8", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "no states" in captured.err
+        assert "Traceback" not in captured.err

@@ -124,11 +124,20 @@ class TestMatching:
                  for k in (0.5, 1.0, 2.0, 4.0)]
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
 
-    def test_counts_balance(self, predictions):
-        meas = make_measurement(1200.0, "red")
-        result = match_candidates(meas, predictions, k=1.0)
-        assert result.excluded_states + len(result.candidates) == result.total_states
-        assert result.total_states == 540
+    def test_counts_balance(self, predictions, catalog_module, anchor_module):
+        def counts(result):
+            return len(result.candidates), len(result.flagged), result.excluded_states
+
+        result = match_candidates(make_measurement(1200.0, "red"), predictions, k=1.0)
+        assert sum(counts(result)) == result.total_states == 540
+        # 18 MHz from R1(1/2) the 12 N=0 J=1/2 states are flagged; a state
+        # that was never evaluated is not excluded.
+        near = predict_catalog_shifts(787.4755, anchor_module, enumerate_states(8),
+                                      catalog_module)
+        result = match_candidates(make_measurement(1200.0, "blue", wavelength=787.4755),
+                                  near, k=1.0)
+        assert counts(result) == (2, 12, 526)
+        assert sum(counts(result)) == result.total_states
 
     def test_no_false_exclusion_noiseless(self, catalog_module, anchor_module):
         # every state's own synthetic measurement keeps it in the candidate set

@@ -34,11 +34,6 @@ class TestTransitionStrength:
         with pytest.raises(ValueError, match="does not start"):
             transition_strength(other, line)
 
-    def test_only_pi_polarization(self, catalog):
-        line = catalog.lines_from(6, HalfInt(11))[0]
-        with pytest.raises(ValueError, match="polarization"):
-            transition_strength(stretched_state(), line, polarization="sigma+")
-
     def test_q_branch_m_zero_selection_zero(self):
         # J' = J'' with m = 0 and q = 0: the 3j factor vanishes identically
         cat = single_line_catalog()
