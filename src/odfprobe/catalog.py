@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -127,6 +128,13 @@ class LineCatalog:
     @property
     def max_n_lower(self) -> int:
         return max((line.n_lower for line in self.lines), default=-1)
+
+    @cached_property
+    def strength_tables(self) -> dict:
+        """Wavelength-independent (state x line) strength tables of this
+        catalog, keyed by state set; filled by
+        :func:`odfprobe.identify.predict_catalog_shifts`."""
+        return {}
 
 
 def _parse_metadata(lines: list[str]) -> dict:

@@ -72,6 +72,8 @@ def cmd_enumerate(args, config: RunConfig) -> int:
 
 
 def cmd_spectrum(args, config: RunConfig) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     catalog = config.catalog()
     states = [s for s in enumerate_states(args.nmax)
               if s.n >= args.nmin and (args.isomer is None or s.i_nuc == args.isomer)]

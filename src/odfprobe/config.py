@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .catalog import LineCatalog, load_line_catalog, load_shipped_catalog, shipped_data_path
@@ -16,6 +17,18 @@ from .quantities import intensity_from_core_anchor
 from .stark import AtomicLevelModel, load_shipped_atomic_model
 
 DEFAULT_CONFIG_FILE = "default.cfg"
+
+# Every section and key load_config reads; anything else is a ConfigError.
+KNOWN_KEYS = {
+    "trap": ("lattice_periods_n", "atomic_frequency_hz"),
+    "lattice": ("wavelength_nm", "beat_frequency_hz", "intensity_mode",
+                "intensity_w_m2", "polarization_angle_rad", "pulse_ms"),
+    "masses": ("molecule_u", "atom_u"),
+    "catalog": ("lines", "far_bands"),
+    "readout": ("lamb_dicke", "carrier_rabi_hz", "shots", "seed",
+                "decoherence_tau_ms"),
+    "thresholds": ("sigma_multiplier", "resonance_guard_hz", "reaction_rel_change"),
+}
 
 
 class ConfigError(ValueError):
@@ -64,6 +77,12 @@ class RunConfig:
             m1, self.atom_mass_u, self.atomic_frequency_hz)
 
     def catalog(self) -> LineCatalog:
+        """The configured catalog, read once per config so that the strength
+        tables it caches are shared by every prediction."""
+        return self._catalog
+
+    @cached_property
+    def _catalog(self) -> LineCatalog:
         if self.lines_path == "builtin":
             return load_shipped_catalog()
         far = None if self.far_bands_path in ("", "none") else self.far_bands_path
@@ -96,6 +115,12 @@ def load_config(path=None) -> RunConfig:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in KNOWN_KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in KNOWN_KEYS[section]:
+                raise ConfigError(f"{path}: unknown key [{section}] {key}")
 
     def get(section, key, cast=str, fallback=None):
         try:

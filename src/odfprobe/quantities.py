@@ -17,6 +17,8 @@ component of the lattice lives in the lattice model, not here.
 
 import math
 
+import numpy as np
+
 # CODATA-2018 values, full published precision.
 SPEED_OF_LIGHT = 299_792_458.0          # m/s (exact)
 PLANCK = 6.626_070_15e-34               # J s (exact)
@@ -66,15 +68,17 @@ def wavelength_nm_to_wavenumber(wavelength_nm: float) -> float:
     return 1e7 / wavelength_nm
 
 
-def polarizability_to_shift(alpha_au: float, intensity: float) -> float:
+def polarizability_to_shift(alpha_au, intensity: float):
     """ac-Stark shift of a level with polarizability ``alpha_au`` in a beam
     of the given intensity.
 
     Implements DeltaE = -alpha I / (2 eps0 c), reported per single beam and
     divided by h, so the result is a signed shift in Hz.  Positive
-    polarizability (lattice red detuned) gives a negative shift.
+    polarizability (lattice red detuned) gives a negative shift.  An array
+    of polarizabilities gives the array of shifts, element by element with
+    the same arithmetic as a float.
     """
-    if not (math.isfinite(alpha_au) and math.isfinite(intensity)):
+    if not (np.isfinite(alpha_au).all() and math.isfinite(intensity)):
         raise ValueError("alpha and intensity must be finite")
     if intensity < 0.0:
         raise ValueError(f"intensity must be >= 0, got {intensity}")

@@ -81,6 +81,36 @@ class TestConfig:
         with pytest.raises(ConfigError, match="does not exist"):
             load_config("/nonexistent.cfg")
 
+    def test_catalog_read_once(self):
+        config = load_config("default")
+        assert config.catalog() is config.catalog()
+
+    @pytest.mark.parametrize("extra, named", [
+        ("[thresholds]\nsigma_multipler = 3.0", "[thresholds] sigma_multipler"),
+        ("[thresholds]\npower_fraction = 0.1", "[thresholds] power_fraction"),
+        ("[lattice]\nwavelength = 789.0", "[lattice] wavelength"),
+        ("[detector]\nshots = 5", "[detector]"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, extra, named):
+        section = extra.partition("\n")[0]
+        text = BASE_CONFIG.replace(section + "\n", extra + "\n") \
+            if section in BASE_CONFIG else BASE_CONFIG + extra + "\n"
+        path = tmp_path / "typo.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="unknown") as info:
+            load_config(path)
+        assert named in str(info.value)
+
+    def test_config_written_from_items_loads(self, tmp_path):
+        # A config written back from a loaded config's items, as tools that
+        # derive variants of the default do, loads to the same settings.
+        config = load_config("default")
+        path = tmp_path / "copy.cfg"
+        path.write_text("".join(
+            f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+            for section, values in config.raw_items.items()))
+        assert load_config(path) == config
+
     def test_bad_value_reported(self, tmp_path):
         bad = BASE_CONFIG.replace("wavelength_nm = 789.0", "wavelength_nm = nm")
         path = tmp_path / "bad.cfg"
@@ -245,6 +275,14 @@ class TestCli:
         assert expected_skipped == 24
         assert skipped == expected_skipped
         assert rows == expected_rows
+
+    def test_spectrum_zero_steps_is_validation_error(self, tmp_path, capsys):
+        code = main(["spectrum", "--steps", "0", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--steps" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "stark_spectrum.csv").exists()
 
     def test_spectrum_empty_selection_is_validation_error(self, tmp_path, capsys):
         code = main(["spectrum", "--nmin", "10", "--nmax", "8", "--out", str(tmp_path)])

@@ -1,14 +1,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from odfprobe import identify
 from odfprobe.angular import HalfInt
+from odfprobe.catalog import load_shipped_catalog
 from odfprobe.identify import (Measurement, apply_partial_readout,
                                background_shift_hz, classify_event, combined_sigma,
                                exclusion_window, format_report_text,
                                identification_report, match_candidates,
                                predict_catalog_shifts, read_measurements,
                                write_report_json)
+from odfprobe.quantities import polarizability_to_shift
+from odfprobe.stark import NearResonanceError, polarizability_breakdown
 from odfprobe.states import MolecularState, enumerate_states
 
 F_IP = 695.86e3
@@ -98,6 +104,74 @@ class TestPredictions:
     def test_empty_states_rejected(self, catalog_module, anchor_module):
         with pytest.raises(ValueError):
             predict_catalog_shifts(789.0, anchor_module, [], catalog_module)
+
+
+def scalar_predictions(wavelength, intensity, states, catalog, guard_hz=1e9):
+    """(state, shift, flagged_line) per state from the per-state
+    polarizability_breakdown -> polarizability_to_shift loop."""
+    rows = []
+    for state in sorted(states, key=MolecularState.sort_key):
+        try:
+            alpha = polarizability_breakdown(state, wavelength, catalog, guard_hz).total_au
+        except NearResonanceError as exc:
+            rows.append((state, None, str(exc)))
+            continue
+        rows.append((state, polarizability_to_shift(alpha, intensity), None))
+    return rows
+
+
+def table_predictions(wavelength, intensity, states, catalog, guard_hz=1e9):
+    return [(p.state, p.shift_hz, p.flagged_line) for p in
+            predict_catalog_shifts(wavelength, intensity, states, catalog, guard_hz)]
+
+
+class TestStrengthTable:
+    """The per-catalog strength table reproduces the scalar path exactly."""
+
+    @pytest.mark.parametrize("wavelength, guard_hz, flagged", [
+        (789.0, 1e9, 0),
+        (789.71, 1e9, 0),
+        (786.2, 1e9, 0),
+        (787.4755, 1e9, 12),       # 18 MHz from R1(1/2)
+        (789.0, 6e13, 540),        # the A(v'=3) far band is inside the guard
+    ])
+    def test_equals_scalar_path(self, catalog_module, anchor_module, wavelength,
+                                guard_hz, flagged):
+        states = enumerate_states(8)
+        table = table_predictions(wavelength, anchor_module, states, catalog_module,
+                                  guard_hz)
+        assert table == scalar_predictions(wavelength, anchor_module, states,
+                                           catalog_module, guard_hz)
+        assert sum(shift is None for _, shift, _ in table) == flagged
+        assert all(type(shift) is float for _, shift, _ in table if shift is not None)
+
+    @settings(max_examples=20, deadline=None)
+    @given(wavelength=st.floats(785.0, 790.0))
+    def test_equals_scalar_path_over_window(self, catalog_module, anchor_module,
+                                            wavelength):
+        states = enumerate_states(8)
+        assert table_predictions(wavelength, anchor_module, states, catalog_module) \
+            == scalar_predictions(wavelength, anchor_module, states, catalog_module)
+
+    def test_subset_and_order(self, catalog_module, anchor_module):
+        states = [s for s in enumerate_states(8) if s.i_nuc == 2 and s.n >= 4][::-1]
+        assert table_predictions(789.0, anchor_module, states, catalog_module) \
+            == scalar_predictions(789.0, anchor_module, states, catalog_module)
+
+    def test_built_once_per_state_set(self, anchor_module, monkeypatch):
+        catalog = load_shipped_catalog()
+        states = enumerate_states(8)
+        calls = []
+        original = identify.transition_strength
+
+        def counting(state, line):
+            calls.append(state)
+            return original(state, line)
+
+        monkeypatch.setattr(identify, "transition_strength", counting)
+        predict_catalog_shifts(789.0, anchor_module, states, catalog)
+        predict_catalog_shifts(789.71, anchor_module, states[::-1], catalog)
+        assert len(calls) == sum(len(catalog.lines_from(s.n, s.j)) for s in states)
 
 
 class TestMatching:
