@@ -30,7 +30,7 @@ from .identify import (apply_partial_readout, background_shift_hz,
 from .quantities import polarizability_to_shift
 from .readout import (ConvergenceError, FitError, ReadoutPipeline, build_calibration)
 from .states import enumerate_states
-from .stark import atomic_polarizability
+from .stark import NearResonanceError, atomic_polarizability
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -117,6 +117,8 @@ def _build_drive(config: RunConfig, crystal: TwoIonCrystal, shift1_hz: float,
 
 
 def cmd_simulate(args, config: RunConfig) -> int:
+    if args.sweep and not (args.sweep[2] >= 1 and args.sweep[2].is_integer()):
+        raise ValueError(f"--sweep COUNT must be an integer >= 1, got {args.sweep[2]:g}")
     crystal = config.crystal()
     crystal_op = TwoIonCrystal.from_distance(
         crystal.m1_u, crystal.m2_u, crystal.d + config.wavelength_nm * 1e-9 / 4.0)
@@ -131,14 +133,13 @@ def cmd_simulate(args, config: RunConfig) -> int:
     print(f"drive: {drive.configuration}, beat {drive.beat_frequency_hz / 1e3:.2f} kHz, "
           f"shifts ({drive.shift1_hz:.1f}, {drive.shift2_hz:.1f}) Hz")
     outdir = _outdir(args)
-    sim_config = SimulationConfig(crystal, drive, rtol=args.rtol)
+    sim_config = SimulationConfig(crystal, drive)
     try:
         if args.sweep:
             lo, hi, count = args.sweep
             freqs = np.linspace(lo, hi, int(count))
             rows = sweep_beat_frequency(sim_config, freqs,
-                                        use_simulator=not args.linearized,
-                                        jobs=args.jobs)
+                                        use_simulator=not args.linearized)
             path = outdir / "beat_sweep.csv"
             with path.open("w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
@@ -211,10 +212,15 @@ def cmd_identify(args, config: RunConfig) -> int:
             guard_hz=config.resonance_guard_hz)
         report = identification_report(meas, predictions,
                                        ks=(1.0, config.sigma_multiplier))
-        report["background_shift_hz"] = background_shift_hz(
-            meas.wavelength_nm, meas.intensity_w_m2, catalog)
-        reports.append(report)
         print(f"--- measurement {index} ---")
+        try:
+            background = background_shift_hz(meas.wavelength_nm, meas.intensity_w_m2,
+                                             catalog)
+        except NearResonanceError as exc:
+            background = None
+            print(f"background shift unavailable: {exc}")
+        report["background_shift_hz"] = background
+        reports.append(report)
         print(format_report_text(report))
     write_report_json({"reports": reports}, outdir / "identification.json")
     _write_manifest(outdir, "identify", config, {"measurements": len(measurements)})
@@ -285,13 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate the lattice-driven crystal motion")
     p.add_argument("--molecular-shift", type=float, default=-1000.0,
                    help="signed single-beam molecular shift in Hz")
-    p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--sweep", nargs=3, type=float, metavar=("LO", "HI", "COUNT"),
                    default=None, help="sweep the beat frequency (Hz)")
     p.add_argument("--linearized", action="store_true",
                    help="use the analytic linearized model for sweeps")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel sweep workers (1 keeps bit-reproducibility)")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -159,6 +159,12 @@ class LatticeDrive:
             raise ValueError("wavelength must be > 0")
         if self.duration_s <= 0.0:
             raise ValueError("pulse duration must be > 0")
+        if not 0.0 <= self.beat_frequency_hz < math.inf:
+            raise ValueError(f"beat_frequency_hz must be finite and >= 0, "
+                             f"got {self.beat_frequency_hz}")
+        for name in ("shift1_hz", "shift2_hz", "phi1", "phi2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def k(self) -> float:

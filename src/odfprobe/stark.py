@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .angular import HalfInt, wigner_3j, wigner_6j
-from .catalog import LineCatalog, TransitionLine, shipped_data_path
+from .catalog import FarBand, LineCatalog, TransitionLine, shipped_data_path
 from .quantities import (
     HBAR,
     AU_DIPOLE_SQUARED,
@@ -38,12 +38,15 @@ DEFAULT_RESONANCE_GUARD_HZ = 1e9
 class NearResonanceError(ValueError):
     """The lattice is too close to a catalog line for the non-resonant formula."""
 
-    def __init__(self, line: TransitionLine, detuning_hz: float, guard_hz: float):
+    def __init__(self, line: TransitionLine | FarBand, detuning_hz: float,
+                 guard_hz: float):
         self.line = line
         self.detuning_hz = detuning_hz
         self.guard_hz = guard_hz
+        name = (f"far band {line.band}" if isinstance(line, FarBand)
+                else f"{line.branch}({line.j_lower})")
         super().__init__(
-            f"lattice within {abs(detuning_hz):.3g} Hz of {line.branch}({line.j_lower}) "
+            f"lattice within {abs(detuning_hz):.3g} Hz of {name} "
             f"at {line.wavelength_nm:.4f} nm (guard {guard_hz:.3g} Hz)"
         )
 

@@ -187,7 +187,7 @@ def test_criterion_06_sp_op_closure():
 def small_amplitude_run():
     crystal = TwoIonCrystal.from_lattice_periods(28, 40, 19, 789.0)
     drive = LatticeDrive.for_crystal(crystal, 789.0, -30.0, 0.0)
-    config = SimulationConfig(crystal, drive, rtol=1e-10)
+    config = SimulationConfig(crystal, drive)
     return config, simulate_odf(config)
 
 
@@ -226,7 +226,7 @@ def test_criterion_07c_resonance_peak():
     for offset in offsets:
         drive = LatticeDrive.for_crystal(crystal, 789.0, -30.0, 0.0,
                                          beat_frequency_hz=center + offset)
-        config = SimulationConfig(crystal, drive, rtol=1e-9)
+        config = SimulationConfig(crystal, drive)
         amplitudes.append(abs(mode_amplitude(simulate_odf(config)).amplitude_minus))
     freqs = center + offsets
     coeffs = np.polyfit(freqs - center, np.square(amplitudes), 2)

@@ -222,6 +222,38 @@ class TestCli:
         assert "f_IP(OP distance) = 669.27 kHz" in out
         assert (tmp_path / "beat_sweep.csv").exists()
 
+    def test_simulate_nan_sweep_is_validation_error(self, tmp_path, capsys):
+        code = main(["simulate", "--linearized", "--sweep", "nan", "700000", "3",
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "beat_frequency_hz must be finite" in captured.err
+        assert "peak at" not in captured.out
+        assert not (tmp_path / "beat_sweep.csv").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2", "2.5", "nan"])
+    def test_simulate_sweep_count_is_validated(self, tmp_path, capsys, count):
+        code = main(["simulate", "--linearized", "--sweep", "690000", "700000", count,
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--sweep COUNT must be an integer >= 1" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_identify_far_band_row_flags_all_states(self, tmp_path, capsys):
+        # 1109.14 nm is the A(v'=0) far band itself.
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MEASUREMENTS.splitlines()[0] + "\n"
+                        + "1109.14,1.1508e7,900.0,95.0,red,694920.0\n")
+        code = main(["identify", "--measurements", str(meas), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "540 flagged" in captured.out
+        assert "far band A(v'=0)" in captured.out
+        assert "Traceback" not in captured.err
+        (report,) = json.loads((tmp_path / "identification.json").read_text())["reports"]
+        assert report["background_shift_hz"] is None
+
     def test_missing_measurement_file_is_validation_error(self, tmp_path, capsys):
         code = main(["identify", "--measurements", "/nonexistent.csv",
                      "--out", str(tmp_path)])

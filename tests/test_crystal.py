@@ -129,6 +129,15 @@ class TestLatticePhase:
                                       extra_distance_m=789.0e-9 / 4.0)
         assert op.configuration == "OP"
 
+    @pytest.mark.parametrize("field, value", [
+        ("beat_frequency_hz", math.nan), ("beat_frequency_hz", math.inf),
+        ("beat_frequency_hz", -1.0), ("shift1_hz", math.nan), ("shift2_hz", math.inf),
+        ("phi1", math.nan), ("phi2", -math.inf)])
+    def test_drive_rejects_bad_values(self, crystal, field, value):
+        drive = LatticeDrive.for_crystal(crystal, 789.0, -1000.0, -400.0)
+        with pytest.raises(ValueError, match=field):
+            LatticeDrive(**{**vars(drive), field: value})
+
 
 class TestCombinedShift:
     def test_molecule_only_independent_of_phase(self, crystal):

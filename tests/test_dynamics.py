@@ -1,26 +1,31 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import odfprobe
+from odfprobe import dynamics
 from odfprobe.crystal import LatticeDrive
-from odfprobe.dynamics import (SimulationConfig, linearized_prediction,
-                               mode_amplitude, simulate_odf, simulate_symplectic,
-                               sweep_beat_frequency, total_energy)
+from odfprobe.dynamics import (IntegrationError, SimulationConfig, Trajectory,
+                               linearized_prediction, mode_amplitude, simulate_odf,
+                               simulate_symplectic, sweep_beat_frequency, total_energy)
 from odfprobe.quantities import ATOMIC_MASS, PLANCK
 
 from oracles import resonant_oscillator_amplitude
 
 
 def make_config(crystal, shift1=-50.0, shift2=0.0, duration=None, beat=None,
-                extra_distance=0.0, rtol=1e-10, initial=(0.0, 0.0, 0.0, 0.0)):
+                extra_distance=0.0, initial=(0.0, 0.0, 0.0, 0.0)):
     drive = LatticeDrive.for_crystal(
         crystal, 789.0, shift1, shift2,
         extra_distance_m=extra_distance, beat_frequency_hz=beat,
         duration_s=3e-3 if duration is None else duration)
-    return SimulationConfig(crystal, drive, initial_state=initial, rtol=rtol,
-                            duration_s=duration)
+    return SimulationConfig(crystal, drive, initial_state=initial, duration_s=duration)
 
 
 class TestSimulateOdf:
@@ -53,9 +58,29 @@ class TestSimulateOdf:
         assert np.array_equal(t1.q1, t2.q1)
         assert np.array_equal(t1.v2, t2.v2)
 
-    def test_rtol_validation(self, crystal):
-        with pytest.raises(ValueError):
-            make_config(crystal, rtol=1e-3)
+    def test_time_grid_is_the_sample_grid(self, crystal):
+        duration = 0.2e-3
+        trajectory = simulate_odf(make_config(crystal, shift1=-100.0, duration=duration))
+        n = max(2, int(25 * crystal.omega_plus / (2.0 * math.pi) * duration))
+        assert np.array_equal(trajectory.t, np.linspace(0.0, duration, n + 1))
+
+    def test_fast_beat_sets_the_step(self, crystal):
+        # A beat note above the out-of-phase mode frequency is sampled at
+        # the same 25 points per period.
+        duration = 0.05e-3
+        beat = 3.0 * crystal.omega_plus / (2.0 * math.pi)
+        trajectory = simulate_odf(make_config(crystal, duration=duration, beat=beat))
+        assert len(trajectory.t) == int(25 * beat * duration) + 1
+
+    def test_crossed_ions_raise(self, crystal):
+        config = make_config(crystal, duration=0.05e-3,
+                             initial=(1.5 * crystal.d, 0.0, 0.0, 0.0))
+        with pytest.raises(IntegrationError, match="ions crossed"):
+            simulate_odf(config)
+
+    def test_non_finite_initial_state_rejected(self, crystal):
+        with pytest.raises(ValueError, match="finite"):
+            make_config(crystal, initial=(math.nan, 0.0, 0.0, 0.0))
 
     def test_export_csv(self, crystal, tmp_path):
         config = make_config(crystal, shift1=-50.0, duration=0.05e-3)
@@ -80,9 +105,12 @@ class TestModeAmplitude:
         assert abs(excitation.amplitude_plus) < 1e-6 * beta_minus
 
     def test_undersampled_trajectory_rejected(self, crystal):
+        # 4 samples per out-of-phase period, where 20 are required
         config = make_config(crystal, shift1=-50.0, duration=0.2e-3)
-        config = replace(config, samples_per_period=4)
-        trajectory = simulate_odf(config)
+        n = int(4 * crystal.omega_plus / (2.0 * math.pi) * 0.2e-3)
+        zeros = np.zeros(n + 1)
+        trajectory = Trajectory(np.linspace(0.0, 0.2e-3, n + 1), zeros, zeros, zeros,
+                                zeros, config)
         with pytest.raises(ValueError, match="undersampled"):
             mode_amplitude(trajectory)
 
@@ -137,7 +165,7 @@ class TestLinearizedPrediction:
 
     def test_agreement_with_simulator_small_amplitude(self, crystal):
         # 2 k max|q| ~ 0.07 here: well inside the linear regime
-        config = make_config(crystal, shift1=-50.0, duration=1.5e-3, rtol=1e-10)
+        config = make_config(crystal, shift1=-50.0, duration=1.5e-3)
         linear = linearized_prediction(config)
         simulated = mode_amplitude(simulate_odf(config))
         assert abs(simulated.amplitude_minus) == pytest.approx(
@@ -145,7 +173,7 @@ class TestLinearizedPrediction:
 
     def test_nonlinearity_at_large_drive(self, crystal):
         # beyond 2 k max|q| ~ 1 the full lattice saturates below the linear model
-        config = make_config(crystal, shift1=-2000.0, duration=3e-3, rtol=1e-9)
+        config = make_config(crystal, shift1=-2000.0, duration=3e-3)
         linear = linearized_prediction(config)
         simulated = mode_amplitude(simulate_odf(config))
         ratio = abs(simulated.amplitude_minus) / abs(linear.amplitude_minus)
@@ -197,3 +225,59 @@ class TestSweep:
                                     freqs, use_simulator=False)
         best = max(rows, key=lambda r: r[1])[0]
         assert abs(best - crystal.f_ip) <= 250.0  # one grid step
+
+    def test_simulated_sweep_equals_single_points(self, crystal):
+        config = make_config(crystal, shift1=-30.0, duration=0.05e-3)
+        freqs = crystal.f_ip + np.array([-2000.0, 250.0, 3000.0])
+        expected = [
+            (f, abs(mode_amplitude(simulate_odf(replace(
+                config, drive=replace(config.drive, beat_frequency_hz=f)))).amplitude_minus))
+            for f in freqs]
+        assert sweep_beat_frequency(config, freqs) == expected
+
+
+def _forced_oscillator(t, y):
+    # x'' = -x + cos 2t
+    return (y[1], -y[0] + math.cos(2.0 * t))
+
+
+class TestKernel:
+    def test_eighth_order_convergence(self):
+        # From rest, x = (cos t - cos 2t) / 3.
+        end = 4.0
+        exact = ((math.cos(end) - math.cos(2.0 * end)) / 3.0,
+                 (-math.sin(end) + 2.0 * math.sin(2.0 * end)) / 3.0)
+        errors = []
+        for n in (8, 16, 32):
+            final = dynamics._rk8(_forced_oscillator, (0.0, 0.0), end / n, n)[-1]
+            errors.append(max(abs(a - b) for a, b in zip(final, exact)))
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert min(orders) >= 7.5, (errors, orders)
+
+    def test_tableau_is_dop853(self):
+        reference = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        a = np.zeros((12, 12))
+        for i, row in enumerate(dynamics._A):
+            a[i, :i] = row
+        assert np.array_equal(a, reference.A[:12, :12])
+        assert np.array_equal(np.array(dynamics._B), reference.B)
+        assert np.array_equal(np.array(dynamics._C), reference.C[:12])
+
+    def test_benchmark_fingerprint(self, crystal):
+        # |A-| that the benchmark records for this point, at its tolerance
+        drive = LatticeDrive.for_crystal(crystal, 789.0, -30.0, 0.0,
+                                         beat_frequency_hz=crystal.f_ip + 250.0,
+                                         duration_s=5e-5)
+        excitation = mode_amplitude(simulate_odf(SimulationConfig(crystal, drive)))
+        assert abs(excitation.amplitude_minus) == pytest.approx(3.754291837877159e-11,
+                                                                rel=1e-6)
+
+    def test_no_adaptive_solver_imported(self):
+        src = str(Path(odfprobe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, odfprobe.dynamics, odfprobe.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True, timeout=120)
+        assert result.stdout.strip() == "[]"
