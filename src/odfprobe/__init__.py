@@ -24,9 +24,6 @@ from .crystal import (LatticeDrive, TwoIonCrystal, combined_mode_shift,
                       spring_from_distance)
 from .dynamics import (SimulationConfig, linearized_prediction, mode_amplitude,
                        simulate_odf)
-from .readout import (CalibrationSet, MotionalDistribution, RabiSignal,
-                      build_calibration, extract_shift, fit_rabi,
-                      iterate_partner_correction, synthesize_bsb_signal)
 from .identify import (Measurement, apply_partial_readout, classify_event,
                        exclusion_window, match_candidates, predict_catalog_shifts)
 
@@ -77,3 +74,18 @@ __all__ = [
     "apply_partial_readout",
     "classify_event",
 ]
+
+# readout imports scipy, which costs about half a second; only calibration
+# and extraction need it, so its names load on first use (PEP 562).
+_READOUT_NAMES = frozenset({
+    "MotionalDistribution", "RabiSignal", "synthesize_bsb_signal", "fit_rabi",
+    "CalibrationSet", "build_calibration", "extract_shift",
+    "iterate_partner_correction",
+})
+
+
+def __getattr__(name):
+    if name in _READOUT_NAMES:
+        from . import readout
+        return getattr(readout, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,7 +28,6 @@ from .identify import (apply_partial_readout, background_shift_hz,
                        identification_report, predict_catalog_shifts,
                        read_measurements, write_report_json)
 from .quantities import polarizability_to_shift
-from .readout import (ConvergenceError, FitError, ReadoutPipeline, build_calibration)
 from .states import enumerate_states
 from .stark import NearResonanceError, atomic_polarizability
 
@@ -167,6 +166,12 @@ def cmd_simulate(args, config: RunConfig) -> int:
 
 
 def cmd_calibrate(args, config: RunConfig) -> int:
+    for flag, value in (("--shift-min", args.shift_min), ("--shift-max", args.shift_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value:g}")
+    # readout pulls in scipy; no other subcommand needs it, so it loads here.
+    from .readout import FitError, ReadoutPipeline, build_calibration
+
     crystal = config.crystal()
     pipeline = ReadoutPipeline(
         crystal,
@@ -339,7 +344,7 @@ def main(argv=None) -> int:
     except (ConfigError, CatalogError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (IntegrationError, FitError, ConvergenceError) as exc:
+    except IntegrationError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

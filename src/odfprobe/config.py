@@ -156,11 +156,8 @@ def load_config(path=None) -> RunConfig:
     else:
         raise ConfigError(f"{path}: unknown intensity_mode {intensity_mode!r}")
 
-    beat = None
-    if parser.has_option("lattice", "beat_frequency_hz"):
-        raw = parser.get("lattice", "beat_frequency_hz").strip()
-        if raw not in ("", "auto"):
-            beat = float(raw)
+    beat_text = get("lattice", "beat_frequency_hz", str, "auto").strip()
+    beat = None if beat_text in ("", "auto") else get("lattice", "beat_frequency_hz", float)
 
     config = RunConfig(
         lattice_periods_n=n,
@@ -190,7 +187,16 @@ def load_config(path=None) -> RunConfig:
 
 
 def _validate(config: RunConfig, path) -> None:
+    n, f2, beat = (config.lattice_periods_n, config.atomic_frequency_hz,
+                   config.beat_frequency_hz)
     checks = [
+        (n is None or n >= 1, "lattice_periods_n must be >= 1"),
+        (f2 is None or (math.isfinite(f2) and f2 > 0.0),
+         "atomic_frequency_hz must be finite and > 0"),
+        (beat is None or (math.isfinite(beat) and beat >= 0.0),
+         "beat_frequency_hz must be finite and >= 0 (or auto)"),
+        (math.isfinite(config.polarization_angle_rad),
+         "polarization_angle_rad must be finite"),
         (config.wavelength_nm > 0.0, "wavelength_nm must be > 0"),
         (config.intensity_w_m2 >= 0.0, "intensity must be >= 0"),
         (config.pulse_ms > 0.0, "pulse_ms must be > 0"),
@@ -199,6 +205,9 @@ def _validate(config: RunConfig, path) -> None:
         (0.0 < config.lamb_dicke <= 0.5, "lamb_dicke must be in (0, 0.5]"),
         (config.carrier_rabi_hz > 0.0, "carrier_rabi_hz must be > 0"),
         (config.shots >= 1, "shots must be >= 1"),
+        (config.seed >= 0, "seed must be >= 0"),
+        # inf is allowed: readout reads it as no decoherence
+        (config.decoherence_tau_ms > 0.0, "decoherence_tau_ms must be > 0"),
         (config.sigma_multiplier > 0.0, "sigma_multiplier must be > 0"),
         (config.resonance_guard_hz > 0.0, "resonance_guard_hz must be > 0"),
         (0.0 < config.reaction_rel_change < 1.0, "reaction_rel_change must be in (0, 1)"),

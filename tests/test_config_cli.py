@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from odfprobe.cli import main
-from odfprobe.config import ConfigError, load_config
+from odfprobe import readout
+from odfprobe.config import KNOWN_KEYS, ConfigError, load_config
 from odfprobe.quantities import polarizability_to_shift
 from odfprobe.stark import NearResonanceError, polarizability_breakdown
 from odfprobe.states import enumerate_states
@@ -111,6 +112,48 @@ class TestConfig:
             for section, values in config.raw_items.items()))
         assert load_config(path) == config
 
+    @pytest.mark.parametrize("key, value", [
+        ("beat_frequency_hz", "fast"),
+        ("beat_frequency_hz", "-5.0"),
+        ("beat_frequency_hz", "nan"),
+        ("decoherence_tau_ms", "-1"),
+        ("decoherence_tau_ms", "0"),
+        ("decoherence_tau_ms", "nan"),
+        ("seed", "-1"),
+        ("polarization_angle_rad", "inf"),
+        ("lattice_periods_n", "0"),
+        ("atomic_frequency_hz", "-646400.0"),
+        ("atomic_frequency_hz", "inf"),
+    ])
+    def test_bad_value_is_validation_error(self, tmp_path, capsys, key, value):
+        section = next(s for s, keys in KNOWN_KEYS.items() if key in keys)
+        text = BASE_CONFIG.replace("lattice_periods_n = 19\n", "")
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        if section != "trap":
+            text = text.replace("[trap]\n", "[trap]\nlattice_periods_n = 19\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        code = main(["enumerate", "--config", str(path), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert key in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("key, value", [
+        ("beat_frequency_hz", ""),
+        ("beat_frequency_hz", "0"),
+        ("decoherence_tau_ms", "inf"),
+        ("seed", "0"),
+    ])
+    def test_edge_value_loads(self, tmp_path, key, value):
+        section = next(s for s, keys in KNOWN_KEYS.items() if key in keys)
+        path = tmp_path / "edge.cfg"
+        path.write_text(BASE_CONFIG.replace(f"[{section}]\n",
+                                            f"[{section}]\n{key} = {value}\n"))
+        load_config(path)
+
     def test_bad_value_reported(self, tmp_path):
         bad = BASE_CONFIG.replace("wavelength_nm = 789.0", "wavelength_nm = nm")
         path = tmp_path / "bad.cfg"
@@ -211,6 +254,34 @@ class TestCli:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["templates"] == 4
         assert len(list(tmp_path.glob("template_*.csv"))) == 4
+
+    def test_calibrate_non_finite_shift_is_validation_error(self, tmp_path, capsys):
+        code = main(["calibrate", "--noiseless", "--shift-min", "nan",
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--shift-min must be finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert not list(tmp_path.glob("template_*.csv"))
+
+    def test_calibrate_fit_failure_is_numeric_failure(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def fail(*args, **kwargs):
+            raise readout.FitError("no convergence")
+
+        monkeypatch.setattr(readout, "build_calibration", fail)
+        code = main(["calibrate", "--noiseless", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "calibration failed: no convergence" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_simulate_crossed_ions_is_numeric_failure(self, tmp_path, capsys):
+        code = main(["simulate", "--molecular-shift", "1e9", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "ions crossed" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_simulate_linearized_sweep(self, tmp_path, capsys):
         code = main(["simulate", "--molecular-shift", "-1000",

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -272,12 +273,58 @@ class TestKernel:
         assert abs(excitation.amplitude_minus) == pytest.approx(3.754291837877159e-11,
                                                                 rel=1e-6)
 
-    def test_no_adaptive_solver_imported(self):
-        src = str(Path(odfprobe.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys, odfprobe.dynamics, odfprobe.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
-        result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                capture_output=True, text=True, timeout=120)
-        assert result.stdout.strip() == "[]"
+
+# Runs each command in one fresh interpreter and prints, as its last line,
+# whether scipy was loaded after each step.
+COLD_START = """
+import json, sys
+from pathlib import Path
+out = Path(sys.argv[1])
+steps = []
+import odfprobe
+steps.append(["import odfprobe", 0, "scipy" in sys.modules])
+import odfprobe.cli
+steps.append(["import odfprobe.cli", 0, "scipy" in sys.modules])
+meas = out / "meas.csv"
+meas.write_text("wavelength_nm,intensity_W_m2,shift_Hz,sigma_Hz,sign,f_ip_Hz\\n"
+                "789.0,1.1508e7,1229.9,130.0,red,694920.0\\n")
+for argv in (["enumerate"], ["identify", "--measurements", str(meas)],
+             ["simulate", "--linearized", "--sweep", "694000", "698000", "3"],
+             ["calibrate", "--noiseless", "--count", "3"]):
+    code = odfprobe.cli.main(argv + ["--out", str(out / argv[0])])
+    steps.append([argv[0], code, "scipy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+READOUT_NAMES = """
+import odfprobe
+namespace = {}
+exec("from odfprobe import *", namespace)
+print([n for n in odfprobe.__all__ if n not in namespace],
+      odfprobe.extract_shift is odfprobe.readout.extract_shift)
+"""
+
+
+def _fresh_python(code, *args):
+    src = str(Path(odfprobe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    return result.stdout.strip().splitlines()[-1]
+
+
+class TestColdStart:
+    def test_only_calibrate_loads_scipy(self, tmp_path):
+        steps = json.loads(_fresh_python(COLD_START, str(tmp_path)))
+        assert steps == [
+            ["import odfprobe", 0, False],
+            ["import odfprobe.cli", 0, False],
+            ["enumerate", 0, False],
+            ["identify", 0, False],
+            ["simulate", 0, False],
+            ["calibrate", 0, True],
+        ]
+
+    def test_readout_names_load_on_first_use(self):
+        assert _fresh_python(READOUT_NAMES) == "[] True"
