@@ -101,6 +101,8 @@ class RabiSignal:
         p = np.asarray(self.p, dtype=float)
         if t.shape != p.shape:
             raise ValueError("times and probabilities must have equal shapes")
+        if not (np.isfinite(t).all() and np.isfinite(p).all()):
+            raise ValueError("times and probabilities must be finite")
         if np.any((p < 0.0) | (p > 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "times_s", t)
@@ -249,6 +251,13 @@ class ReadoutPipeline:
     exact_lamb_dicke: bool = False
     max_fock: int = 1600
 
+    def __post_init__(self):
+        # the template alignment locates samples with searchsorted
+        t = np.asarray(self.probe_times_s, dtype=float)
+        if t.ndim != 1 or not np.isfinite(t).all() or np.any(np.diff(t) <= 0.0):
+            raise ValueError("probe times must be a finite, strictly increasing 1-D grid")
+        object.__setattr__(self, "probe_times_s", t)
+
     def mode_n_mean(self, mode_shift_hz: float) -> float:
         """Mean phonon number after a resonant pulse with the given effective
         single-beam shift of the in-phase mode (linearized drive)."""
@@ -306,6 +315,13 @@ class CalibrationSet:
             raise ValueError("calibration shifts must be strictly increasing")
         if not -1.0 < self.partner_fraction < 1.0:
             raise ValueError("partner fraction must lie in (-1, 1)")
+        named = [(f"template {k} ({s:g} Hz)", tpl)
+                 for k, (s, tpl) in enumerate(zip(self.shifts_hz, self.templates))]
+        if self.zero_template is not None:
+            named.append(("zero_template", self.zero_template))
+        for name, tpl in named:
+            if not np.array_equal(tpl.times_s, self.pipeline.probe_times_s):
+                raise ValueError(f"{name} is not sampled on the pipeline's probe times")
 
     @property
     def model_shifts_hz(self) -> np.ndarray:
@@ -325,7 +341,8 @@ class CalibrationSet:
         """The same calibration under another partner-fraction belief.
 
         The fitted template frequencies do not depend on the belief, so they
-        are carried over instead of being refitted.
+        are carried over instead of being refitted.  Nothing else is: the
+        model shifts, and with them the extraction grid, scale with it.
         """
         other = replace(self, partner_fraction=fraction)
         other.__dict__["template_frequencies_hz"] = self.template_frequencies_hz
@@ -363,6 +380,17 @@ class CalibrationSet:
         knot = np.concatenate([t[:1], t])
         return (s, f, pchip, edges, pchip(edges), pchip.derivative()(edges),
                 0.02 * f[f > 0.0].min(), slope, base, knot)
+
+    @cached_property
+    def _chi2_grid(self):
+        """(lo, hi, grid, curves): the 600 shifts ``extract_shift`` scores a
+        signal against first, and their template curves, built once per
+        instance."""
+        s_model = self.model_shifts_hz
+        lo = 0.0 if self.zero_template is not None else 0.25 * s_model[0]
+        hi = 1.5 * s_model[-1]
+        grid = np.linspace(lo, hi, 600)
+        return lo, hi, grid, self.curves(grid)
 
     def curves(self, shifts_hz) -> np.ndarray:
         """Template curves at many shifts, one row per shift.
@@ -458,10 +486,8 @@ def extract_shift(signal: RabiSignal, cal: CalibrationSet) -> ShiftEstimate:
         residual = signal.p - cal.interpolate(shift)
         return float(residual @ residual)
 
-    lo = 0.0 if cal.zero_template is not None else 0.25 * s_model[0]
-    hi = 1.5 * s_model[-1]
-    grid = np.linspace(lo, hi, 600)
-    residuals = signal.p - cal.curves(grid)
+    lo, hi, grid, curves = cal._chi2_grid
+    residuals = signal.p - curves
     values = np.einsum("ij,ij->i", residuals, residuals)
     spread = values.max() - values.min()
     if not math.isfinite(spread) or spread <= 0.0:
@@ -472,16 +498,17 @@ def extract_shift(signal: RabiSignal, cal: CalibrationSet) -> ShiftEstimate:
     result = minimize_scalar(sse, bounds=(bracket_lo, bracket_hi), method="bounded",
                              options={"xatol": (hi - lo) * 1e-7})
     best = float(result.x)
+    sse_best = sse(best)
     dof = max(len(signal.p) - 1, 1)
     reduced_chi2 = 1.0
     if var is None:
         # noiseless input: scale the uncertainty to the residual scatter
-        var = max(sse(best), 1e-30) / dof
+        var = max(sse_best, 1e-30) / dof
     else:
-        reduced_chi2 = sse(best) / (var * dof)
+        reduced_chi2 = sse_best / (var * dof)
     # curvature from a symmetric second difference
     h = max((hi - lo) * 1e-4, 1e-9)
-    curvature = (sse(best + h) - 2.0 * sse(best) + sse(best - h)) / (h * h * var)
+    curvature = (sse(best + h) - 2.0 * sse_best + sse(best - h)) / (h * h * var)
     span = s_model[-1] - s_model[0]
     if curvature > 0.0:
         sigma = math.sqrt(2.0 / curvature)

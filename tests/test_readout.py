@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import minimize_scalar
 
 import odfprobe.readout as readout
 from odfprobe.readout import (CalibrationSet, ConvergenceError,
-                              MotionalDistribution, RabiSignal,
-                              build_calibration, extract_shift, fit_rabi,
+                              MotionalDistribution, RabiSignal, ReadoutPipeline,
+                              ShiftEstimate, build_calibration, extract_shift, fit_rabi,
                               iterate_partner_correction, sideband_rabi_frequencies,
                               synthesize_bsb_signal)
 
@@ -126,6 +127,17 @@ class TestFitRabi:
         with pytest.raises(ValueError, match=">= 10"):
             fit_rabi(RabiSignal(TIMES[:5], np.zeros(5)))
 
+    def test_non_finite_signal_rejected(self):
+        # NaN slips through a [0, 1] range check; it must not reach a fit
+        p = np.full(len(TIMES), 0.5)
+        p[7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            RabiSignal(TIMES, p, shots=20)
+        times = TIMES.copy()
+        times[-1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            RabiSignal(times, np.full(len(TIMES), 0.5))
+
 
 class TestCalibration:
     def test_default_six_shifts(self, six_shift_calibration):
@@ -151,6 +163,21 @@ class TestCalibration:
         with pytest.raises(ValueError, match="partner fraction"):
             CalibrationSet((1.0, 2.0, 3.0), (signal,) * 3, pipeline,
                            partner_fraction=1.5)
+
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 60e-6, 61),
+                                       np.linspace(0.0, 120e-6, 41)])
+    def test_templates_off_the_probe_grid_rejected(self, pipeline, times):
+        # same length on another span once extracted 2000 Hz as 4045.6 Hz;
+        # another length failed to broadcast
+        other = replace(pipeline, probe_times_s=times)
+        shifts = (800.0, 2000.0, 3500.0)
+        templates = tuple(other.signal(s) for s in shifts)
+        with pytest.raises(ValueError, match=r"template 0 \(800 Hz\)"):
+            CalibrationSet(shifts, templates, pipeline)
+        on_grid = tuple(pipeline.signal(s) for s in shifts)
+        with pytest.raises(ValueError, match="zero_template"):
+            CalibrationSet(shifts, on_grid, pipeline,
+                           zero_template=other.signal(0.0), zero_frequency_hz=5e3)
 
 
 def reference_curve(cal, shift_hz):
@@ -304,6 +331,89 @@ class TestExtraction:
         assert est.shift_hz == pytest.approx(2000.0, rel=0.05)
 
 
+def rebuilt_grid_extraction(signal, cal):
+    """Reference for ``extract_shift``: the algorithm that rebuilt the 600-shift
+    chi-square grid on every call and evaluated the minimum twice."""
+    s_model = cal.model_shifts_hz
+    if signal.shots is not None:
+        var = float(np.mean(np.maximum(signal.p * (1.0 - signal.p), 0.25 / signal.shots))
+                    / signal.shots)
+    else:
+        var = None
+
+    def sse(shift):
+        residual = signal.p - cal.interpolate(shift)
+        return float(residual @ residual)
+
+    lo = 0.0 if cal.zero_template is not None else 0.25 * s_model[0]
+    hi = 1.5 * s_model[-1]
+    grid = np.linspace(lo, hi, 600)
+    residuals = signal.p - cal.curves(grid)
+    values = np.einsum("ij,ij->i", residuals, residuals)
+    i_best = int(np.argmin(values))
+    result = minimize_scalar(sse, bounds=(grid[max(i_best - 1, 0)],
+                                          grid[min(i_best + 1, len(grid) - 1)]),
+                             method="bounded", options={"xatol": (hi - lo) * 1e-7})
+    best = float(result.x)
+    dof = max(len(signal.p) - 1, 1)
+    reduced_chi2 = 1.0
+    if var is None:
+        var = max(sse(best), 1e-30) / dof
+    else:
+        reduced_chi2 = sse(best) / (var * dof)
+    h = max((hi - lo) * 1e-4, 1e-9)
+    curvature = (sse(best + h) - 2.0 * sse(best) + sse(best - h)) / (h * h * var)
+    span = s_model[-1] - s_model[0]
+    if curvature > 0.0:
+        sigma = math.sqrt(2.0 / curvature) * math.sqrt(max(reduced_chi2, 1.0))
+    else:
+        sigma = span
+    return ShiftEstimate(shift_hz=best, sigma_hz=sigma,
+                         extrapolated=not s_model[0] <= best <= s_model[-1],
+                         uninformative=sigma >= span or reduced_chi2 > 5.0,
+                         reduced_chi2=reduced_chi2)
+
+
+class TestCachedGrid:
+    def test_grid_built_once_per_instance(self, pipeline, six_shift_calibration,
+                                          monkeypatch):
+        grids = []
+        curves = CalibrationSet.curves
+
+        def counting(cal, shifts_hz):
+            if len(shifts_hz) == 600:
+                grids.append(cal)
+            return curves(cal, shifts_hz)
+
+        monkeypatch.setattr(CalibrationSet, "curves", counting)
+        cal = six_shift_calibration.with_partner_fraction(0.0)
+        for truth in (1200.0, 2500.0, 4000.0):
+            extract_shift(pipeline.signal(truth, shots=20, seed=3), cal)
+        assert grids == [cal]
+
+    @pytest.mark.parametrize("variant", ["wide", "no zero anchor", "partner 0.1"])
+    def test_matches_rebuilt_grid_reference(self, pipeline, wide_calibration, variant):
+        cal = {
+            "wide": wide_calibration,
+            "no zero anchor": CalibrationSet(wide_calibration.shifts_hz,
+                                             wide_calibration.templates, pipeline),
+            "partner 0.1": wide_calibration.with_partner_fraction(0.1),
+        }[variant]
+        signals = [pipeline.signal(truth, shots=20, seed=seed) for seed, truth in
+                   enumerate(np.linspace(100.0, 7000.0, 10), start=21)]
+        signals += [pipeline.signal(truth) for truth in (90.0, 2000.0, 6500.0)]
+        for signal in signals:
+            assert extract_shift(signal, cal) == rebuilt_grid_extraction(signal, cal)
+
+    def test_partner_fraction_gets_its_own_grid(self, six_shift_calibration):
+        parent_hi = six_shift_calibration._chi2_grid[1]
+        child = six_shift_calibration.with_partner_fraction(0.2)
+        lo, hi, grid, curves = child._chi2_grid
+        assert hi == grid[-1] == 1.5 * child.model_shifts_hz[-1]
+        assert hi == pytest.approx(1.2 * parent_hi, rel=1e-12)
+        assert np.array_equal(curves, child.curves(grid))
+
+
 class TestPartnerIteration:
     def test_published_iteration_pattern(self, pipeline):
         shifts = np.linspace(800.0, 4600.0, 6)
@@ -363,6 +473,19 @@ class TestPartnerIteration:
 
 
 class TestPipeline:
+    def test_probe_grid_must_be_finite_and_increasing(self, crystal):
+        default = ReadoutPipeline(crystal).probe_times_s
+        # swapping two samples once shifted 3500 Hz to 3454.3 Hz, unflagged
+        swapped = default.copy()
+        swapped[[10, 40]] = swapped[[40, 10]]
+        repeated = default.copy()
+        repeated[5] = repeated[4]
+        holed = default.copy()
+        holed[3] = np.nan
+        for times in (swapped, repeated, holed, default[::-1]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ReadoutPipeline(crystal, probe_times_s=times)
+
     def test_mode_phonon_number_scale(self, pipeline):
         # 1 kHz effective shift for 3 ms on the reference crystal: n of order 10
         assert pipeline.mode_n_mean(1000.0) == pytest.approx(16.36, rel=1e-2)
