@@ -71,8 +71,12 @@ class TransitionLine:
     einstein_a: float | None = None
 
     def __post_init__(self):
-        if self.wavelength_nm <= 0.0:
-            raise CatalogError(f"line {self.branch}({self.j_lower}): wavelength must be > 0")
+        if not (math.isfinite(self.wavelength_nm) and self.wavelength_nm > 0.0):
+            raise CatalogError(f"line {self.branch}({self.j_lower}): wavelength must be "
+                               f"finite and > 0, got {self.wavelength_nm}")
+        if not math.isfinite(self.strength_au):
+            raise CatalogError(f"line {self.branch}({self.j_lower}): strength must be "
+                               f"finite, got {self.strength_au}")
         if self.strength_au < 0.0:
             raise CatalogError(f"line {self.branch}({self.j_lower}): negative strength")
         delta_j, _, j_low = parse_branch(self.branch)
@@ -98,6 +102,14 @@ class FarBand:
     band: str
     wavelength_nm: float
     einstein_a: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.wavelength_nm) and self.wavelength_nm > 0.0):
+            raise CatalogError(f"far band {self.band}: wavelength must be finite and > 0, "
+                               f"got {self.wavelength_nm}")
+        if not (math.isfinite(self.einstein_a) and self.einstein_a >= 0.0):
+            raise CatalogError(f"far band {self.band}: einstein_A must be finite and >= 0, "
+                               f"got {self.einstein_a}")
 
     @property
     def strength_au(self) -> float:
@@ -168,6 +180,9 @@ def _read_csv(path: Path, expected_columns) -> tuple[list[dict], dict, list[int]
     if missing:
         raise CatalogError(f"{path}: missing mandatory column(s) {', '.join(missing)}")
     rows = list(reader)
+    for row, lineno in zip(rows, line_numbers[1:]):
+        if None in row.values():
+            raise CatalogError(f"{path.name}:{lineno}: row has fewer fields than the header")
     return rows, meta, line_numbers[1:]
 
 
@@ -211,11 +226,11 @@ def load_line_catalog(lines_path, far_bands_path=None) -> LineCatalog:
                 f"(first at line {seen[key]})"
             )
         seen[key] = lineno
-        if mu2 is None:
-            coupling = _coupling_from_metadata(meta, where)
-            hl = honl_london(branch, j_lower, coupling)
-            mu2 = band_dipole_squared_au(einstein_a, wavelength) * hl
+        coupling = _coupling_from_metadata(meta, where) if mu2 is None else None
         try:
+            if mu2 is None:
+                hl = honl_london(branch, j_lower, coupling)
+                mu2 = band_dipole_squared_au(einstein_a, wavelength) * hl
             lines.append(TransitionLine(
                 band=row["band"].strip(),
                 branch=branch,

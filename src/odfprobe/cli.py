@@ -133,33 +133,29 @@ def cmd_simulate(args, config: RunConfig) -> int:
           f"shifts ({drive.shift1_hz:.1f}, {drive.shift2_hz:.1f}) Hz")
     outdir = _outdir(args)
     sim_config = SimulationConfig(crystal, drive)
-    try:
-        if args.sweep:
-            lo, hi, count = args.sweep
-            freqs = np.linspace(lo, hi, int(count))
-            rows = sweep_beat_frequency(sim_config, freqs,
-                                        use_simulator=not args.linearized)
-            path = outdir / "beat_sweep.csv"
-            with path.open("w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["beat_hz", "ip_amplitude_m"])
-                for f, amp in rows:
-                    writer.writerow([f"{f:.3f}", f"{amp:.8e}"])
-            peak = max(rows, key=lambda r: r[1])
-            print(f"wrote {path}; peak at {peak[0] / 1e3:.3f} kHz")
-        else:
-            trajectory = simulate_odf(sim_config)
-            excitation = mode_amplitude(trajectory)
-            linear = linearized_prediction(sim_config)
-            path = outdir / "trajectory.csv"
-            trajectory.export_csv(path)
-            print(f"wrote {path}")
-            print(f"in-phase mode: n = {excitation.n_minus:.2f} "
-                  f"(linearized {linear.n_minus:.2f}), "
-                  f"out-of-phase n = {excitation.n_plus:.3f}")
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    if args.sweep:
+        lo, hi, count = args.sweep
+        freqs = np.linspace(lo, hi, int(count))
+        rows = sweep_beat_frequency(sim_config, freqs,
+                                    use_simulator=not args.linearized)
+        path = outdir / "beat_sweep.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["beat_hz", "ip_amplitude_m"])
+            for f, amp in rows:
+                writer.writerow([f"{f:.3f}", f"{amp:.8e}"])
+        peak = max(rows, key=lambda r: r[1])
+        print(f"wrote {path}; peak at {peak[0] / 1e3:.3f} kHz")
+    else:
+        trajectory = simulate_odf(sim_config)
+        excitation = mode_amplitude(trajectory)
+        linear = linearized_prediction(sim_config)
+        path = outdir / "trajectory.csv"
+        trajectory.export_csv(path)
+        print(f"wrote {path}")
+        print(f"in-phase mode: n = {excitation.n_minus:.2f} "
+              f"(linearized {linear.n_minus:.2f}), "
+              f"out-of-phase n = {excitation.n_plus:.3f}")
     _write_manifest(outdir, "simulate", config,
                     {"f_ip_sp_hz": crystal.f_ip, "f_ip_op_hz": crystal_op.f_ip})
     return EXIT_OK
@@ -198,7 +194,6 @@ def cmd_calibrate(args, config: RunConfig) -> int:
             writer.writerows(template.export_rows())
     _write_manifest(outdir, "calibrate", config, {
         "shifts_hz": list(cal.shifts_hz),
-        "partner_fraction": cal.partner_fraction,
         "templates": len(cal.templates),
     })
     print(f"wrote {len(cal.templates)} calibration templates to {outdir}")

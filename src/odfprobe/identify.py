@@ -294,22 +294,26 @@ def read_measurements(path) -> list[Measurement]:
     path = Path(path)
     measurements = []
     with path.open(encoding="utf-8") as fh:
-        reader = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
-        missing = [c for c in MEASUREMENT_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        for idx, row in enumerate(reader, start=2):
-            try:
-                measurements.append(Measurement(
-                    wavelength_nm=float(row["wavelength_nm"]),
-                    intensity_w_m2=float(row["intensity_W_m2"]),
-                    shift_hz=float(row["shift_Hz"]),
-                    sigma_hz=float(row["sigma_Hz"]),
-                    sign=row["sign"].strip(),
-                    f_ip_hz=float(row["f_ip_Hz"]),
-                ))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{idx}: {exc}") from exc
+        numbered = [(idx, ln) for idx, ln in enumerate(fh, start=1) if not ln.startswith("#")]
+    reader = csv.DictReader(ln for _, ln in numbered)
+    missing = [c for c in MEASUREMENT_COLUMNS if c not in (reader.fieldnames or [])]
+    if missing:
+        raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+    for row in reader:
+        where = f"{path}:{numbered[reader.line_num - 1][0]}"
+        if None in row.values():
+            raise ValueError(f"{where}: row has fewer fields than the header")
+        try:
+            measurements.append(Measurement(
+                wavelength_nm=float(row["wavelength_nm"]),
+                intensity_w_m2=float(row["intensity_W_m2"]),
+                shift_hz=float(row["shift_Hz"]),
+                sigma_hz=float(row["sigma_Hz"]),
+                sign=row["sign"].strip(),
+                f_ip_hz=float(row["f_ip_Hz"]),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return measurements
 
 

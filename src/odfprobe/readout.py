@@ -11,7 +11,7 @@ template signals interpolated continuously in the shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -285,24 +285,17 @@ class ReadoutPipeline:
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Reference signals at known shifts, plus the partner-fraction belief.
+    """Reference signals at known shifts.
 
     ``shifts_hz`` are the nominal (applied, known) shift magnitudes, strictly
-    increasing.  ``partner_fraction`` is the current model of the additional
-    fractional shift contributed by the co-trapped partner molecule during
-    calibration: template k is interpreted as shift_k * (1 + r).
-
-    ``zero_template`` is the model-known zero-excitation anchor (the
-    ground-state sideband flop); it is not calibration data but pins the
-    family below the lowest calibrated shift.
+    increasing.  The family is anchored below the lowest calibrated shift by
+    the model-known zero excitation, the pipeline's ground-state sideband
+    flop; it is not calibration data.
     """
 
     shifts_hz: tuple[float, ...]
     templates: tuple[RabiSignal, ...]
     pipeline: ReadoutPipeline
-    partner_fraction: float = 0.0
-    zero_template: RabiSignal | None = None
-    zero_frequency_hz: float | None = None
 
     def __post_init__(self):
         if len(self.shifts_hz) < 3:
@@ -313,23 +306,10 @@ class CalibrationSet:
             raise ValueError("calibration shifts must be positive magnitudes")
         if any(b <= a for a, b in zip(self.shifts_hz, self.shifts_hz[1:])):
             raise ValueError("calibration shifts must be strictly increasing")
-        if not -1.0 < self.partner_fraction < 1.0:
-            raise ValueError("partner fraction must lie in (-1, 1)")
-        named = [(f"template {k} ({s:g} Hz)", tpl)
-                 for k, (s, tpl) in enumerate(zip(self.shifts_hz, self.templates))]
-        if self.zero_template is not None:
-            named.append(("zero_template", self.zero_template))
-        for name, tpl in named:
+        for k, (s, tpl) in enumerate(zip(self.shifts_hz, self.templates)):
             if not np.array_equal(tpl.times_s, self.pipeline.probe_times_s):
-                raise ValueError(f"{name} is not sampled on the pipeline's probe times")
-
-    @property
-    def model_shifts_hz(self) -> np.ndarray:
-        """Effective shifts the templates are attributed to."""
-        return np.asarray(self.shifts_hz) * (1.0 + self.partner_fraction)
-
-    def template_matrix(self) -> np.ndarray:
-        return np.vstack([tpl.p for tpl in self.templates])
+                raise ValueError(f"template {k} ({s:g} Hz) is not sampled on the "
+                                 "pipeline's probe times")
 
     @cached_property
     def template_frequencies_hz(self) -> np.ndarray:
@@ -337,26 +317,15 @@ class CalibrationSet:
         the frequency-aligned interpolation)."""
         return np.array([fit_rabi(tpl).frequency_hz for tpl in self.templates])
 
-    def with_partner_fraction(self, fraction: float) -> "CalibrationSet":
-        """The same calibration under another partner-fraction belief.
-
-        The fitted template frequencies do not depend on the belief, so they
-        are carried over instead of being refitted.  Nothing else is: the
-        model shifts, and with them the extraction grid, scale with it.
-        """
-        other = replace(self, partner_fraction=fraction)
-        other.__dict__["template_frequencies_hz"] = self.template_frequencies_hz
-        return other
-
     def _family(self):
-        """(shifts, frequencies, curves) including the zero anchor if present."""
-        s = self.model_shifts_hz
-        f = self.template_frequencies_hz
-        curves = self.template_matrix()
-        if self.zero_template is not None:
-            s = np.concatenate(([0.0], s))
-            f = np.concatenate(([self.zero_frequency_hz], f))
-            curves = np.vstack([self.zero_template.p, curves])
+        """(shifts, frequencies, curves), the zero anchor first."""
+        pipeline = self.pipeline
+        zero_frequency = pipeline.carrier_rabi_hz * pipeline.eta
+        if pipeline.exact_lamb_dicke:
+            zero_frequency *= math.exp(-pipeline.eta**2 / 2.0)
+        s = np.concatenate(([0.0], self.shifts_hz))
+        f = np.concatenate(([zero_frequency], self.template_frequencies_hz))
+        curves = np.vstack([pipeline.signal(0.0).p] + [tpl.p for tpl in self.templates])
         return s, f, curves
 
     @cached_property
@@ -386,9 +355,7 @@ class CalibrationSet:
         """(lo, hi, grid, curves): the 600 shifts ``extract_shift`` scores a
         signal against first, and their template curves, built once per
         instance."""
-        s_model = self.model_shifts_hz
-        lo = 0.0 if self.zero_template is not None else 0.25 * s_model[0]
-        hi = 1.5 * s_model[-1]
+        lo, hi = 0.0, 1.5 * self.shifts_hz[-1]
         grid = np.linspace(lo, hi, 600)
         return lo, hi, grid, self.curves(grid)
 
@@ -435,8 +402,7 @@ def build_calibration(shifts_hz, pipeline: ReadoutPipeline,
     ``true_partner_fraction`` bakes a partner-molecule contribution into the
     synthetic template data (the reference signals then correspond to
     shift_k * (1 + r_true) while remaining labeled shift_k), which is the
-    situation the iterative correction is designed to undo.  The returned
-    set starts with a partner-fraction belief of 0.
+    situation the iterative correction is designed to undo.
     """
     shifts = tuple(float(s) for s in shifts_hz)
     if len(shifts) < 3:
@@ -447,13 +413,7 @@ def build_calibration(shifts_hz, pipeline: ReadoutPipeline,
         child_seed = None if shots is None else int(rng.integers(2**31))
         templates.append(pipeline.signal(s * (1.0 + true_partner_fraction),
                                          shots=shots, seed=child_seed))
-    zero_frequency = pipeline.carrier_rabi_hz * pipeline.eta
-    if pipeline.exact_lamb_dicke:
-        zero_frequency *= math.exp(-pipeline.eta**2 / 2.0)
-    return CalibrationSet(shifts_hz=shifts, templates=tuple(templates),
-                          pipeline=pipeline, partner_fraction=0.0,
-                          zero_template=pipeline.signal(0.0),
-                          zero_frequency_hz=zero_frequency)
+    return CalibrationSet(shifts_hz=shifts, templates=tuple(templates), pipeline=pipeline)
 
 
 @dataclass(frozen=True)
@@ -475,7 +435,7 @@ def extract_shift(signal: RabiSignal, cal: CalibrationSet) -> ShiftEstimate:
     """
     if not np.array_equal(signal.times_s, cal.pipeline.probe_times_s):
         raise ValueError("signal must be sampled on the calibration time grid")
-    s_model = cal.model_shifts_hz
+    first, last = cal.shifts_hz[0], cal.shifts_hz[-1]
     if signal.shots is not None:
         var = float(np.mean(np.maximum(signal.p * (1.0 - signal.p), 0.25 / signal.shots))
                     / signal.shots)
@@ -509,7 +469,7 @@ def extract_shift(signal: RabiSignal, cal: CalibrationSet) -> ShiftEstimate:
     # curvature from a symmetric second difference
     h = max((hi - lo) * 1e-4, 1e-9)
     curvature = (sse(best + h) - 2.0 * sse_best + sse(best - h)) / (h * h * var)
-    span = s_model[-1] - s_model[0]
+    span = last - first
     if curvature > 0.0:
         sigma = math.sqrt(2.0 / curvature)
         # inflate conservatively when the best template fits the data poorly
@@ -518,7 +478,7 @@ def extract_shift(signal: RabiSignal, cal: CalibrationSet) -> ShiftEstimate:
         sigma = span
     # a fit the model cannot describe carries no shift information
     uninformative = sigma >= span or reduced_chi2 > 5.0
-    extrapolated = not s_model[0] <= best <= s_model[-1]
+    extrapolated = not first <= best <= last
     return ShiftEstimate(shift_hz=best, sigma_hz=sigma, extrapolated=extrapolated,
                          uninformative=uninformative, reduced_chi2=reduced_chi2)
 
@@ -534,7 +494,6 @@ class PartnerIteration:
     partner_shift_hz: float          # signed, shares the atomic-shift sign
     fraction: float                  # partner / atomic shift ratio
     trace_hz: tuple[float, ...]      # successive signed estimates
-    calibration: CalibrationSet      # with the converged fraction applied
     converged: bool
 
 
@@ -548,21 +507,27 @@ def iterate_partner_correction(cal: CalibrationSet, measured: RabiSignal,
     than ``PARTNER_REL_TOLERANCE`` or ``PARTNER_MAX_ITERATIONS`` is hit.  The
     measured signal is the partner-only excitation recorded at the power
     where the atomic reference shift is ``atomic_shift_hz``.
+
+    The attribution scales the family's shift axis by (1 + r), and the
+    extraction is invariant under that scaling, so the signal is fitted once
+    and each step rescales that one estimate.
     """
     if atomic_shift_hz == 0.0:
         raise ValueError("atomic reference shift must be nonzero")
     sign = math.copysign(1.0, atomic_shift_hz)
-    r_hat = cal.partner_fraction
+    unscaled = extract_shift(measured, cal).shift_hz
+    r_hat = 0.0
     trace = []
     previous_step = None
+    converged = False
     for _ in range(PARTNER_MAX_ITERATIONS):
-        estimate = extract_shift(measured, cal.with_partner_fraction(r_hat))
-        r_new = estimate.shift_hz / abs(atomic_shift_hz)
+        estimate = (1.0 + r_hat) * unscaled
+        r_new = estimate / abs(atomic_shift_hz)
         if not -1.0 < r_new < 1.0:
             raise ConvergenceError(
                 f"partner fraction estimate {r_new:.3f} left the model range (-1, 1)"
             )
-        trace.append(sign * estimate.shift_hz)
+        trace.append(sign * estimate)
         step = abs(r_new - r_hat)
         if previous_step is not None and step > previous_step * (1.0 + 1e-9) \
                 and step > PARTNER_REL_TOLERANCE * max(abs(r_new), 1e-12):
@@ -573,18 +538,11 @@ def iterate_partner_correction(cal: CalibrationSet, measured: RabiSignal,
         converged = step <= PARTNER_REL_TOLERANCE * max(abs(r_new), 1e-12)
         r_hat = r_new
         if converged:
-            return PartnerIteration(
-                partner_shift_hz=sign * abs(r_hat) * abs(atomic_shift_hz),
-                fraction=r_hat,
-                trace_hz=tuple(trace),
-                calibration=cal.with_partner_fraction(r_hat),
-                converged=True,
-            )
+            break
         previous_step = step
     return PartnerIteration(
         partner_shift_hz=sign * abs(r_hat) * abs(atomic_shift_hz),
         fraction=r_hat,
         trace_hz=tuple(trace),
-        calibration=cal.with_partner_fraction(r_hat),
-        converged=False,
+        converged=converged,
     )

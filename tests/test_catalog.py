@@ -167,6 +167,43 @@ class TestIngestion:
         with pytest.raises(CatalogError, match="inconsistent"):
             load_line_catalog(path)
 
+    def test_short_line_row_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(META + HEADER + "A-X,Q12,6,11,11,789.1872,1.1e4\n")
+        with pytest.raises(CatalogError, match="short.csv:5: row has fewer fields"):
+            load_line_catalog(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("B-X,391.15\n", "row has fewer fields"),
+        ("B-X,391.15,-1e6\n", "einstein_A must be finite and >= 0"),
+        ("B-X,391.15,nan\n", "einstein_A must be finite and >= 0"),
+        ("B-X,391.15,inf\n", "einstein_A must be finite and >= 0"),
+        ("B-X,nan,1.05e7\n", "wavelength must be finite and > 0"),
+        ("B-X,0,1.05e7\n", "wavelength must be finite and > 0"),
+        ("B-X,-inf,1.05e7\n", "wavelength must be finite and > 0"),
+    ])
+    def test_bad_far_band_row_rejected(self, tmp_path, row, message):
+        lines = tmp_path / "lines.csv"
+        lines.write_text(META + HEADER + "A-X,Q12,6,11,11,789.1872,,1.0e-3\n")
+        far = tmp_path / "far.csv"
+        far.write_text("# far bands\nband,wavelength_nm,einstein_A\n"
+                       "A-X,1109.14,4.3e4\n" + row)
+        with pytest.raises(CatalogError, match=f"far.csv:4: .*{message}"):
+            load_line_catalog(lines, far)
+
+    @pytest.mark.parametrize("wavelength, einstein_a, message", [
+        ("789.1872", "nan", "strength must be finite"),
+        ("789.1872", "inf", "strength must be finite"),
+        ("nan", "1.1e4", "wavelength must be"),
+        ("inf", "1.1e4", "wavelength must be"),
+    ])
+    def test_non_finite_line_row_rejected(self, tmp_path, wavelength, einstein_a,
+                                          message):
+        path = tmp_path / "lines.csv"
+        path.write_text(META + HEADER + f"A-X,Q12,6,11,11,{wavelength},{einstein_a},\n")
+        with pytest.raises(CatalogError, match=f"lines.csv:5: .*{message}"):
+            load_line_catalog(path)
+
     def test_unreadable_path(self):
         with pytest.raises(CatalogError, match="cannot read"):
             load_line_catalog("/nonexistent/lines.csv")
@@ -196,7 +233,20 @@ class TestStrengthConversion:
             TransitionLine("A-X", "Q12", 6, HalfInt(11), HalfInt(11), -1.0, 1e-3)
         with pytest.raises(CatalogError):
             TransitionLine("A-X", "Q12", 6, HalfInt(11), HalfInt(11), 789.0, -1e-3)
+        for wavelength, strength in ((float("nan"), 1e-3), (789.0, float("inf"))):
+            with pytest.raises(CatalogError, match="finite"):
+                TransitionLine("A-X", "Q12", 6, HalfInt(11), HalfInt(11), wavelength,
+                               strength)
         with pytest.raises(CatalogError):
             # J_lower inconsistent with N_lower for a
             # lower-F2 branch label
             TransitionLine("A-X", "Q12", 6, HalfInt(13), HalfInt(13), 789.0, 1e-3)
+
+    @pytest.mark.parametrize("wavelength, einstein_a", [
+        (0.0, 1e4), (-391.15, 1e4), (float("nan"), 1e4), (float("inf"), 1e4),
+        (391.15, -1e6), (391.15, float("nan")), (391.15, float("inf")),
+    ])
+    def test_far_band_validation(self, wavelength, einstein_a):
+        with pytest.raises(CatalogError, match="far band B-X"):
+            FarBand("B-X", wavelength, einstein_a)
+        FarBand("B-X", 391.15, 0.0)

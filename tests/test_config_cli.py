@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from odfprobe.catalog import SHIPPED_LINES_FILE, shipped_data_path
 from odfprobe.cli import main
 from odfprobe import readout
 from odfprobe.config import KNOWN_KEYS, ConfigError, load_config
@@ -393,3 +394,74 @@ class TestCli:
         assert code == 2
         assert "no states" in captured.err
         assert "Traceback" not in captured.err
+
+
+def far_band_config(tmp_path, far_rows, line_row=None):
+    """A config reading a copy of the shipped lines, with ``line_row`` appended,
+    and a far-band CSV made of ``far_rows``."""
+    lines = tmp_path / "lines.csv"
+    text = shipped_data_path(SHIPPED_LINES_FILE).read_text(encoding="utf-8")
+    lines.write_text(text + (line_row or ""))
+    far = tmp_path / "far.csv"
+    far.write_text("# far bands\nband,wavelength_nm,einstein_A\n" + far_rows)
+    path = tmp_path / "catalog.cfg"
+    path.write_text(BASE_CONFIG.replace("lines = builtin", f"lines = {lines}")
+                    .replace("far_bands = builtin", f"far_bands = {far}"))
+    return path
+
+
+COMMANDS = {
+    "identify": ["identify", "--nmax", "4"],
+    "classify": ["classify"],
+    "windows": ["windows", "--exclude-up-to", "4"],
+    "spectrum": ["spectrum", "--nmax", "0", "--steps", "3"],
+}
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("command", ["identify", "classify", "windows"])
+    def test_short_measurement_row_is_validation_error(self, tmp_path, capsys, command):
+        meas = tmp_path / "m.csv"
+        meas.write_text(MEASUREMENTS + "789.71,1.1508e7,400.0,60.0,red\n")
+        code = main(COMMANDS[command] + ["--measurements", str(meas),
+                                         "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{meas}:4: row has fewer fields than the header" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_measurement_line_numbers_count_comments(self, tmp_path, capsys):
+        meas = tmp_path / "m.csv"
+        lines = MEASUREMENTS.splitlines()
+        meas.write_text("# run 7\n# lattice at 789.71 nm\n" + lines[0] + "\n"
+                        + lines[1].replace("130.0", "-130.0") + "\n")
+        code = main(["identify", "--measurements", str(meas), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{meas}:4: sigma must be > 0" in captured.err
+
+    @pytest.mark.parametrize("command", ["identify", "spectrum", "windows"])
+    @pytest.mark.parametrize("far_row, line_row, message", [
+        ("B-X,391.15\n", None, "far.csv:3: row has fewer fields"),
+        ("B-X,391.15,1.05e7\n", "A-X,Q12,12,23,23,789.5,1.1e4\n",
+         "lines.csv:75: row has fewer fields"),
+        ("B-X,391.15,-1e6\n", None, "far.csv:3: far band B-X: einstein_A must be finite"),
+        ("B-X,nan,1.05e7\n", None, "far.csv:3: far band B-X: wavelength must be finite"),
+        ("B-X,391.15,1.05e7\n", "A-X,Q12,12,23,23,789.5,nan,\n",
+         "lines.csv:75: line Q12(23/2): strength must be finite"),
+    ], ids=["short far row", "short line row", "negative far A", "nan far wavelength",
+            "nan line A"])
+    def test_bad_catalog_row_is_validation_error(self, tmp_path, capsys, command,
+                                                 far_row, line_row, message):
+        path = far_band_config(tmp_path, far_row, line_row)
+        args = COMMANDS[command] + ["--config", str(path), "--out", str(tmp_path)]
+        if command == "identify":
+            meas = tmp_path / "m.csv"
+            meas.write_text(MEASUREMENTS.replace("789.71", "789.0"))
+            args += ["--measurements", str(meas)]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert "excluded" not in captured.out

@@ -158,12 +158,6 @@ class TestCalibration:
         with pytest.raises(ValueError, match="strictly increasing"):
             CalibrationSet((1000.0, 1000.0, 2000.0), (signal,) * 3, pipeline)
 
-    def test_partner_fraction_range(self, pipeline):
-        signal = pipeline.signal(1000.0)
-        with pytest.raises(ValueError, match="partner fraction"):
-            CalibrationSet((1.0, 2.0, 3.0), (signal,) * 3, pipeline,
-                           partner_fraction=1.5)
-
     @pytest.mark.parametrize("times", [np.linspace(0.0, 60e-6, 61),
                                        np.linspace(0.0, 120e-6, 41)])
     def test_templates_off_the_probe_grid_rejected(self, pipeline, times):
@@ -174,22 +168,26 @@ class TestCalibration:
         templates = tuple(other.signal(s) for s in shifts)
         with pytest.raises(ValueError, match=r"template 0 \(800 Hz\)"):
             CalibrationSet(shifts, templates, pipeline)
-        on_grid = tuple(pipeline.signal(s) for s in shifts)
-        with pytest.raises(ValueError, match="zero_template"):
-            CalibrationSet(shifts, on_grid, pipeline,
-                           zero_template=other.signal(0.0), zero_frequency_hz=5e3)
+
+
+def scaled(cal, factor):
+    """The calibration's templates attributed to shifts scaled by ``factor``,
+    as a partner fraction of factor - 1 attributes them."""
+    return CalibrationSet(tuple(s * factor for s in cal.shifts_hz), cal.templates,
+                          cal.pipeline)
 
 
 def reference_curve(cal, shift_hz):
     """Per-point reference for the template family: a fresh frequency PCHIP
     for the one shift, then ``np.interp`` of the two bracketing curves."""
-    s = list(cal.model_shifts_hz)
-    f = list(cal.template_frequencies_hz)
-    curves = [tpl.p for tpl in cal.templates]
-    if cal.zero_template is not None:
-        s, f = [0.0] + s, [cal.zero_frequency_hz] + f
-        curves = [cal.zero_template.p] + curves
-    s, f = np.array(s), np.array(f)
+    pipeline = cal.pipeline
+    # the ground-state flop anchors the family at zero shift
+    zero_frequency = pipeline.carrier_rabi_hz * pipeline.eta
+    if pipeline.exact_lamb_dicke:
+        zero_frequency *= math.exp(-pipeline.eta**2 / 2.0)
+    s = np.array([0.0, *cal.shifts_hz])
+    f = np.array([zero_frequency, *cal.template_frequencies_hz])
+    curves = [pipeline.signal(0.0).p] + [tpl.p for tpl in cal.templates]
     pchip = PchipInterpolator(s, f, extrapolate=False)
     if s[0] <= shift_hz <= s[-1]:
         f_target = float(pchip(shift_hz))
@@ -208,8 +206,8 @@ def reference_curve(cal, shift_hz):
 
 class TestTemplateFamily:
     def test_batch_matches_per_point_reference(self, six_shift_calibration):
-        anchored = six_shift_calibration.with_partner_fraction(0.1)
-        nodes = list(anchored.model_shifts_hz)
+        anchored = scaled(six_shift_calibration, 1.1)
+        nodes = list(anchored.shifts_hz)
         shifts = [0.0, 350.0] + nodes + [1234.5, 3999.0, 5200.0, 6900.0, 9000.0]
         batch = anchored.curves(shifts)
         assert batch.shape == (len(shifts), len(anchored.pipeline.probe_times_s))
@@ -217,12 +215,10 @@ class TestTemplateFamily:
             assert np.max(np.abs(row - reference_curve(anchored, shift))) <= 1e-12
             assert np.array_equal(anchored.interpolate(shift), row)
 
-    def test_below_lowest_node_without_zero_anchor(self, six_shift_calibration):
-        cal = CalibrationSet(six_shift_calibration.shifts_hz,
-                             six_shift_calibration.templates,
-                             six_shift_calibration.pipeline)
-        # -1000 Hz extrapolates below the frequency floor
-        shifts = [-1000.0, 5.0, 200.0, 650.0, 800.0, 2000.0, 4600.0, 5500.0]
+    def test_below_the_zero_anchor(self, six_shift_calibration):
+        cal = six_shift_calibration
+        # -20 kHz extrapolates below the frequency floor
+        shifts = [-20e3, -1000.0, -5.0, 0.0, 5.0, 650.0, 800.0, 4600.0, 5500.0]
         for row, shift in zip(cal.curves(shifts), shifts):
             assert np.max(np.abs(row - reference_curve(cal, shift))) <= 1e-12
 
@@ -244,7 +240,7 @@ class TestTemplateFamily:
             return PchipInterpolator(*args, **kwargs)
 
         monkeypatch.setattr(readout, "PchipInterpolator", counting)
-        cal = six_shift_calibration.with_partner_fraction(0.05)
+        cal = scaled(six_shift_calibration, 1.05)
         for shift in (900.0, 2500.0, 7000.0):
             cal.interpolate(shift)
         cal.curves(np.linspace(0.0, 7000.0, 50))
@@ -334,7 +330,7 @@ class TestExtraction:
 def rebuilt_grid_extraction(signal, cal):
     """Reference for ``extract_shift``: the algorithm that rebuilt the 600-shift
     chi-square grid on every call and evaluated the minimum twice."""
-    s_model = cal.model_shifts_hz
+    s_model = cal.shifts_hz
     if signal.shots is not None:
         var = float(np.mean(np.maximum(signal.p * (1.0 - signal.p), 0.25 / signal.shots))
                     / signal.shots)
@@ -345,7 +341,7 @@ def rebuilt_grid_extraction(signal, cal):
         residual = signal.p - cal.interpolate(shift)
         return float(residual @ residual)
 
-    lo = 0.0 if cal.zero_template is not None else 0.25 * s_model[0]
+    lo = 0.0
     hi = 1.5 * s_model[-1]
     grid = np.linspace(lo, hi, 600)
     residuals = signal.p - cal.curves(grid)
@@ -386,32 +382,58 @@ class TestCachedGrid:
             return curves(cal, shifts_hz)
 
         monkeypatch.setattr(CalibrationSet, "curves", counting)
-        cal = six_shift_calibration.with_partner_fraction(0.0)
+        cal = scaled(six_shift_calibration, 1.0)
         for truth in (1200.0, 2500.0, 4000.0):
             extract_shift(pipeline.signal(truth, shots=20, seed=3), cal)
         assert grids == [cal]
 
-    @pytest.mark.parametrize("variant", ["wide", "no zero anchor", "partner 0.1"])
-    def test_matches_rebuilt_grid_reference(self, pipeline, wide_calibration, variant):
-        cal = {
-            "wide": wide_calibration,
-            "no zero anchor": CalibrationSet(wide_calibration.shifts_hz,
-                                             wide_calibration.templates, pipeline),
-            "partner 0.1": wide_calibration.with_partner_fraction(0.1),
-        }[variant]
+    @pytest.mark.parametrize("factor", [pytest.param(1.0, id="wide"),
+                                        pytest.param(0.7, id="partner -0.3"),
+                                        pytest.param(1.1, id="partner 0.1")])
+    def test_matches_rebuilt_grid_reference(self, pipeline, wide_calibration, factor):
+        cal = scaled(wide_calibration, factor)
         signals = [pipeline.signal(truth, shots=20, seed=seed) for seed, truth in
                    enumerate(np.linspace(100.0, 7000.0, 10), start=21)]
         signals += [pipeline.signal(truth) for truth in (90.0, 2000.0, 6500.0)]
         for signal in signals:
             assert extract_shift(signal, cal) == rebuilt_grid_extraction(signal, cal)
 
-    def test_partner_fraction_gets_its_own_grid(self, six_shift_calibration):
-        parent_hi = six_shift_calibration._chi2_grid[1]
-        child = six_shift_calibration.with_partner_fraction(0.2)
-        lo, hi, grid, curves = child._chi2_grid
-        assert hi == grid[-1] == 1.5 * child.model_shifts_hz[-1]
-        assert hi == pytest.approx(1.2 * parent_hi, rel=1e-12)
-        assert np.array_equal(curves, child.curves(grid))
+    @pytest.mark.parametrize("r", [-0.3, 0.05, 0.185, 0.4])
+    def test_extraction_scales_with_the_shift_axis(self, pipeline, wide_calibration,
+                                                   six_shift_calibration, r):
+        # attributing the templates to shifts x (1 + r) scales every
+        # extraction by (1 + r), the partner correction's one-fit shortcut
+        truths = (300.0, 2000.0, 4500.0, 6500.0)  # 6500 Hz extrapolates
+        signals = [pipeline.signal(truth) for truth in truths]
+        signals += [pipeline.signal(truth, shots=20, seed=seed)
+                    for seed, truth in enumerate(truths, start=61)]
+        for cal in (six_shift_calibration, wide_calibration):
+            other = scaled(cal, 1.0 + r)
+            for signal in signals:
+                base, est = extract_shift(signal, cal), extract_shift(signal, other)
+                assert est.shift_hz == pytest.approx((1.0 + r) * base.shift_hz, rel=1e-9)
+                assert est.sigma_hz == pytest.approx((1.0 + r) * base.sigma_hz, rel=1e-7)
+                assert est.reduced_chi2 == pytest.approx(base.reduced_chi2, rel=1e-9)
+                assert (est.extrapolated, est.uninformative) \
+                    == (base.extrapolated, base.uninformative)
+        assert extract_shift(pipeline.signal(6500.0), six_shift_calibration).extrapolated
+
+
+def reextracted_partner_trace(cal, measured, atomic_shift_hz):
+    """Reference for ``iterate_partner_correction``: a fresh extraction
+    against the calibration rescaled to each partner-fraction belief."""
+    sign = math.copysign(1.0, atomic_shift_hz)
+    r_hat, trace, converged = 0.0, [], False
+    for _ in range(readout.PARTNER_MAX_ITERATIONS):
+        estimate = extract_shift(measured, scaled(cal, 1.0 + r_hat)).shift_hz
+        r_new = estimate / abs(atomic_shift_hz)
+        trace.append(sign * estimate)
+        converged = abs(r_new - r_hat) <= readout.PARTNER_REL_TOLERANCE \
+            * max(abs(r_new), 1e-12)
+        r_hat = r_new
+        if converged:
+            break
+    return trace, converged
 
 
 class TestPartnerIteration:
@@ -463,8 +485,40 @@ class TestPartnerIteration:
                                 true_partner_fraction=0.185)
         result = iterate_partner_correction(cal, pipeline.signal(0.185 * 5410.0), -5410.0)
         assert len(result.trace_hz) >= 3
-        result.calibration.template_frequencies_hz
         assert len(fits) == len(cal.templates)
+
+    @pytest.mark.parametrize("r_true, length", [(0.0, 2), (0.05, 4), (0.185, 5),
+                                                (0.3, 6), (0.5, 7)])
+    def test_matches_reextracted_trace(self, pipeline, r_true, length):
+        cal = build_calibration(np.linspace(800.0, 4600.0, 6), pipeline,
+                                true_partner_fraction=r_true)
+        measured = pipeline.signal(r_true * 5410.0)
+        result = iterate_partner_correction(cal, measured, -5410.0)
+        trace, converged = reextracted_partner_trace(cal, measured, -5410.0)
+        assert len(result.trace_hz) == len(trace) == length
+        assert result.converged == converged
+        assert result.trace_hz == pytest.approx(trace, rel=1e-9)
+        assert result.fraction == pytest.approx(trace[-1] / -5410.0, rel=1e-9)
+
+    def test_one_extraction_and_one_interpolant(self, pipeline, monkeypatch):
+        cal = build_calibration(np.linspace(800.0, 4600.0, 6), pipeline,
+                                true_partner_fraction=0.185)
+        extractions, builds = [], []
+        extract, pchip = readout.extract_shift, readout.PchipInterpolator
+
+        def counting_extract(*args):
+            extractions.append(args)
+            return extract(*args)
+
+        def counting_pchip(*args, **kwargs):
+            builds.append(args)
+            return pchip(*args, **kwargs)
+
+        monkeypatch.setattr(readout, "extract_shift", counting_extract)
+        monkeypatch.setattr(readout, "PchipInterpolator", counting_pchip)
+        result = iterate_partner_correction(cal, pipeline.signal(0.185 * 5410.0), -5410.0)
+        assert len(result.trace_hz) == 5
+        assert len(extractions) == len(builds) == 1
 
     def test_zero_atomic_shift_rejected(self, pipeline, six_shift_calibration):
         with pytest.raises(ValueError):
