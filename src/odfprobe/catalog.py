@@ -183,6 +183,8 @@ def _read_csv(path: Path, expected_columns) -> tuple[list[dict], dict, list[int]
     for row, lineno in zip(rows, line_numbers[1:]):
         if None in row.values():
             raise CatalogError(f"{path.name}:{lineno}: row has fewer fields than the header")
+        if None in row:
+            raise CatalogError(f"{path.name}:{lineno}: row has more fields than the header")
     return rows, meta, line_numbers[1:]
 
 

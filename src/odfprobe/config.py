@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .catalog import LineCatalog, load_line_catalog, load_shipped_catalog, shipped_data_path
+from .catalog import (SHIPPED_FAR_BANDS_FILE, SHIPPED_LINES_FILE, LineCatalog,
+                      load_line_catalog, shipped_data_path)
 from .crystal import TwoIonCrystal
 from .quantities import intensity_from_core_anchor
 from .stark import AtomicLevelModel, load_shipped_atomic_model
@@ -83,12 +84,12 @@ class RunConfig:
 
     @cached_property
     def _catalog(self) -> LineCatalog:
-        if self.lines_path == "builtin":
-            return load_shipped_catalog()
-        far = None if self.far_bands_path in ("", "none") else self.far_bands_path
+        lines, far = self.lines_path, self.far_bands_path
+        if lines == "builtin":
+            lines = shipped_data_path(SHIPPED_LINES_FILE)
         if far == "builtin":
-            far = shipped_data_path("n2plus_far_bands.csv")
-        return load_line_catalog(self.lines_path, far)
+            far = shipped_data_path(SHIPPED_FAR_BANDS_FILE)
+        return load_line_catalog(lines, None if far in ("", "none") else far)
 
     def atomic_model(self) -> AtomicLevelModel:
         return load_shipped_atomic_model("D5/2", theta=self.polarization_angle_rad)

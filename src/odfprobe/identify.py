@@ -303,6 +303,8 @@ def read_measurements(path) -> list[Measurement]:
         where = f"{path}:{numbered[reader.line_num - 1][0]}"
         if None in row.values():
             raise ValueError(f"{where}: row has fewer fields than the header")
+        if None in row:
+            raise ValueError(f"{where}: row has more fields than the header")
         try:
             measurements.append(Measurement(
                 wavelength_nm=float(row["wavelength_nm"]),

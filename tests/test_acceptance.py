@@ -16,8 +16,7 @@ from odfprobe.catalog import load_shipped_catalog
 from odfprobe.crystal import (LatticeDrive, TwoIonCrystal, combined_mode_shift,
                               extract_molecular_shift, infer_detuning_sign)
 from odfprobe.dynamics import (SimulationConfig, linearized_prediction,
-                               mode_amplitude, simulate_odf, simulate_symplectic,
-                               total_energy)
+                               mode_amplitude, simulate_odf, total_energy)
 from odfprobe.identify import (Measurement, background_shift_hz, classify_event,
                                combined_sigma, exclusion_window, match_candidates,
                                predict_catalog_shifts)
@@ -205,11 +204,11 @@ def test_criterion_07b_energy_conservation():
     drive = LatticeDrive.for_crystal(crystal, 789.0, 0.0, 0.0)
     config = SimulationConfig(crystal, drive,
                               initial_state=(20e-9, -10e-9, 0.0, 0.0))
-    trajectory = simulate_symplectic(config)
+    trajectory = simulate_odf(config)
     energy = total_energy(trajectory)
     at_rest = replace(config, initial_state=(0.0, 0.0, 0.0, 0.0),
                       duration_s=1e-5)
-    static = total_energy(simulate_symplectic(at_rest))[0]
+    static = total_energy(simulate_odf(at_rest))[0]
     oscillation = energy[0] - static
     drift = float(np.max(np.abs(energy - energy[0])))
     rel = drift / abs(oscillation)

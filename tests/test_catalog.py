@@ -181,6 +181,7 @@ class TestIngestion:
         ("B-X,nan,1.05e7\n", "wavelength must be finite and > 0"),
         ("B-X,0,1.05e7\n", "wavelength must be finite and > 0"),
         ("B-X,-inf,1.05e7\n", "wavelength must be finite and > 0"),
+        ("B-X,391.15,1.05e7,99\n", "row has more fields"),
     ])
     def test_bad_far_band_row_rejected(self, tmp_path, row, message):
         lines = tmp_path / "lines.csv"

@@ -87,6 +87,20 @@ class TestConfig:
         config = load_config("default")
         assert config.catalog() is config.catalog()
 
+    @pytest.mark.parametrize("far_bands, count", [("none", 0), ("far.csv", 1),
+                                                  ("builtin", 8)])
+    def test_far_bands_honoured_with_builtin_lines(self, tmp_path, far_bands, count):
+        far = tmp_path / "far.csv"
+        far.write_text("band,wavelength_nm,einstein_A\nB-X,391.15,1.05e7\n")
+        if far_bands == "far.csv":
+            far_bands = far
+        path = tmp_path / "far.cfg"
+        path.write_text(BASE_CONFIG.replace("far_bands = builtin",
+                                            f"far_bands = {far_bands}"))
+        catalog = load_config(path).catalog()
+        assert len(catalog.lines) == 62
+        assert len(catalog.far_bands) == count
+
     @pytest.mark.parametrize("extra, named", [
         ("[thresholds]\nsigma_multipler = 3.0", "[thresholds] sigma_multipler"),
         ("[thresholds]\npower_fraction = 0.1", "[thresholds] power_fraction"),
@@ -278,10 +292,28 @@ class TestCli:
         assert "Traceback" not in captured.err
 
     def test_simulate_crossed_ions_is_numeric_failure(self, tmp_path, capsys):
-        code = main(["simulate", "--molecular-shift", "1e9", "--out", str(tmp_path)])
+        # Real ions never cross (the 1-D Coulomb barrier is infinite), so a
+        # crossing reports a step too coarse for the motion, as under a
+        # 10 GHz lattice.
+        code = main(["simulate", "--molecular-shift", "1e10", "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 3
         assert "ions crossed" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_simulate_chaotic_drive_is_numeric_failure(self, tmp_path, capsys):
+        # At a 1 GHz molecular shift the lattice drags the molecule across
+        # its sites, and the end state changes when the step halves.
+        path = tmp_path / "short.cfg"
+        path.write_text(BASE_CONFIG.replace("intensity_mode = core_anchor",
+                                            "intensity_mode = core_anchor\npulse_ms = 0.2"))
+        code = main(["simulate", "--config", str(path), "--molecular-shift", "1e9",
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "end state depends on the step" in captured.err
+        assert "in-phase mode: n =" not in captured.out
+        assert not (tmp_path / "trajectory.csv").exists()
         assert "Traceback" not in captured.err
 
     def test_simulate_linearized_sweep(self, tmp_path, capsys):
@@ -430,6 +462,17 @@ class TestBadInputFiles:
         assert f"{meas}:4: row has fewer fields than the header" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["identify", "classify", "windows"])
+    def test_long_measurement_row_is_validation_error(self, tmp_path, capsys, command):
+        meas = tmp_path / "m.csv"
+        meas.write_text(MEASUREMENTS + "789.71,1.1508e7,1229.9,130.0,red,694920.0,400.0\n")
+        code = main(COMMANDS[command] + ["--measurements", str(meas),
+                                         "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{meas}:4: row has more fields than the header" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_measurement_line_numbers_count_comments(self, tmp_path, capsys):
         meas = tmp_path / "m.csv"
         lines = MEASUREMENTS.splitlines()
@@ -449,8 +492,9 @@ class TestBadInputFiles:
         ("B-X,nan,1.05e7\n", None, "far.csv:3: far band B-X: wavelength must be finite"),
         ("B-X,391.15,1.05e7\n", "A-X,Q12,12,23,23,789.5,nan,\n",
          "lines.csv:75: line Q12(23/2): strength must be finite"),
+        ("B-X,391.15,1.05e7,99\n", None, "far.csv:3: row has more fields"),
     ], ids=["short far row", "short line row", "negative far A", "nan far wavelength",
-            "nan line A"])
+            "nan line A", "long far row"])
     def test_bad_catalog_row_is_validation_error(self, tmp_path, capsys, command,
                                                  far_row, line_row, message):
         path = far_band_config(tmp_path, far_row, line_row)

@@ -14,8 +14,8 @@ from odfprobe import dynamics
 from odfprobe.crystal import LatticeDrive
 from odfprobe.dynamics import (IntegrationError, SimulationConfig, Trajectory,
                                linearized_prediction, mode_amplitude, simulate_odf,
-                               simulate_symplectic, sweep_beat_frequency, total_energy)
-from odfprobe.quantities import ATOMIC_MASS, PLANCK
+                               sweep_beat_frequency, total_energy)
+from odfprobe.quantities import ATOMIC_MASS, COULOMB_PREFACTOR, PLANCK
 
 from oracles import resonant_oscillator_amplitude
 
@@ -64,20 +64,35 @@ class TestSimulateOdf:
         trajectory = simulate_odf(make_config(crystal, shift1=-100.0, duration=duration))
         n = max(2, int(25 * crystal.omega_plus / (2.0 * math.pi) * duration))
         assert np.array_equal(trajectory.t, np.linspace(0.0, duration, n + 1))
+        assert trajectory.t[-1] == duration
 
-    def test_fast_beat_sets_the_step(self, crystal):
-        # A beat note above the out-of-phase mode frequency is sampled at
-        # the same 25 points per period.
+    def test_fast_beat_keeps_the_sample_count(self, crystal):
+        # The step follows a beat note above the modes; the stored samples
+        # follow the out-of-phase period alone.
         duration = 0.05e-3
-        beat = 3.0 * crystal.omega_plus / (2.0 * math.pi)
-        trajectory = simulate_odf(make_config(crystal, duration=duration, beat=beat))
-        assert len(trajectory.t) == int(25 * beat * duration) + 1
+        resonant = simulate_odf(make_config(crystal, duration=duration))
+        fast = simulate_odf(make_config(crystal, duration=duration, beat=5e6))
+        assert len(fast.t) == len(resonant.t)
+        assert mode_amplitude(fast).amplitude_minus != 0.0
 
     def test_crossed_ions_raise(self, crystal):
         config = make_config(crystal, duration=0.05e-3,
                              initial=(1.5 * crystal.d, 0.0, 0.0, 0.0))
         with pytest.raises(IntegrationError, match="ions crossed"):
             simulate_odf(config)
+
+    def test_chaotic_drive_raises(self, crystal):
+        # The lattice curvature is 3 times the trap's: the end state moves by
+        # order one when the step halves.
+        config = make_config(crystal, shift1=-1e7, duration=0.2e-3)
+        with pytest.raises(IntegrationError, match="end state depends on the step"):
+            simulate_odf(config)
+
+    def test_deep_drive_that_converges_passes_the_step_check(self, crystal):
+        # 0.3 of the trap's curvature, checked at half the step.
+        config = make_config(crystal, shift1=-1e6, duration=0.2e-3)
+        assert 8.0 * config.drive.k ** 2 * PLANCK * 1e6 > 0.3 * crystal.u0
+        assert mode_amplitude(simulate_odf(config)).n_minus > 1.0
 
     def test_non_finite_initial_state_rejected(self, crystal):
         with pytest.raises(ValueError, match="finite"):
@@ -203,20 +218,43 @@ class TestEnergyAudit:
     def test_symplectic_energy_conservation_3ms(self, crystal):
         config = make_config(crystal, shift1=0.0, duration=3e-3,
                              initial=(20e-9, -10e-9, 0.0, 0.0))
-        trajectory = simulate_symplectic(config)
+        trajectory = simulate_odf(config)
         energy = total_energy(trajectory)
         rest = make_config(crystal, shift1=0.0, duration=1e-5)
-        static = total_energy(simulate_symplectic(rest))[0]
+        static = total_energy(simulate_odf(rest))[0]
         oscillation = energy[0] - static
         drift = np.max(np.abs(energy - energy[0]))
         assert drift / abs(oscillation) < 1e-9
 
     def test_symplectic_matches_adaptive(self, crystal):
-        config = make_config(crystal, shift1=-50.0, duration=0.5e-3)
-        adaptive = mode_amplitude(simulate_odf(config))
-        symplectic = mode_amplitude(simulate_symplectic(config))
-        assert abs(symplectic.amplitude_minus) == pytest.approx(
-            abs(adaptive.amplitude_minus), rel=1e-4)
+        integrate = pytest.importorskip("scipy.integrate")
+        config = make_config(crystal, shift1=-50.0, shift2=-20.0, duration=0.5e-3)
+        drive = config.drive
+        m1, m2 = crystal.m1_u * ATOMIC_MASS, crystal.m2_u * ATOMIC_MASS
+        d, u0, k = crystal.d, crystal.u0, drive.k
+        omega = 2.0 * math.pi * drive.beat_frequency_hz
+        force1 = 4.0 * k * PLANCK * drive.shift1_hz
+        force2 = 4.0 * k * PLANCK * drive.shift2_hz
+
+        def rhs(t, y):
+            q1, q2, v1, v2 = y
+            coulomb = COULOMB_PREFACTOR / (d + q2 - q1) ** 2
+            return (v1, v2,
+                    (-u0 * (q1 - d / 2.0) - coulomb
+                     + force1 * math.sin(2.0 * k * q1 - omega * t + drive.phi1)) / m1,
+                    (-u0 * (q2 + d / 2.0) + coulomb
+                     + force2 * math.sin(2.0 * k * q2 - omega * t + drive.phi2)) / m2)
+
+        # absolute tolerance at 1e-12 of a 1 nm excursion
+        scale = 1e-9 * np.array([1.0, 1.0, crystal.omega_minus, crystal.omega_minus])
+        reference = integrate.solve_ivp(rhs, (0.0, config.duration), [0.0] * 4,
+                                        method="DOP853", rtol=1e-12, atol=1e-12 * scale)
+        q1, q2, v1, v2 = reference.y[:, -1]
+        _, beta = crystal.to_modes(q1, q2)
+        _, betadot = crystal.to_modes(v1, v2)
+        expected = abs(complex(beta, betadot / crystal.omega_minus))
+        simulated = abs(mode_amplitude(simulate_odf(config)).amplitude_minus)
+        assert simulated == pytest.approx(expected, rel=1e-8)
 
 
 class TestSweep:
@@ -237,32 +275,43 @@ class TestSweep:
         assert sweep_beat_frequency(config, freqs) == expected
 
 
-def _forced_oscillator(t, y):
-    # x'' = -x + cos 2t
-    return (y[1], -y[0] + math.cos(2.0 * t))
-
-
 class TestKernel:
-    def test_eighth_order_convergence(self):
-        # From rest, x = (cos t - cos 2t) / 3.
-        end = 4.0
-        exact = ((math.cos(end) - math.cos(2.0 * end)) / 3.0,
-                 (-math.sin(end) + 2.0 * math.sin(2.0 * end)) / 3.0)
-        errors = []
-        for n in (8, 16, 32):
-            final = dynamics._rk8(_forced_oscillator, (0.0, 0.0), end / n, n)[-1]
-            errors.append(max(abs(a - b) for a, b in zip(final, exact)))
-        orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
-        assert min(orders) >= 7.5, (errors, orders)
+    def test_sixth_order_under_the_lattice_drive(self, crystal, monkeypatch):
+        # Self-convergence of the end state as the step halves, with both
+        # ions driven through the full lattice potential.  Two samples per
+        # run, so that the step alone sets the stride.
+        monkeypatch.setattr(dynamics, "_SAMPLES_PER_PERIOD", 0)
+        config = make_config(crystal, shift1=-1000.0, shift2=-300.0, duration=0.1e-3)
+        ends = []
+        for steps in (15, 30, 60, 120):
+            monkeypatch.setattr(dynamics, "_STEPS_PER_PERIOD", steps)
+            trajectory = simulate_odf(config)
+            ends.append(np.array([trajectory.q1[-1], trajectory.q2[-1],
+                                  trajectory.v1[-1] / crystal.omega_minus,
+                                  trajectory.v2[-1] / crystal.omega_minus]))
+        changes = [np.max(np.abs(a - b)) for a, b in zip(ends, ends[1:])]
+        orders = [math.log2(coarse / fine) for coarse, fine in zip(changes, changes[1:])]
+        assert min(orders) >= 5.5, (changes, orders)
 
-    def test_tableau_is_dop853(self):
-        reference = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-        a = np.zeros((12, 12))
-        for i, row in enumerate(dynamics._A):
-            a[i, :i] = row
-        assert np.array_equal(a, reference.A[:12, :12])
-        assert np.array_equal(np.array(dynamics._B), reference.B)
-        assert np.array_equal(np.array(dynamics._C), reference.C[:12])
+    def test_drive_phase_follows_the_step_index(self, crystal):
+        # Restarting at mid-pulse, with the drive phases advanced by the
+        # elapsed beat phase, reproduces the one-run end state.  Drive times
+        # summed step by step instead drift by about 1e-19 s a step: over
+        # these 153 112 steps the two end states would part by 3e-9.
+        duration, beat = 1e-3, crystal.f_ip + 100.0
+        config = make_config(crystal, shift1=-30.0, shift2=-20.0, duration=duration,
+                             beat=beat)
+        stride = math.ceil(dynamics._STEPS_PER_PERIOD * beat * duration / 2.0)
+        whole = dynamics._integrate(config, 2, stride)
+        advance = 2.0 * math.pi * beat * (duration / 2.0)
+        later = replace(config.drive, phi1=config.drive.phi1 - advance,
+                        phi2=config.drive.phi2 - advance)
+        second = dynamics._integrate(
+            SimulationConfig(crystal, later, initial_state=tuple(whole[1]),
+                             duration_s=duration / 2.0), 1, stride)
+        scale = np.array([1.0, 1.0, crystal.omega_minus, crystal.omega_minus])
+        change = np.max(np.abs((second[-1] - whole[-1]) / scale))
+        assert change < 3e-10 * np.max(np.abs(whole[-1] / scale))
 
     def test_benchmark_fingerprint(self, crystal):
         # |A-| that the benchmark records for this point, at its tolerance
