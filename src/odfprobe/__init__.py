@@ -75,8 +75,9 @@ __all__ = [
     "classify_event",
 ]
 
-# readout imports scipy, which costs about half a second; only calibration
-# and extraction need it, so its names load on first use (PEP 562).
+# readout imports scipy.special, which costs about 0.3 s and 25 MB over
+# numpy; only calibration and extraction need it, so its names load on first
+# use (PEP 562).
 _READOUT_NAMES = frozenset({
     "MotionalDistribution", "RabiSignal", "synthesize_bsb_signal", "fit_rabi",
     "CalibrationSet", "build_calibration", "extract_shift",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .angular import HalfInt, wigner_3j, wigner_6j
+from .angular import HalfInt, _wigner_3j_doubled, _wigner_6j_doubled
 from .catalog import FarBand, LineCatalog, TransitionLine, shipped_data_path
 from .quantities import (
     HBAR,
@@ -64,26 +64,28 @@ def transition_strength(state: MolecularState, line: TransitionLine) -> float:
         raise ValueError(
             f"line {line.branch}({line.j_lower}) does not start from state {state.label()}"
         )
-    j_low = state.j
-    j_up = line.j_upper
+    # The selection rules below keep every symbol well formed, so the cached
+    # doubled-integer kernels are called directly on the .twice values.
+    two_j_low = state.j.twice
+    two_j_up = line.j_upper.twice
+    two_m = state.m.twice
     if state.i_nuc == 0:
-        if abs(state.m.twice) > j_up.twice:
+        if abs(two_m) > two_j_up:
             return 0.0  # q = 0 light cannot reach the upper level from this m
-        zeeman = wigner_3j(j_up, 1, j_low, -state.m, 0, state.m)
+        zeeman = _wigner_3j_doubled(two_j_up, 2, two_j_low, -two_m, 0, two_m)
         return line.strength_au * zeeman * zeeman
 
-    i_nuc = state.i_nuc
-    f_low = state.f
+    two_i = 2 * state.i_nuc
+    two_f_low = state.f.twice
     total = 0.0
-    for two_fp in range(abs(j_up.twice - 2 * i_nuc), j_up.twice + 2 * i_nuc + 1, 2):
-        f_up = HalfInt(two_fp)
-        if not abs(f_low.twice - 2) <= two_fp <= f_low.twice + 2:
+    for two_fp in range(abs(two_j_up - two_i), two_j_up + two_i + 1, 2):
+        if not abs(two_f_low - 2) <= two_fp <= two_f_low + 2:
             continue
-        if abs(state.m.twice) > two_fp:
+        if abs(two_m) > two_fp:
             continue
-        six = wigner_6j(j_up, f_up, i_nuc, f_low, j_low, 1)
-        zeeman = wigner_3j(f_up, 1, f_low, -state.m, 0, state.m)
-        total += (two_fp + 1.0) * (f_low.twice + 1.0) * six * six * zeeman * zeeman
+        six = _wigner_6j_doubled(two_j_up, two_fp, two_i, two_f_low, two_j_low, 2)
+        zeeman = _wigner_3j_doubled(two_fp, 2, two_f_low, -two_m, 0, two_m)
+        total += (two_fp + 1.0) * (two_f_low + 1.0) * six * six * zeeman * zeeman
     return line.strength_au * total
 
 

@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from odfprobe.catalog import SHIPPED_LINES_FILE, shipped_data_path
 from odfprobe.cli import main
@@ -509,3 +515,65 @@ class TestBadInputFiles:
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert "excluded" not in captured.out
+
+
+def _refuse_constant(name):
+    raise ValueError(f"identification.json holds {name}, which is not JSON")
+
+
+def _mostly(good, bad):
+    # One draw in eight is a bad one, so many rows pass validation.
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else good)
+
+
+def _field(finite, *specials):
+    return _mostly(finite, st.sampled_from(specials)).map(repr)
+
+
+def _row(fields):
+    # The last draw drops the sixth field (-1), keeps the row (0) or adds one (1).
+    *values, extra = fields
+    return ",".join(values[:6 + extra] + ["400.0"] * extra)
+
+
+# One measurement row as text: mostly plausible values, with every kind of
+# bad one mixed in, and now and then a field dropped or added.
+MEASUREMENT_ROWS = st.tuples(
+    _field(st.floats(380.0, 1200.0), float("nan"), float("inf"), -789.71, 0.0),
+    _field(st.floats(1e6, 1e8), 0.0, -1.1508e7, 1e300, 1.7e308, float("nan"),
+           float("-inf")),
+    _field(st.floats(0.0, 5000.0), 0.0, -400.0, 1e300, float("nan")),
+    _field(st.floats(1.0, 500.0), 0.0, -60.0, 1e300, float("inf")),
+    _mostly(st.sampled_from(["red", "blue", "indeterminate"]),
+            st.sampled_from(["", "Red", " blue ", "green"])),
+    _field(st.floats(6.8e5, 7.1e5), 0.0, -694920.0, float("nan")),
+    _mostly(st.just(0), st.sampled_from([-1, 1])),
+).map(_row)
+
+CONTRACT_COMMANDS = {
+    "identify": ["identify"],
+    "classify": ["classify"],
+    "windows": ["windows", "--exclude-up-to", "4"],
+}
+
+
+class TestExitCodeContract:
+    """Whatever the measurement file holds, a command ends with exit 0, 2 or 3
+    and never a traceback, and a written report is strict JSON."""
+
+    @pytest.mark.parametrize("command", sorted(CONTRACT_COMMANDS))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rows=st.lists(MEASUREMENT_ROWS, min_size=1, max_size=3))
+    def test_measurement_rows_exit_with_a_documented_code(self, command, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            meas = Path(tmp) / "m.csv"
+            meas.write_text(MEASUREMENTS.splitlines()[0] + "\n" + "\n".join(rows) + "\n")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(CONTRACT_COMMANDS[command]
+                            + ["--measurements", str(meas), "--out", tmp])
+            assert code in (0, 2, 3)
+            if command == "identify" and code == 0:
+                report = (Path(tmp) / "identification.json").read_text()
+                json.loads(report, parse_constant=_refuse_constant)

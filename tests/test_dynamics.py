@@ -330,20 +330,32 @@ import json, sys
 from pathlib import Path
 out = Path(sys.argv[1])
 steps = []
+def record(step, code=0):
+    steps.append([step, code] + [name in sys.modules for name in
+                  ("scipy", "scipy.special", "scipy.optimize", "scipy.interpolate")])
 import odfprobe
-steps.append(["import odfprobe", 0, "scipy" in sys.modules])
+record("import odfprobe")
 import odfprobe.cli
-steps.append(["import odfprobe.cli", 0, "scipy" in sys.modules])
+record("import odfprobe.cli")
 meas = out / "meas.csv"
 meas.write_text("wavelength_nm,intensity_W_m2,shift_Hz,sigma_Hz,sign,f_ip_Hz\\n"
                 "789.0,1.1508e7,1229.9,130.0,red,694920.0\\n")
 for argv in (["enumerate"], ["identify", "--measurements", str(meas)],
              ["simulate", "--linearized", "--sweep", "694000", "698000", "3"],
              ["calibrate", "--noiseless", "--count", "3"]):
-    code = odfprobe.cli.main(argv + ["--out", str(out / argv[0])])
-    steps.append([argv[0], code, "scipy" in sys.modules])
+    record(argv[0], odfprobe.cli.main(argv + ["--out", str(out / argv[0])]))
+from odfprobe.config import load_config
+from odfprobe.readout import ReadoutPipeline, build_calibration, extract_shift, fit_rabi
+pipeline = ReadoutPipeline(load_config("default").crystal())
+cal = build_calibration([800.0, 2700.0, 4600.0], pipeline)
+record("build_calibration")
+fit = fit_rabi(cal.templates[0])
+record("fit_rabi", int(not fit.frequency_hz > 0.0))
+estimate = extract_shift(pipeline.signal(2700.0), cal)
+record("extract_shift", int(not abs(estimate.shift_hz - 2700.0) < 1e-3))
 print(json.dumps(steps))
 """
+
 
 READOUT_NAMES = """
 import odfprobe
@@ -365,14 +377,22 @@ def _fresh_python(code, *args):
 
 class TestColdStart:
     def test_only_calibrate_loads_scipy(self, tmp_path):
+        # Each step: its exit code (for a library call, 0 when the result is
+        # right), then whether scipy, scipy.special, scipy.optimize and
+        # scipy.interpolate are loaded.  Nothing before calibrating loads any
+        # of scipy; calibrating needs only the special functions; the Rabi
+        # fit and the shift extraction load the rest.
         steps = json.loads(_fresh_python(COLD_START, str(tmp_path)))
         assert steps == [
-            ["import odfprobe", 0, False],
-            ["import odfprobe.cli", 0, False],
-            ["enumerate", 0, False],
-            ["identify", 0, False],
-            ["simulate", 0, False],
-            ["calibrate", 0, True],
+            ["import odfprobe", 0, False, False, False, False],
+            ["import odfprobe.cli", 0, False, False, False, False],
+            ["enumerate", 0, False, False, False, False],
+            ["identify", 0, False, False, False, False],
+            ["simulate", 0, False, False, False, False],
+            ["calibrate", 0, True, True, False, False],
+            ["build_calibration", 0, True, True, False, False],
+            ["fit_rabi", 0, True, True, True, False],
+            ["extract_shift", 0, True, True, True, True],
         ]
 
     def test_readout_names_load_on_first_use(self):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from odfprobe.angular import HalfInt
+from odfprobe.angular import HalfInt, wigner_3j, wigner_6j
 from odfprobe.catalog import LineCatalog, TransitionLine
 from odfprobe.quantities import wavelength_to_angular_frequency
 from odfprobe.stark import (AtomicLevelModel, NearResonanceError,
@@ -88,6 +88,38 @@ class TestTransitionStrength:
                     MolecularState(n, HalfInt(two_j), 2, HalfInt(two_j + 4),
                                    HalfInt(two_j + 4)), line)
                 assert dressed == pytest.approx(bare, rel=1e-12, abs=1e-18)
+
+
+    def test_equals_the_halfint_expression(self, catalog):
+        # The same recoupling written on the public, validating HalfInt API:
+        # every state and catalog line gives the same float, bit for bit.
+        def reference(state, line):
+            j_low, j_up, m = state.j, line.j_upper, state.m
+            if state.i_nuc == 0:
+                if abs(m.twice) > j_up.twice:
+                    return 0.0
+                zeeman = wigner_3j(j_up, 1, j_low, -m, 0, m)
+                return line.strength_au * zeeman * zeeman
+            f_low, total = state.f, 0.0
+            for two_fp in range(abs(j_up.twice - 2 * state.i_nuc),
+                                j_up.twice + 2 * state.i_nuc + 1, 2):
+                f_up = HalfInt(two_fp)
+                if not abs(f_low.twice - 2) <= two_fp <= f_low.twice + 2:
+                    continue
+                if abs(m.twice) > two_fp:
+                    continue
+                six = wigner_6j(j_up, f_up, state.i_nuc, f_low, j_low, 1)
+                zeeman = wigner_3j(f_up, 1, f_low, -m, 0, m)
+                total += ((two_fp + 1.0) * (f_low.twice + 1.0)
+                          * six * six * zeeman * zeeman)
+            return line.strength_au * total
+
+        pairs = [(state, line) for state in enumerate_states(8)
+                 for line in catalog.lines_from(state.n, state.j)]
+        assert len(pairs) > 540
+        for state, line in pairs:
+            assert transition_strength(state, line) == reference(state, line), \
+                (state.label(), line.branch)
 
 
 class TestDynamicPolarizability:
