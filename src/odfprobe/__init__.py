@@ -75,9 +75,8 @@ __all__ = [
     "classify_event",
 ]
 
-# readout imports scipy.special, which costs about 0.3 s and 25 MB over
-# numpy; only calibration and extraction need it, so its names load on first
-# use (PEP 562).
+# readout's own import costs about 20-30 ms, and only calibration and
+# extraction need it, so its names load on first use (PEP 562).
 _READOUT_NAMES = frozenset({
     "MotionalDistribution", "RabiSignal", "synthesize_bsb_signal", "fit_rabi",
     "CalibrationSet", "build_calibration", "extract_shift",

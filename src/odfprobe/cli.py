@@ -165,7 +165,7 @@ def cmd_calibrate(args, config: RunConfig) -> int:
     for flag, value in (("--shift-min", args.shift_min), ("--shift-max", args.shift_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value:g}")
-    # readout pulls in scipy; no other subcommand needs it, so it loads here.
+    # no other subcommand needs readout, so only this one pays its import.
     from .readout import FitError, ReadoutPipeline, build_calibration
 
     crystal = config.crystal()

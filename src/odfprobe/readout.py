@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .crystal import TwoIonCrystal
 from .quantities import ATOMIC_MASS, HBAR, PLANCK
@@ -29,9 +28,9 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-# scipy.interpolate (which loads scipy.optimize itself) costs as much again to
-# import as scipy.special, about 0.3 s and 25 MB, and building calibration
-# templates needs neither: the fits and the interpolant import them on use.
+# scipy costs about 0.4 s and 25 MB or more to import, and building
+# calibration templates needs none of it: the fits, the interpolant and the
+# exact Lamb-Dicke rates import it on use.
 def PchipInterpolator(*args, **kwargs):
     """``scipy.interpolate.PchipInterpolator``, imported on the first call."""
     from scipy.interpolate import PchipInterpolator as pchip
@@ -41,6 +40,50 @@ def PchipInterpolator(*args, **kwargs):
 # ---------------------------------------------------------------------------
 # Motional distributions
 # ---------------------------------------------------------------------------
+
+# The integer branch of cephes ``lgam`` (Moshier 1989, *Methods and Programs
+# for Mathematical Functions*), the routine behind ``scipy.special.gammaln``:
+# its Stirling-series coefficients and log(sqrt(2 pi)).
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+
+
+def _lgam_integer(x: float) -> float:
+    """log Gamma(x) at a positive integer x, operation for operation as
+    cephes computes it, so bit-equal to ``gammaln(x)``.  ``math.log``, not
+    ``np.log``: numpy's SIMD log differs from the C library's in the last
+    bit for a few arguments."""
+    if x < 13.0:
+        return math.log(math.factorial(int(x) - 1))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a0, a1, a2, a3, a4 = _LGAM_A
+    return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
+
+
+_LOG_FACTORIALS = np.zeros(0)
+
+
+def _log_factorials(n_cut: int) -> np.ndarray:
+    """log n! for n = 0..n_cut, a read-only slice of one table per process
+    that doubles (from 2048 entries) whenever a call needs more."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS     # sliced below, so a concurrent regrow is harmless
+    if n_cut >= len(table):
+        size = max(2048, len(table))
+        while size <= n_cut:
+            size *= 2
+        table = np.concatenate([table, [_lgam_integer(n + 1.0)
+                                        for n in range(len(table), size)]])
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return table[:n_cut + 1]
+
 
 @dataclass(frozen=True)
 class MotionalDistribution:
@@ -70,7 +113,7 @@ class MotionalDistribution:
             p = np.zeros(n_cut + 1)
             p[0] = 1.0
         else:
-            log_p = -n_mean + n * math.log(n_mean) - gammaln(n + 1.0)
+            log_p = -n_mean + n * math.log(n_mean) - _log_factorials(n_cut)
             p = np.exp(log_p)
         return cls(p, provenance=f"coherent(n_mean={n_mean:.6g})")
 
@@ -142,6 +185,7 @@ def sideband_rabi_frequencies(n_levels: int, eta: float, omega0: float,
     n = np.arange(n_levels)
     if not exact_lamb_dicke:
         return omega0 * eta * np.sqrt(n + 1.0)
+    from scipy.special import eval_genlaguerre
     eta2 = eta * eta
     laguerre = eval_genlaguerre(n, 1, eta2)
     return omega0 * eta * math.exp(-eta2 / 2.0) * laguerre / np.sqrt(n + 1.0)
@@ -278,6 +322,9 @@ class ReadoutPipeline:
 
     def distribution(self, mode_shift_hz: float) -> MotionalDistribution:
         n_mean = self.mode_n_mean(mode_shift_hz)
+        if not math.isfinite(n_mean):
+            raise ValueError(f"a {mode_shift_hz:g} Hz shift gives a non-finite mean "
+                             f"phonon number ({n_mean:g})")
         n_cut = min(self.max_fock,
                     int(n_mean + 10.0 * math.sqrt(n_mean + 1.0) + 25.0))
         return MotionalDistribution.coherent(n_mean, n_cut)

@@ -285,6 +285,17 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert not list(tmp_path.glob("template_*.csv"))
 
+    @pytest.mark.parametrize("shift_max", ["1e200", "1e300"])
+    def test_calibrate_overflowing_shift_is_validation_error(self, tmp_path, capsys,
+                                                             shift_max):
+        # the mean phonon number of such a shift overflows to inf
+        code = main(["calibrate", "--noiseless", "--shift-max", shift_max,
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "non-finite mean phonon number" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_calibrate_fit_failure_is_numeric_failure(self, tmp_path, capsys,
                                                       monkeypatch):
         def fail(*args, **kwargs):
@@ -557,6 +568,13 @@ CONTRACT_COMMANDS = {
 }
 
 
+# A calibrate shift flag: mostly plausible shifts, with zero, negatives,
+# overflowing and non-finite values mixed in.
+CALIBRATE_SHIFTS = _mostly(st.floats(1.0, 1e4),
+                           st.sampled_from([0.0, -800.0, -1e4, 1e200, -1e200,
+                                            float("nan"), float("inf"), float("-inf")]))
+
+
 class TestExitCodeContract:
     """Whatever the measurement file holds, a command ends with exit 0, 2 or 3
     and never a traceback, and a written report is strict JSON."""
@@ -577,3 +595,21 @@ class TestExitCodeContract:
             if command == "identify" and code == 0:
                 report = (Path(tmp) / "identification.json").read_text()
                 json.loads(report, parse_constant=_refuse_constant)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(shift_min=CALIBRATE_SHIFTS, shift_max=CALIBRATE_SHIFTS,
+           count=st.integers(-2, 40), noiseless=st.booleans())
+    def test_calibrate_flags_exit_with_a_documented_code(self, shift_min, shift_max,
+                                                         count, noiseless):
+        # the draws include reversed and equal pairs; "=" keeps a negative
+        # value from reading as a flag
+        with tempfile.TemporaryDirectory() as tmp:
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(["calibrate", f"--shift-min={shift_min!r}",
+                             f"--shift-max={shift_max!r}", f"--count={count}",
+                             "--out", tmp] + ["--noiseless"] * noiseless)
+            assert code in (0, 2, 3)
+            assert "Traceback" not in stderr.getvalue()

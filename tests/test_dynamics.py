@@ -376,12 +376,12 @@ def _fresh_python(code, *args):
 
 
 class TestColdStart:
-    def test_only_calibrate_loads_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         # Each step: its exit code (for a library call, 0 when the result is
         # right), then whether scipy, scipy.special, scipy.optimize and
-        # scipy.interpolate are loaded.  Nothing before calibrating loads any
-        # of scipy; calibrating needs only the special functions; the Rabi
-        # fit and the shift extraction load the rest.
+        # scipy.interpolate are loaded.  No command, calibrating included,
+        # loads any of scipy; the Rabi fit loads the optimizer (and with it
+        # the special functions), and the shift extraction the interpolant.
         steps = json.loads(_fresh_python(COLD_START, str(tmp_path)))
         assert steps == [
             ["import odfprobe", 0, False, False, False, False],
@@ -389,8 +389,8 @@ class TestColdStart:
             ["enumerate", 0, False, False, False, False],
             ["identify", 0, False, False, False, False],
             ["simulate", 0, False, False, False, False],
-            ["calibrate", 0, True, True, False, False],
-            ["build_calibration", 0, True, True, False, False],
+            ["calibrate", 0, False, False, False, False],
+            ["build_calibration", 0, False, False, False, False],
             ["fit_rabi", 0, True, True, True, False],
             ["extract_shift", 0, True, True, True, True],
         ]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
+from scipy.special import eval_genlaguerre, gammaln
 
 import odfprobe.readout as readout
 from odfprobe.readout import (CalibrationSet, ConvergenceError,
@@ -41,6 +42,30 @@ class TestMotionalDistribution:
             MotionalDistribution.coherent(-1.0)
 
 
+class TestLogFactorials:
+    @pytest.mark.parametrize("n", [0, 1, 2, 12, 13, 999, 1000, 1600, 70_000])
+    def test_bit_equal_to_gammaln(self, n):
+        # 70 000 needs the table regrown past its first 2048 entries
+        expected = gammaln(np.arange(n + 1) + 1.0)
+        assert np.array_equal(readout._log_factorials(n), expected)
+
+    def test_one_read_only_table_sliced_per_call(self):
+        short, full = readout._log_factorials(10), readout._log_factorials(1600)
+        assert np.shares_memory(short, full)
+        assert not full.flags.writeable
+
+    @pytest.mark.parametrize("n_mean, n_cut", [
+        (0.3, None), (12.5, None), (400.0, None), (1500.0, None),
+        # the pipeline's max_fock cap (1500 no longer sums to 1 within it)
+        (1400.0, 1600), (12.5, 1600),
+    ])
+    def test_coherent_weights_match_gammaln(self, n_mean, n_cut):
+        dist = MotionalDistribution.coherent(n_mean, n_cut)
+        n = np.arange(len(dist.p_n))
+        expected = np.exp(-n_mean + n * math.log(n_mean) - gammaln(n + 1.0))
+        assert np.array_equal(dist.p_n, expected)
+
+
 class TestSynthesis:
     def test_ground_state_pure_sine(self):
         dist = MotionalDistribution.coherent(0.0)
@@ -72,6 +97,17 @@ class TestSynthesis:
         first = sideband_rabi_frequencies(200, ETA, OMEGA0)
         assert exact[0] == pytest.approx(first[0], rel=2e-2)
         assert exact[150] < first[150]
+
+    def test_exact_lamb_dicke_rates_match_laguerre(self):
+        n = np.arange(200)
+        eta2 = ETA * ETA
+        expected = (OMEGA0 * ETA * math.exp(-eta2 / 2.0)
+                    * eval_genlaguerre(n, 1, eta2) / np.sqrt(n + 1.0))
+        exact = sideband_rabi_frequencies(200, ETA, OMEGA0, exact_lamb_dicke=True)
+        assert np.array_equal(exact, expected)
+        # L_0^1(x) = 1 and L_1^1(x) = 2 - x
+        assert exact[:2] == pytest.approx(OMEGA0 * ETA * math.exp(-eta2 / 2.0)
+                                          * np.array([1.0, (2.0 - eta2) / math.sqrt(2.0)]))
 
     def test_noise_is_seeded_and_binomial(self):
         dist = MotionalDistribution.coherent(2.0)
