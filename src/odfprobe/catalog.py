@@ -9,7 +9,6 @@ for the molecular ion of interest) or generated from spectroscopic constants.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,9 +44,11 @@ def band_dipole_squared_au(einstein_a: float, wavelength_nm: float) -> float:
     applied band-wise; rotational structure is distributed over the branches
     by the line-strength factors.
     """
-    omega = wavelength_to_angular_frequency(wavelength_nm)
+    omega_cubed = wavelength_to_angular_frequency(wavelength_nm) ** 3
+    if omega_cubed == 0.0:     # underflow, beyond about 1e127 nm
+        return math.inf
     mu2_si = 3.0 * math.pi * VACUUM_PERMITTIVITY * HBAR * SPEED_OF_LIGHT**3 \
-        * einstein_a / omega**3
+        * einstein_a / omega_cubed
     return mu2_si / AU_DIPOLE_SQUARED
 
 
@@ -110,6 +111,9 @@ class FarBand:
         if not (math.isfinite(self.einstein_a) and self.einstein_a >= 0.0):
             raise CatalogError(f"far band {self.band}: einstein_A must be finite and >= 0, "
                                f"got {self.einstein_a}")
+        if not math.isfinite(self.strength_au):
+            raise CatalogError(f"far band {self.band}: strength must be finite, "
+                               f"got {self.strength_au}")
 
     @property
     def strength_au(self) -> float:
@@ -149,49 +153,60 @@ class LineCatalog:
         return {}
 
 
-def _parse_metadata(lines: list[str]) -> dict:
-    meta = {}
-    for raw in lines:
-        body = raw.lstrip("#").strip()
-        if "=" in body:
-            key, _, value = body.partition("=")
-            meta[key.strip()] = value.strip()
-    return meta
+def read_table(path, columns) -> tuple[list[tuple[str, dict]], dict]:
+    """Rows of a CSV table as ``(path:line, row)`` pairs, and its metadata.
 
+    Lines starting with ``#`` are comments and blank lines are skipped; both
+    still count in the line numbers.  ``# key = value`` comments become the
+    metadata.  The first remaining row is the header, which must hold every
+    name in ``columns``; every later row must have as many fields as it.
+    """
+    path, meta, header, rows = Path(path), {}, None, []
 
-def _read_csv(path: Path, expected_columns) -> tuple[list[dict], dict, list[int]]:
+    def data_lines(fh):
+        # Comment and blank lines reach the reader empty, so that
+        # reader.line_num stays the line number in the file.
+        for ln in fh:
+            if ln.startswith("#"):
+                key, eq, value = ln.lstrip("#").partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+            yield "" if ln.startswith("#") or not ln.strip() else ln
+
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog file {path}: {exc}") from exc
-    comment_lines = [ln for ln in text.splitlines() if ln.startswith("#")]
-    meta = _parse_metadata(comment_lines)
-    data_lines, line_numbers = [], []
-    for idx, ln in enumerate(text.splitlines(), start=1):
-        if ln.startswith("#") or not ln.strip():
-            continue
-        data_lines.append(ln)
-        line_numbers.append(idx)
-    if not data_lines:
+        with path.open(encoding="utf-8") as fh:
+            reader = csv.reader(data_lines(fh))
+            for fields in filter(None, reader):
+                where = f"{path}:{reader.line_num}"
+                if header is None:
+                    header = fields
+                    missing = [col for col in columns if col not in header]
+                    if missing:
+                        raise CatalogError(f"{path}: missing column(s) {', '.join(missing)}")
+                elif len(fields) != len(header):
+                    raise CatalogError(f"{where}: row has "
+                                       f"{'fewer' if len(fields) < len(header) else 'more'}"
+                                       " fields than the header")
+                else:
+                    rows.append((where, dict(zip(header, fields))))
+    except csv.Error as exc:
+        raise CatalogError(f"{path}:{reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeError) as exc:
+        raise CatalogError(f"cannot read {path}: {exc}") from exc
+    if header is None:
         raise CatalogError(f"{path}: no header row found")
-    reader = csv.DictReader(io.StringIO("\n".join(data_lines)))
-    header = reader.fieldnames or []
-    missing = [col for col in expected_columns if col not in header]
-    if missing:
-        raise CatalogError(f"{path}: missing mandatory column(s) {', '.join(missing)}")
-    rows = list(reader)
-    for row, lineno in zip(rows, line_numbers[1:]):
-        if None in row.values():
-            raise CatalogError(f"{path.name}:{lineno}: row has fewer fields than the header")
-        if None in row:
-            raise CatalogError(f"{path.name}:{lineno}: row has more fields than the header")
-    return rows, meta, line_numbers[1:]
+    return rows, meta
 
 
-def _float_or_none(value: str | None) -> float | None:
-    if value is None or value.strip() == "":
-        return None
-    return float(value)
+def write_table(path, header, rows, comments=()) -> None:
+    """Write ``rows`` (any iterable, consumed as it is written) under
+    ``header`` as CSV, after one ``# `` line per comment."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        for comment in comments:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_line_catalog(lines_path, far_bands_path=None) -> LineCatalog:
@@ -201,21 +216,20 @@ def load_line_catalog(lines_path, far_bands_path=None) -> LineCatalog:
     ``core_polarizability_au`` and the upper-state coupling constants
     (``pi_spin_orbit_A_cm1``, ``pi_rotational_B_cm1``) are recognized.
     """
-    lines_path = Path(lines_path)
-    rows, meta, line_numbers = _read_csv(lines_path, LINE_COLUMNS)
+    rows, meta = read_table(lines_path, LINE_COLUMNS)
+    coupling = _pi_coupling(meta)
     lines = []
     seen = {}
-    for row, lineno in zip(rows, line_numbers):
-        where = f"{lines_path.name}:{lineno}"
+    for where, row in rows:
         try:
             branch = row["branch"].strip()
             n_lower = int(row["N_lower"])
             j_lower = HalfInt(int(row["J_lower_x2"]))
             j_upper = HalfInt(int(row["J_upper_x2"]))
             wavelength = float(row["wavelength_nm"])
-            einstein_a = _float_or_none(row.get("einstein_A"))
-            mu2 = _float_or_none(row.get("mu_squared_au"))
-        except (KeyError, ValueError) as exc:
+            einstein_a, mu2 = (float(row[col]) if row[col].strip() else None
+                               for col in ("einstein_A", "mu_squared_au"))
+        except ValueError as exc:
             raise CatalogError(f"{where}: {exc}") from exc
         if (einstein_a is None) == (mu2 is None):
             raise CatalogError(
@@ -225,12 +239,15 @@ def load_line_catalog(lines_path, far_bands_path=None) -> LineCatalog:
         if key in seen:
             raise CatalogError(
                 f"{where}: duplicate line {branch}({j_lower}) for N'' = {n_lower} "
-                f"(first at line {seen[key]})"
+                f"(first at {seen[key]})"
             )
-        seen[key] = lineno
-        coupling = _coupling_from_metadata(meta, where) if mu2 is None else None
+        seen[key] = where
         try:
             if mu2 is None:
+                if coupling is None:
+                    raise CatalogError("einstein_A rows need pi_spin_orbit_A_cm1 and "
+                                       "pi_rotational_B_cm1 metadata to evaluate line "
+                                       "strengths")
                 hl = honl_london(branch, j_lower, coupling)
                 mu2 = band_dipole_squared_au(einstein_a, wavelength) * hl
             lines.append(TransitionLine(
@@ -243,51 +260,38 @@ def load_line_catalog(lines_path, far_bands_path=None) -> LineCatalog:
                 strength_au=mu2,
                 einstein_a=einstein_a,
             ))
-        except (CatalogError, ValueError) as exc:
+        except ValueError as exc:
             raise CatalogError(f"{where}: {exc}") from exc
 
     far_bands = []
     if far_bands_path is not None:
-        far_rows, far_meta, far_linenos = _read_csv(Path(far_bands_path), FAR_BAND_COLUMNS)
+        far_rows, far_meta = read_table(far_bands_path, FAR_BAND_COLUMNS)
         meta = {**far_meta, **meta}
-        for row, lineno in zip(far_rows, far_linenos):
-            where = f"{Path(far_bands_path).name}:{lineno}"
+        for where, row in far_rows:
             try:
                 far_bands.append(FarBand(
                     band=row["band"].strip(),
                     wavelength_nm=float(row["wavelength_nm"]),
                     einstein_a=float(row["einstein_A"]),
                 ))
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 raise CatalogError(f"{where}: {exc}") from exc
 
-    core = float(meta.get("core_polarizability_au", 0.0))
-    coupling = None
-    if "pi_spin_orbit_A_cm1" in meta and "pi_rotational_B_cm1" in meta:
-        coupling = PiCoupling(
-            spin_orbit_a=float(meta["pi_spin_orbit_A_cm1"]),
-            rotational_b=float(meta["pi_rotational_B_cm1"]),
-        )
     return LineCatalog(
         lines=tuple(sorted(lines, key=lambda l: (l.n_lower, l.j_lower.twice, l.branch))),
         far_bands=tuple(far_bands),
-        core_polarizability_au=core,
-        pi_coupling=coupling,
+        core_polarizability_au=float(meta.get("core_polarizability_au", 0.0)),
+        pi_coupling=_pi_coupling(meta),
         metadata=meta,
     )
 
 
-def _coupling_from_metadata(meta: dict, where: str) -> PiCoupling:
-    try:
-        return PiCoupling(
-            spin_orbit_a=float(meta["pi_spin_orbit_A_cm1"]),
-            rotational_b=float(meta["pi_rotational_B_cm1"]),
-        )
-    except KeyError as exc:
-        raise CatalogError(
-            f"{where}: einstein_A rows need pi_spin_orbit_A_cm1 and "
-            "pi_rotational_B_cm1 metadata to evaluate line strengths"
-        ) from exc
+def _pi_coupling(meta: dict) -> PiCoupling | None:
+    """The upper-state coupling, if the metadata gives both of its constants."""
+    if "pi_spin_orbit_A_cm1" in meta and "pi_rotational_B_cm1" in meta:
+        return PiCoupling(spin_orbit_a=float(meta["pi_spin_orbit_A_cm1"]),
+                          rotational_b=float(meta["pi_rotational_B_cm1"]))
+    return None
 
 
 @dataclass(frozen=True)
@@ -364,26 +368,16 @@ def build_line_catalog(source, far_bands=None, core_polarizability_au=None,
     raise CatalogError(f"unsupported catalog source {type(source).__name__}")
 
 
-def write_line_catalog(lines, path, metadata: dict | None = None,
-                       header_comment: str = "") -> None:
+def write_line_catalog(lines, path, metadata: dict | None = None) -> None:
     """Write lines to CSV with ``# key = value`` metadata comments."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            for ln in header_comment.strip().splitlines():
-                fh.write(f"# {ln}\n")
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key} = {value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(LINE_COLUMNS)
-        for line in sorted(lines, key=lambda l: l.wavelength_nm):
-            writer.writerow([
-                line.band, line.branch, line.n_lower,
-                line.j_lower.twice, line.j_upper.twice,
-                f"{line.wavelength_nm:.6f}",
-                "" if line.einstein_a is None else f"{line.einstein_a:.6g}",
-                "" if line.einstein_a is not None else f"{line.strength_au:.8e}",
-            ])
+    write_table(path, LINE_COLUMNS, (
+        [line.band, line.branch, line.n_lower,
+         line.j_lower.twice, line.j_upper.twice,
+         f"{line.wavelength_nm:.6f}",
+         "" if line.einstein_a is None else f"{line.einstein_a:.6g}",
+         "" if line.einstein_a is not None else f"{line.strength_au:.8e}"]
+        for line in sorted(lines, key=lambda l: l.wavelength_nm)
+    ), comments=[f"{key} = {value}" for key, value in (metadata or {}).items()])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ the config hash and seed; exit codes are 0 (ok), 2 (validation error),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import CatalogError
+from .catalog import CatalogError, write_table
 from .config import ConfigError, RunConfig, load_config
 from .crystal import LatticeDrive, TwoIonCrystal
 from .dynamics import (IntegrationError, SimulationConfig, linearized_prediction,
@@ -59,12 +58,9 @@ def cmd_enumerate(args, config: RunConfig) -> int:
     print(f"{len(states)} states with even N <= {args.nmax} (v = 0)")
     outdir = _outdir(args)
     path = outdir / f"states_n{args.nmax}.csv"
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "J_x2", "I", "F_x2", "m_x2"])
-        for s in states:
-            writer.writerow([s.n, s.j.twice, s.i_nuc,
-                             "" if s.f is None else s.f.twice, s.m.twice])
+    write_table(path, ["N", "J_x2", "I", "F_x2", "m_x2"],
+                ([s.n, s.j.twice, s.i_nuc, "" if s.f is None else s.f.twice, s.m.twice]
+                 for s in states))
     _write_manifest(outdir, "enumerate", config, {"states": len(states)})
     print(f"wrote {path}")
     return EXIT_OK
@@ -83,10 +79,10 @@ def cmd_spectrum(args, config: RunConfig) -> int:
     outdir = _outdir(args)
     path = outdir / "stark_spectrum.csv"
     skipped = 0
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["wavelength_nm", "N", "J_x2", "I", "F_x2", "m_x2",
-                         "shift_hz"])
+
+    def rows():
+        # one wavelength at a time: the sweep is never held whole
+        nonlocal skipped
         for lam in wavelengths:
             for pred in predict_catalog_shifts(
                     lam, config.intensity_w_m2, states, catalog,
@@ -95,9 +91,12 @@ def cmd_spectrum(args, config: RunConfig) -> int:
                     skipped += 1
                     continue
                 s = pred.state
-                writer.writerow([f"{lam:.5f}", s.n, s.j.twice, s.i_nuc,
-                                 "" if s.f is None else s.f.twice, s.m.twice,
-                                 f"{pred.shift_hz:.4f}"])
+                yield [f"{lam:.5f}", s.n, s.j.twice, s.i_nuc,
+                       "" if s.f is None else s.f.twice, s.m.twice,
+                       f"{pred.shift_hz:.4f}"]
+
+    write_table(path, ["wavelength_nm", "N", "J_x2", "I", "F_x2", "m_x2", "shift_hz"],
+                rows())
     _write_manifest(outdir, "spectrum", config,
                     {"states": len(states), "wavelengths": len(wavelengths),
                      "near_resonant_skipped": skipped})
@@ -139,11 +138,8 @@ def cmd_simulate(args, config: RunConfig) -> int:
         rows = sweep_beat_frequency(sim_config, freqs,
                                     use_simulator=not args.linearized)
         path = outdir / "beat_sweep.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beat_hz", "ip_amplitude_m"])
-            for f, amp in rows:
-                writer.writerow([f"{f:.3f}", f"{amp:.8e}"])
+        write_table(path, ["beat_hz", "ip_amplitude_m"],
+                    ([f"{f:.3f}", f"{amp:.8e}"] for f, amp in rows))
         peak = max(rows, key=lambda r: r[1])
         print(f"wrote {path}; peak at {peak[0] / 1e3:.3f} kHz")
     else:
@@ -187,11 +183,10 @@ def cmd_calibrate(args, config: RunConfig) -> int:
         return EXIT_NUMERIC
     outdir = _outdir(args)
     for shift, template in zip(cal.shifts_hz, cal.templates):
-        path = outdir / f"template_{shift:.0f}Hz.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_s", "P", "shots"])
-            writer.writerows(template.export_rows())
+        # the shortest repr, so distinct shifts never share a file name
+        name = repr(shift).removesuffix(".0")
+        write_table(outdir / f"template_{name}Hz.csv", ["t_s", "P", "shots"],
+                    template.export_rows())
     _write_manifest(outdir, "calibrate", config, {
         "shifts_hz": list(cal.shifts_hz),
         "templates": len(cal.templates),

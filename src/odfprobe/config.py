@@ -69,13 +69,13 @@ class RunConfig:
 
     raw_items: dict = field(default_factory=dict, repr=False)
 
-    def crystal(self, molecule_mass_u: float | None = None) -> TwoIonCrystal:
-        m1 = self.molecule_mass_u if molecule_mass_u is None else molecule_mass_u
+    def crystal(self) -> TwoIonCrystal:
         if self.lattice_periods_n is not None:
             return TwoIonCrystal.from_lattice_periods(
-                m1, self.atom_mass_u, self.lattice_periods_n, self.wavelength_nm)
+                self.molecule_mass_u, self.atom_mass_u, self.lattice_periods_n,
+                self.wavelength_nm)
         return TwoIonCrystal.from_atomic_frequency(
-            m1, self.atom_mass_u, self.atomic_frequency_hz)
+            self.molecule_mass_u, self.atom_mass_u, self.atomic_frequency_hz)
 
     def catalog(self) -> LineCatalog:
         """The configured catalog, read once per config so that the strength

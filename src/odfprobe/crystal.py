@@ -202,24 +202,23 @@ class LatticeDrive:
         )
 
 
-def classify_phase(phi21: float, tolerance_rad: float = PHASE_TOLERANCE_RAD) -> str:
+def classify_phase(phi21: float) -> str:
     """'SP' if phi21 = 0 (mod 2 pi), 'OP' if pi, else 'INTERMEDIATE'."""
     phase = phi21 % (2.0 * math.pi)
-    if min(phase, 2.0 * math.pi - phase) <= tolerance_rad:
+    if min(phase, 2.0 * math.pi - phase) <= PHASE_TOLERANCE_RAD:
         return "SP"
-    if abs(phase - math.pi) <= tolerance_rad:
+    if abs(phase - math.pi) <= PHASE_TOLERANCE_RAD:
         return "OP"
     return "INTERMEDIATE"
 
 
-def lattice_phase(d: float, wavelength_nm: float,
-                  tolerance_rad: float = PHASE_TOLERANCE_RAD) -> tuple[float, str]:
+def lattice_phase(d: float, wavelength_nm: float) -> tuple[float, str]:
     """Lattice phase difference phi21 = (4 pi d / lambda) mod 2 pi and its
     SP/OP classification."""
     if d <= 0.0 or wavelength_nm <= 0.0:
         raise ValueError("distance and wavelength must be > 0")
     phi21 = (4.0 * math.pi * d / (wavelength_nm * 1e-9)) % (2.0 * math.pi)
-    return phi21, classify_phase(phi21, tolerance_rad)
+    return phi21, classify_phase(phi21)
 
 
 def combined_mode_shift(shift1_hz: float, shift2_hz: float, phi21: float,

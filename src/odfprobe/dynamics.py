@@ -16,13 +16,12 @@ A drive deep enough for chaotic motion is checked again at half the step.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
+from .catalog import write_table
 from .crystal import LatticeDrive, TwoIonCrystal
 from .quantities import ATOMIC_MASS, COULOMB_PREFACTOR, HBAR, PLANCK
 
@@ -77,11 +76,9 @@ class Trajectory:
     config: SimulationConfig
 
     def export_csv(self, path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_s", "q1_m", "q2_m", "v1_m_s", "v2_m_s"])
-            for row in zip(self.t, self.q1, self.q2, self.v1, self.v2):
-                writer.writerow([f"{x:.12e}" for x in row])
+        write_table(path, ["t_s", "q1_m", "q2_m", "v1_m_s", "v2_m_s"],
+                    ([f"{x:.12e}" for x in row]
+                     for row in zip(self.t, self.q1, self.q2, self.v1, self.v2)))
 
 
 @dataclass(frozen=True)
@@ -232,11 +229,9 @@ def _integrate(config: SimulationConfig, samples: int, stride: int) -> np.ndarra
     return np.array(states)
 
 
-def mode_amplitude(trajectory: Trajectory, crystal: TwoIonCrystal | None = None,
-                   ) -> ModeExcitation:
+def mode_amplitude(trajectory: Trajectory) -> ModeExcitation:
     """End-of-pulse complex mode amplitudes from position/velocity quadratures."""
-    if crystal is None:
-        crystal = trajectory.config.crystal
+    crystal = trajectory.config.crystal
     t = trajectory.t
     if len(t) < 3:
         raise ValueError("trajectory too short to extract mode amplitudes")

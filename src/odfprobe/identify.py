@@ -10,7 +10,6 @@ tiers rather than a single best state.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -18,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import LineCatalog
-from .quantities import (AU_DIPOLE_SQUARED, AU_POLARIZABILITY, HBAR,
-                         polarizability_to_shift, wavelength_to_angular_frequency)
-from .stark import (DEFAULT_RESONANCE_GUARD_HZ, NearResonanceError, _far_band_au,
-                    transition_strength)
+from .catalog import LineCatalog, read_table
+from .quantities import (AU_DIPOLE_SQUARED, AU_POLARIZABILITY, polarizability_to_shift,
+                         wavelength_to_angular_frequency)
+from .stark import (DEFAULT_RESONANCE_GUARD_HZ, NearResonanceError, _detuning_hz,
+                    _far_band_au, _sum_coefficient, transition_strength)
 from .states import MolecularState
 
 # Fractional intensity (lattice power) uncertainty folded into measurement
@@ -36,10 +35,9 @@ REACTION_RELATIVE_THRESHOLD = 3e-3
 SIGNS = ("red", "blue", "indeterminate")
 
 
-def combined_sigma(shift_hz: float, fit_sigma_hz: float,
-                   power_fraction: float = POWER_FRACTIONAL_UNCERTAINTY) -> float:
+def combined_sigma(shift_hz: float, fit_sigma_hz: float) -> float:
     """Fit uncertainty and fractional power uncertainty in quadrature."""
-    return math.hypot(fit_sigma_hz, power_fraction * abs(shift_hz))
+    return math.hypot(fit_sigma_hz, POWER_FRACTIONAL_UNCERTAINTY * abs(shift_hz))
 
 
 @dataclass(frozen=True)
@@ -133,10 +131,9 @@ def predict_catalog_shifts(wavelength_nm: float, intensity_w_m2: float,
 
     omega = wavelength_to_angular_frequency(wavelength_nm)
     omegas = [line.angular_frequency for line in catalog.lines]
-    detunings = [(omega_k - omega) / (2.0 * math.pi) for omega_k in omegas]
+    detunings = [_detuning_hz(omega_k, omega) for omega_k in omegas]
     inside = [abs(d) < guard_hz for d in detunings] + [False]
-    # The sum-over-transitions coefficient of _sum_term_au, per line.
-    coefficients = [0.0 if hit else 2.0 / HBAR * omega_k / (omega_k**2 - omega**2)
+    coefficients = [0.0 if hit else _sum_coefficient(omega_k, omega)
                     for omega_k, hit in zip(omegas, inside)] + [0.0]
     terms = np.array(coefficients)[line_index] * mu2_si / AU_POLARIZABILITY
     resonant = np.zeros(len(key))
@@ -291,20 +288,8 @@ MEASUREMENT_COLUMNS = ("wavelength_nm", "intensity_W_m2", "shift_Hz", "sigma_Hz"
 def read_measurements(path) -> list[Measurement]:
     """Measurement CSV: wavelength_nm, intensity_W_m2, shift_Hz, sigma_Hz,
     sign, f_ip_Hz."""
-    path = Path(path)
     measurements = []
-    with path.open(encoding="utf-8") as fh:
-        numbered = [(idx, ln) for idx, ln in enumerate(fh, start=1) if not ln.startswith("#")]
-    reader = csv.DictReader(ln for _, ln in numbered)
-    missing = [c for c in MEASUREMENT_COLUMNS if c not in (reader.fieldnames or [])]
-    if missing:
-        raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-    for row in reader:
-        where = f"{path}:{numbered[reader.line_num - 1][0]}"
-        if None in row.values():
-            raise ValueError(f"{where}: row has fewer fields than the header")
-        if None in row:
-            raise ValueError(f"{where}: row has more fields than the header")
+    for where, row in read_table(path, MEASUREMENT_COLUMNS)[0]:
         try:
             measurements.append(Measurement(
                 wavelength_nm=float(row["wavelength_nm"]),

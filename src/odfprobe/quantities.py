@@ -105,12 +105,15 @@ def shift_to_intensity(alpha_au: float, shift_hz: float) -> float:
     return -shift_hz * 2.0 * VACUUM_PERMITTIVITY * SPEED_OF_LIGHT * PLANCK / alpha_si
 
 
-def intensity_from_core_anchor(core_alpha_au: float = 7.23,
-                               core_shift_hz: float = -390.0) -> float:
+CORE_ANCHOR_ALPHA_AU = 7.23
+CORE_ANCHOR_SHIFT_HZ = -390.0
+
+
+def intensity_from_core_anchor() -> float:
     """Lattice intensity pinned by the molecular-core anchor.
 
     The experimental intensity is not published directly; it is fixed by the
-    pair (core polarizability, core shift), by default (7.23 au, -390 Hz),
-    which evaluates to about 1.15e7 W/m^2.
+    pair (core polarizability, core shift) = (7.23 au, -390 Hz), which
+    evaluates to about 1.15e7 W/m^2.
     """
-    return shift_to_intensity(core_alpha_au, core_shift_hz)
+    return shift_to_intensity(CORE_ANCHOR_ALPHA_AU, CORE_ANCHOR_SHIFT_HZ)

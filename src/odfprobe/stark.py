@@ -13,16 +13,14 @@ linewidth, so evaluation inside a configurable detuning guard refuses with
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .angular import HalfInt, _wigner_3j_doubled, _wigner_6j_doubled
-from .catalog import FarBand, LineCatalog, TransitionLine, shipped_data_path
+from .catalog import FarBand, LineCatalog, TransitionLine, read_table, shipped_data_path
 from .quantities import (
     HBAR,
     AU_DIPOLE_SQUARED,
@@ -102,16 +100,25 @@ class PolarizabilityBreakdown:
         return self.resonant_au + self.far_band_au + self.core_au
 
 
+def _sum_coefficient(omega_k: float, omega: float) -> float:
+    # (2/hbar) omega_k / (omega_k^2 - omega^2): multiplies |mu|^2 in SI units
+    # to give one term of the sum-over-transitions in SI units.
+    return 2.0 / HBAR * omega_k / (omega_k**2 - omega**2)
+
+
+def _detuning_hz(omega_k: float, omega: float) -> float:
+    return (omega_k - omega) / (2.0 * math.pi)
+
+
 def _sum_term_au(omega_k: float, omega: float, strength_au: float) -> float:
     # One term of the sum-over-transitions, with |mu|^2 in au and the result
     # in au of polarizability.
-    mu2_si = strength_au * AU_DIPOLE_SQUARED
-    alpha_si = 2.0 / HBAR * omega_k / (omega_k**2 - omega**2) * mu2_si
-    return alpha_si / AU_POLARIZABILITY
+    return _sum_coefficient(omega_k, omega) * (strength_au * AU_DIPOLE_SQUARED) \
+        / AU_POLARIZABILITY
 
 
 def _check_guard(line, omega: float, guard_hz: float) -> None:
-    detuning_hz = (line.angular_frequency - omega) / (2.0 * math.pi)
+    detuning_hz = _detuning_hz(line.angular_frequency, omega)
     if abs(detuning_hz) < guard_hz:
         raise NearResonanceError(line, detuning_hz, guard_hz)
 
@@ -245,6 +252,7 @@ def atomic_stark_shift(model: AtomicLevelModel, wavelength_nm: float,
 
 
 SHIPPED_ATOMIC_FILE = "ca_polarizabilities.csv"
+ATOMIC_COLUMNS = ("level", "wavelength_nm", "alpha_scalar_au", "alpha_tensor_au")
 _ATOMIC_CORES_AU = {"S1/2": 3.134, "D5/2": 3.03}
 _ATOMIC_J = {"S1/2": HalfInt(1), "D5/2": HalfInt(5)}
 
@@ -256,20 +264,12 @@ def load_shipped_atomic_model(level: str = "D5/2", m=None,
     Defaults to the metastable D5/2(m = -5/2) level the reference ion is
     shelved in during lattice pulses.
     """
-    path = Path(shipped_data_path(SHIPPED_ATOMIC_FILE))
     if level not in _ATOMIC_J:
         raise ValueError(f"unknown level {level!r}; shipped: {sorted(_ATOMIC_J)}")
-    rows = []
-    with path.open(encoding="utf-8") as fh:
-        reader = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
-        for row in reader:
-            if row["level"].strip() == level:
-                rows.append((
-                    float(row["wavelength_nm"]),
-                    float(row["alpha_scalar_au"]),
-                    float(row["alpha_tensor_au"]),
-                ))
-    rows.sort()
+    rows = sorted(tuple(float(row[col]) for col in ATOMIC_COLUMNS[1:])
+                  for _, row in read_table(shipped_data_path(SHIPPED_ATOMIC_FILE),
+                                           ATOMIC_COLUMNS)[0]
+                  if row["level"].strip() == level)
     if m is None:
         m = HalfInt(-1) if level == "S1/2" else HalfInt(-5)
     return AtomicLevelModel(

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import odfprobe
 from odfprobe.angular import HalfInt
 from odfprobe.catalog import (N2PLUS_BAND, CatalogError, FarBand,
                               TransitionLine, band_dipole_squared_au,
@@ -125,7 +129,7 @@ class TestIngestion:
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("band,branch,N_lower\n")
-        with pytest.raises(CatalogError, match="missing mandatory column"):
+        with pytest.raises(CatalogError, match="missing column"):
             load_line_catalog(path)
 
     def test_duplicate_line_rejected(self, tmp_path):
@@ -251,3 +255,18 @@ class TestStrengthConversion:
         with pytest.raises(CatalogError, match="far band B-X"):
             FarBand("B-X", wavelength, einstein_a)
         FarBand("B-X", 391.15, 0.0)
+
+
+def _imports_csv(path: Path) -> bool:
+    return any(
+        isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "csv"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_only_the_catalog_module_imports_csv():
+    # every CSV the package reads or writes goes through read_table and
+    # write_table, so the table rules live in one place
+    package = Path(odfprobe.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py")) if _imports_csv(p)] \
+        == ["catalog.py"]

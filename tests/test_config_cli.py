@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from odfprobe.catalog import SHIPPED_LINES_FILE, shipped_data_path
@@ -276,6 +276,19 @@ class TestCli:
         assert manifest["templates"] == 4
         assert len(list(tmp_path.glob("template_*.csv"))) == 4
 
+    @pytest.mark.parametrize("flags, names", [
+        ([], ["800", "1560", "2320", "3080", "3840", "4600"]),
+        # shifts 0.25 Hz apart, which whole-hertz names merged into 2 files
+        (["--shift-min", "100", "--shift-max", "101", "--count", "5"],
+         ["100", "100.25", "100.5", "100.75", "101"]),
+    ], ids=["default", "close shifts"])
+    def test_calibrate_writes_one_file_per_template(self, tmp_path, capsys, flags, names):
+        code = main(["calibrate", "--noiseless", "--out", str(tmp_path)] + flags)
+        assert code == 0
+        assert f"wrote {len(names)} calibration templates" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.glob("template_*Hz.csv")) \
+            == sorted(f"template_{name}Hz.csv" for name in names)
+
     def test_calibrate_non_finite_shift_is_validation_error(self, tmp_path, capsys):
         code = main(["calibrate", "--noiseless", "--shift-min", "nan",
                      "--out", str(tmp_path)])
@@ -445,18 +458,34 @@ class TestCli:
         assert "Traceback" not in captured.err
 
 
-def far_band_config(tmp_path, far_rows, line_row=None):
-    """A config reading a copy of the shipped lines, with ``line_row`` appended,
-    and a far-band CSV made of ``far_rows``."""
-    lines = tmp_path / "lines.csv"
-    text = shipped_data_path(SHIPPED_LINES_FILE).read_text(encoding="utf-8")
-    lines.write_text(text + (line_row or ""))
-    far = tmp_path / "far.csv"
-    far.write_text("# far bands\nband,wavelength_nm,einstein_A\n" + far_rows)
-    path = tmp_path / "catalog.cfg"
+def catalog_config(directory, lines_text, far_text):
+    """A config whose catalog is a line CSV and a far-band CSV of the given
+    texts."""
+    lines = Path(directory) / "lines.csv"
+    lines.write_text(lines_text)
+    far = Path(directory) / "far.csv"
+    far.write_text(far_text)
+    path = Path(directory) / "catalog.cfg"
     path.write_text(BASE_CONFIG.replace("lines = builtin", f"lines = {lines}")
                     .replace("far_bands = builtin", f"far_bands = {far}"))
     return path
+
+
+def far_band_config(tmp_path, far_rows, line_row=None):
+    """A config reading a copy of the shipped lines, with ``line_row`` appended,
+    and a far-band CSV made of ``far_rows``."""
+    text = shipped_data_path(SHIPPED_LINES_FILE).read_text(encoding="utf-8")
+    return catalog_config(tmp_path, text + (line_row or ""),
+                          "# far bands\n" + FAR_HEADER + far_rows)
+
+
+# The shipped line file's metadata and the two catalog headers.
+LINE_HEADER = ("# core_polarizability_au = 7.23\n"
+               "# pi_spin_orbit_A_cm1 = -74.62\n"
+               "# pi_rotational_B_cm1 = 1.697425\n"
+               "band,branch,N_lower,J_lower_x2,J_upper_x2,wavelength_nm,einstein_A,"
+               "mu_squared_au\n")
+FAR_HEADER = "band,wavelength_nm,einstein_A\n"
 
 
 COMMANDS = {
@@ -490,6 +519,16 @@ class TestBadInputFiles:
         assert f"{meas}:4: row has more fields than the header" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_oversized_field_is_validation_error(self, tmp_path, capsys):
+        # longer than the csv module's field size limit (131072 characters)
+        meas = tmp_path / "m.csv"
+        meas.write_text(MEASUREMENTS + "789.71,1.1508e7,400.0,60.0,red," + "9" * 200_000 + "\n")
+        code = main(["classify", "--measurements", str(meas), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{meas}:4: field larger than field limit" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_measurement_line_numbers_count_comments(self, tmp_path, capsys):
         meas = tmp_path / "m.csv"
         lines = MEASUREMENTS.splitlines()
@@ -510,8 +549,12 @@ class TestBadInputFiles:
         ("B-X,391.15,1.05e7\n", "A-X,Q12,12,23,23,789.5,nan,\n",
          "lines.csv:75: line Q12(23/2): strength must be finite"),
         ("B-X,391.15,1.05e7,99\n", None, "far.csv:3: row has more fields"),
+        # omega^3 underflows to 0 at 1e300 nm, so the band strength is infinite
+        ("B-X,1e300,1.05e7\n", None, "far.csv:3: far band B-X: strength must be finite"),
+        ("B-X,391.15,1.05e7\n", "A-X,Q12,12,23,23,1e300,1.1e4,\n",
+         "lines.csv:75: line Q12(23/2): strength must be finite"),
     ], ids=["short far row", "short line row", "negative far A", "nan far wavelength",
-            "nan line A", "long far row"])
+            "nan line A", "long far row", "1e300 nm far band", "1e300 nm line"])
     def test_bad_catalog_row_is_validation_error(self, tmp_path, capsys, command,
                                                  far_row, line_row, message):
         path = far_band_config(tmp_path, far_row, line_row)
@@ -523,7 +566,7 @@ class TestBadInputFiles:
         code = main(args)
         captured = capsys.readouterr()
         assert code == 2
-        assert message in captured.err
+        assert f"{tmp_path}/{message}" in captured.err
         assert "Traceback" not in captured.err
         assert "excluded" not in captured.out
 
@@ -532,9 +575,10 @@ def _refuse_constant(name):
     raise ValueError(f"identification.json holds {name}, which is not JSON")
 
 
-def _mostly(good, bad):
-    # One draw in eight is a bad one, so many rows pass validation.
-    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else good)
+def _mostly(good, bad, one_in=8):
+    # One draw in one_in (eight by default) is a bad one, so many rows pass
+    # validation.
+    return st.integers(0, one_in - 1).flatmap(lambda i: bad if i == 0 else good)
 
 
 def _field(finite, *specials):
@@ -542,9 +586,9 @@ def _field(finite, *specials):
 
 
 def _row(fields):
-    # The last draw drops the sixth field (-1), keeps the row (0) or adds one (1).
+    # The last draw drops the last field (-1), keeps the row (0) or adds one (1).
     *values, extra = fields
-    return ",".join(values[:6 + extra] + ["400.0"] * extra)
+    return ",".join(values[:len(values) + extra] + ["400.0"] * extra)
 
 
 # One measurement row as text: mostly plausible values, with every kind of
@@ -575,9 +619,53 @@ CALIBRATE_SHIFTS = _mostly(st.floats(1.0, 1e4),
                                             float("nan"), float("inf"), float("-inf")]))
 
 
+def _rarely(good, bad):
+    # One catalog draw in 16 is a bad one: a catalog has more fields than a
+    # measurement file, and most generated catalogs should still load.
+    return _mostly(good, bad, one_in=16)
+
+
+def _text(finite, *specials):
+    # like _field, but the specials are field texts, so "" is an empty field
+    return _rarely(finite.map(repr), st.sampled_from(specials))
+
+
+BRANCHES = ("P1", "P2", "Q1", "Q2", "R1", "R2", "P12", "P21", "Q12", "Q21", "R12", "R21")
+DELTA_J = {"P": -1, "Q": 0, "R": 1}
+
+
+@st.composite
+def catalog_line_rows(draw):
+    """One line row as text: a branch, N'' <= 20 and J'', J' mostly consistent
+    with them; every kind of bad wavelength and strength field mixed in; now
+    and then a field dropped or added."""
+    branch = draw(_rarely(st.sampled_from(BRANCHES), st.sampled_from(["", "X1", "Q3"])))
+    n_lower = draw(st.integers(0, 20))
+    two_j = 2 * n_lower + (1 if branch.endswith("1") else -1)
+    two_j += draw(_rarely(st.just(0), st.sampled_from([-2, 2])))
+    two_j_up = two_j + 2 * DELTA_J.get(branch[:1], 0)
+    wavelength = draw(_text(st.floats(700.0, 900.0), "0.0", "-789.0", "nan", "inf",
+                            "1e300"))
+    if draw(st.booleans()):     # strength from the band Einstein A, or given
+        einstein, mu2 = draw(_text(st.floats(1e3, 1e5), "", "nan", "-1e4", "inf")), ""
+    else:
+        einstein, mu2 = "", draw(_text(st.floats(1e-4, 1e-2), "", "nan", "-1.0", "inf"))
+    return _row(["A", branch, str(n_lower), str(two_j), str(two_j_up), wavelength,
+                 einstein, mu2, draw(_rarely(st.just(0), st.sampled_from([-1, 1])))])
+
+
+FAR_BAND_ROWS = st.tuples(
+    st.just("B-X"),
+    _text(st.floats(300.0, 1200.0), "0.0", "-391.15", "nan", "inf", "1e300"),
+    _text(st.floats(0.0, 1e7), "-1e6", "nan", "inf"),
+    _rarely(st.just(0), st.sampled_from([-1, 1])),
+).map(_row)
+
+
 class TestExitCodeContract:
-    """Whatever the measurement file holds, a command ends with exit 0, 2 or 3
-    and never a traceback, and a written report is strict JSON."""
+    """Whatever the measurement file, the catalog or the flags hold, a command
+    ends with exit 0, 2 or 3 and never a traceback, and a written report is
+    strict JSON."""
 
     @pytest.mark.parametrize("command", sorted(CONTRACT_COMMANDS))
     @settings(max_examples=40, deadline=None,
@@ -595,6 +683,31 @@ class TestExitCodeContract:
             if command == "identify" and code == 0:
                 report = (Path(tmp) / "identification.json").read_text()
                 json.loads(report, parse_constant=_refuse_constant)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(line_rows=st.lists(catalog_line_rows(), min_size=1, max_size=3),
+           far_rows=st.lists(FAR_BAND_ROWS, max_size=2))
+    @example(line_rows=["A,Q12,4,7,7,788.624,1.14e4,"], far_rows=["B-X,1e300,1.05e7"])
+    @example(line_rows=["A,Q12,4,7,7,1e300,1.14e4,"], far_rows=[])
+    def test_catalog_rows_exit_with_a_documented_code(self, line_rows, far_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = catalog_config(tmp, LINE_HEADER + "".join(r + "\n" for r in line_rows),
+                                  FAR_HEADER + "".join(r + "\n" for r in far_rows))
+            meas = Path(tmp) / "m.csv"
+            meas.write_text(MEASUREMENTS)
+            for command in (["identify", "--measurements", str(meas)],
+                            ["spectrum", "--steps", "2"],
+                            ["windows", "--exclude-up-to", "4"]):
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(stderr):
+                    code = main(command + ["--config", str(path), "--out", tmp])
+                assert code in (0, 2, 3)
+                assert "Traceback" not in stderr.getvalue()
+                if command[0] == "identify" and code == 0:
+                    report = (Path(tmp) / "identification.json").read_text()
+                    json.loads(report, parse_constant=_refuse_constant)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -366,6 +367,18 @@ class TestMeasurementFile:
             "789.0,1.15e7,1477.0,150.0,purple,695858.0\n"
         )
         with pytest.raises(ValueError, match="bad2.csv:2"):
+            read_measurements(path)
+
+    def test_blank_and_comment_lines_are_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text(
+            "# run 7\n"
+            "wavelength_nm,intensity_W_m2,shift_Hz,sigma_Hz,sign,f_ip_Hz\n"
+            "789.0,1.15e7,1477.0,150.0,red,695858.0\n"
+            "   \n"
+            "789.71,1.15e7,500.0,60.0,purple,695858.0\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:5: sign must be one of")):
             read_measurements(path)
 
     def test_nan_row_reports_line(self, tmp_path):
