@@ -11,81 +11,39 @@ are identified or excluded.
 
 __version__ = "0.1.0"
 
-from .quantities import (intensity_from_core_anchor, polarizability_to_shift,
-                         shift_to_intensity)
-from .angular import HalfInt, wigner_3j, wigner_6j, honl_london
-from .states import MolecularState, enumerate_states
-from .catalog import LineCatalog, TransitionLine, build_line_catalog, load_shipped_catalog
-from .stark import (atomic_polarizability, dynamic_polarizability,
-                    molecular_stark_shift, transition_strength)
-from .crystal import (LatticeDrive, TwoIonCrystal, combined_mode_shift,
-                      equilibrium_distance, extract_molecular_shift,
-                      infer_detuning_sign, lattice_phase, normal_modes,
-                      spring_from_distance)
-from .dynamics import (SimulationConfig, linearized_prediction, mode_amplitude,
-                       simulate_odf)
-from .identify import (Measurement, apply_partial_readout, classify_event,
-                       exclusion_window, match_candidates, predict_catalog_shifts)
+# Home module of every public name.  ``import odfprobe`` loads no submodule:
+# a name's module is imported on its first use (PEP 562), so a command pays
+# only for the modules it runs.
+_EXPORTS = {
+    "quantities": ("intensity_from_core_anchor", "polarizability_to_shift",
+                   "shift_to_intensity"),
+    "angular": ("HalfInt", "wigner_3j", "wigner_6j", "honl_london"),
+    "states": ("MolecularState", "enumerate_states"),
+    "catalog": ("LineCatalog", "TransitionLine", "build_line_catalog",
+                "load_shipped_catalog"),
+    "stark": ("transition_strength", "dynamic_polarizability", "atomic_polarizability",
+              "molecular_stark_shift"),
+    "crystal": ("TwoIonCrystal", "LatticeDrive", "equilibrium_distance",
+                "spring_from_distance", "normal_modes", "lattice_phase",
+                "combined_mode_shift", "extract_molecular_shift",
+                "infer_detuning_sign"),
+    "dynamics": ("SimulationConfig", "simulate_odf", "mode_amplitude",
+                 "linearized_prediction"),
+    "readout": ("MotionalDistribution", "RabiSignal", "synthesize_bsb_signal", "fit_rabi",
+                "CalibrationSet", "build_calibration", "extract_shift",
+                "iterate_partner_correction"),
+    "identify": ("Measurement", "predict_catalog_shifts", "match_candidates",
+                 "exclusion_window", "apply_partial_readout", "classify_event"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "intensity_from_core_anchor",
-    "polarizability_to_shift",
-    "shift_to_intensity",
-    "HalfInt",
-    "wigner_3j",
-    "wigner_6j",
-    "honl_london",
-    "MolecularState",
-    "enumerate_states",
-    "LineCatalog",
-    "TransitionLine",
-    "build_line_catalog",
-    "load_shipped_catalog",
-    "transition_strength",
-    "dynamic_polarizability",
-    "atomic_polarizability",
-    "molecular_stark_shift",
-    "TwoIonCrystal",
-    "LatticeDrive",
-    "equilibrium_distance",
-    "spring_from_distance",
-    "normal_modes",
-    "lattice_phase",
-    "combined_mode_shift",
-    "extract_molecular_shift",
-    "infer_detuning_sign",
-    "SimulationConfig",
-    "simulate_odf",
-    "mode_amplitude",
-    "linearized_prediction",
-    "MotionalDistribution",
-    "RabiSignal",
-    "synthesize_bsb_signal",
-    "fit_rabi",
-    "CalibrationSet",
-    "build_calibration",
-    "extract_shift",
-    "iterate_partner_correction",
-    "Measurement",
-    "predict_catalog_shifts",
-    "match_candidates",
-    "exclusion_window",
-    "apply_partial_readout",
-    "classify_event",
-]
-
-# readout's own import costs about 20-30 ms, and only calibration and
-# extraction need it, so its names load on first use (PEP 562).
-_READOUT_NAMES = frozenset({
-    "MotionalDistribution", "RabiSignal", "synthesize_bsb_signal", "fit_rabi",
-    "CalibrationSet", "build_calibration", "extract_shift",
-    "iterate_partner_correction",
-})
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name):
-    if name in _READOUT_NAMES:
-        from . import readout
-        return getattr(readout, name)
+    from importlib import import_module
+    if name in _EXPORTS:        # a submodule, as ``odfprobe.stark``
+        return import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

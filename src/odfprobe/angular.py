@@ -3,7 +3,7 @@ line-strength (Honl-London) factors for the doublet Pi <- doublet Sigma band.
 
 Quantum numbers are carried as :class:`HalfInt` (doubled integers) so that
 half-integer selection rules are exact; the Wigner symbols themselves are
-evaluated with exact rational arithmetic and converted to float at the end,
+evaluated in exact integer arithmetic and converted to float at the end,
 which makes selection-rule zeros exact zeros.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -96,23 +95,46 @@ def _triangle_ok(two_a: int, two_b: int, two_c: int) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def _fact(n: int) -> int:
-    return math.factorial(n)
+_fact = math.factorial
 
 
-def _delta_squared(two_a: int, two_b: int, two_c: int) -> Fraction:
-    # Triangle coefficient Delta^2 = (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!
-    return Fraction(
-        _fact((two_a + two_b - two_c) // 2)
-        * _fact((two_a - two_b + two_c) // 2)
-        * _fact((-two_a + two_b + two_c) // 2),
-        _fact((two_a + two_b + two_c) // 2 + 1),
-    )
+def _delta_squared(two_a: int, two_b: int, two_c: int) -> tuple[int, int]:
+    # Triangle coefficient Delta^2 = (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!,
+    # as (numerator, denominator)
+    return (_fact((two_a + two_b - two_c) // 2)
+            * _fact((two_a - two_b + two_c) // 2)
+            * _fact((-two_a + two_b + two_c) // 2),
+            _fact((two_a + two_b + two_c) // 2 + 1))
 
 
-def _signed_sqrt(value_squared: Fraction, negative: bool) -> float:
-    root = math.sqrt(value_squared)
+def _racah_sum(t_min: int, t_max: int, lows, highs, weight=None) -> tuple[int, int]:
+    """Racah's alternating series sum_t (-1)^t w(t) / (prod (a+t)! prod (b-t)!)
+    over t_min..t_max, for a in ``lows`` and b in ``highs``, as an exact
+    (numerator, denominator) pair of ints.
+
+    The common denominator is each factorial factor at its largest argument
+    over the range, so every term's share of it is an exact integer quotient.
+    """
+    den = 1
+    for a in lows:
+        den *= _fact(a + t_max)
+    for b in highs:
+        den *= _fact(b - t_min)
+    num = 0
+    for t in range(t_min, t_max + 1):
+        denom = 1
+        for a in lows:
+            denom *= _fact(a + t)
+        for b in highs:
+            denom *= _fact(b - t)
+        term = den // denom if weight is None else weight(t) * den // denom
+        num += -term if t % 2 else term
+    return num, den
+
+
+def _signed_sqrt(num: int, den: int, negative: bool) -> float:
+    # int / int is correctly rounded, exactly as float(Fraction(num, den))
+    root = math.sqrt(num / den)
     return -root if negative else root
 
 
@@ -126,16 +148,16 @@ def _wigner_3j_doubled(two_j1, two_j2, two_j3, two_m1, two_m2, two_m3) -> float:
         if abs(tm) > tj or (tj - tm) % 2 != 0:
             return 0.0
 
-    # Racah's formula, evaluated in exact rational arithmetic: the alternating
-    # sum and the squared prefactor are both Fractions; only one sqrt at the end.
-    pre2 = _delta_squared(two_j1, two_j2, two_j3) * Fraction(
-        _fact((two_j1 + two_m1) // 2)
-        * _fact((two_j1 - two_m1) // 2)
-        * _fact((two_j2 + two_m2) // 2)
-        * _fact((two_j2 - two_m2) // 2)
-        * _fact((two_j3 + two_m3) // 2)
-        * _fact((two_j3 - two_m3) // 2)
-    )
+    # Racah's formula, evaluated in exact integer arithmetic: the squared
+    # prefactor and the alternating sum are both exact ratios of ints; only one
+    # division and one sqrt at the end.
+    pre_num, pre_den = _delta_squared(two_j1, two_j2, two_j3)
+    pre_num *= (_fact((two_j1 + two_m1) // 2)
+                * _fact((two_j1 - two_m1) // 2)
+                * _fact((two_j2 + two_m2) // 2)
+                * _fact((two_j2 - two_m2) // 2)
+                * _fact((two_j3 + two_m3) // 2)
+                * _fact((two_j3 - two_m3) // 2))
 
     t_min = max(
         0,
@@ -147,24 +169,18 @@ def _wigner_3j_doubled(two_j1, two_j2, two_j3, two_m1, two_m2, two_m3) -> float:
         (two_j1 - two_m1) // 2,
         (two_j2 + two_m2) // 2,
     )
-    total = Fraction(0)
-    for t in range(t_min, t_max + 1):
-        denom = (
-            _fact(t)
-            * _fact((two_j3 - two_j2 + two_m1) // 2 + t)
-            * _fact((two_j3 - two_j1 - two_m2) // 2 + t)
-            * _fact((two_j1 + two_j2 - two_j3) // 2 - t)
-            * _fact((two_j1 - two_m1) // 2 - t)
-            * _fact((two_j2 + two_m2) // 2 - t)
-        )
-        term = Fraction((-1) ** t, denom)
-        total += term
+    total, total_den = _racah_sum(
+        t_min, t_max,
+        (0, (two_j3 - two_j2 + two_m1) // 2, (two_j3 - two_j1 - two_m2) // 2),
+        ((two_j1 + two_j2 - two_j3) // 2, (two_j1 - two_m1) // 2,
+         (two_j2 + two_m2) // 2))
     if total == 0:
         return 0.0
 
     phase_odd = ((two_j1 - two_j2 - two_m3) // 2) % 2 == 1
     negative = (total < 0) != phase_odd
-    return _signed_sqrt(pre2 * total * total, negative)
+    return _signed_sqrt(pre_num * total * total, pre_den * total_den * total_den,
+                        negative)
 
 
 @lru_cache(maxsize=None)
@@ -179,9 +195,11 @@ def _wigner_6j_doubled(two_j1, two_j2, two_j3, two_j4, two_j5, two_j6) -> float:
         if not _triangle_ok(*triad):
             return 0.0
 
-    pre2 = Fraction(1)
+    pre_num = pre_den = 1
     for triad in triads:
-        pre2 *= _delta_squared(*triad)
+        num, den = _delta_squared(*triad)
+        pre_num *= num
+        pre_den *= den
 
     s1 = (two_j1 + two_j2 + two_j3) // 2
     s2 = (two_j1 + two_j5 + two_j6) // 2
@@ -191,21 +209,13 @@ def _wigner_6j_doubled(two_j1, two_j2, two_j3, two_j4, two_j5, two_j6) -> float:
     q2 = (two_j2 + two_j3 + two_j5 + two_j6) // 2
     q3 = (two_j3 + two_j1 + two_j6 + two_j4) // 2
 
-    total = Fraction(0)
-    for t in range(max(s1, s2, s3, s4), min(q1, q2, q3) + 1):
-        denom = (
-            _fact(t - s1)
-            * _fact(t - s2)
-            * _fact(t - s3)
-            * _fact(t - s4)
-            * _fact(q1 - t)
-            * _fact(q2 - t)
-            * _fact(q3 - t)
-        )
-        total += Fraction((-1) ** t * _fact(t + 1), denom)
+    total, total_den = _racah_sum(max(s1, s2, s3, s4), min(q1, q2, q3),
+                                  (-s1, -s2, -s3, -s4), (q1, q2, q3),
+                                  weight=lambda t: _fact(t + 1))
     if total == 0:
         return 0.0
-    return _signed_sqrt(pre2 * total * total, total < 0)
+    return _signed_sqrt(pre_num * total * total, pre_den * total_den * total_den,
+                        total < 0)
 
 
 def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:

@@ -14,21 +14,12 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .catalog import CatalogError, write_table
 from .config import ConfigError, RunConfig, load_config
-from .crystal import LatticeDrive, TwoIonCrystal
-from .dynamics import (IntegrationError, SimulationConfig, linearized_prediction,
-                       mode_amplitude, simulate_odf, sweep_beat_frequency)
-from .identify import (apply_partial_readout, background_shift_hz,
-                       classify_event, exclusion_window, format_report_text,
-                       identification_report, predict_catalog_shifts,
-                       read_measurements, write_report_json)
-from .quantities import polarizability_to_shift
-from .states import enumerate_states
-from .stark import NearResonanceError, atomic_polarizability
+
+# Each cmd_* imports the modules it calls, so a cold command loads only what
+# it runs: a config error stops at config, and only calibrate loads readout.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,6 +45,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_enumerate(args, config: RunConfig) -> int:
+    from .states import enumerate_states
+
     states = enumerate_states(args.nmax)
     print(f"{len(states)} states with even N <= {args.nmax} (v = 0)")
     outdir = _outdir(args)
@@ -69,6 +62,15 @@ def cmd_enumerate(args, config: RunConfig) -> int:
 def cmd_spectrum(args, config: RunConfig) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    for flag, value in (("--lambda-min", args.lambda_min),
+                        ("--lambda-max", args.lambda_max)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{flag} must be positive and finite, got {value:g}")
+    import numpy as np
+
+    from .identify import predict_catalog_shifts
+    from .states import enumerate_states
+
     catalog = config.catalog()
     states = [s for s in enumerate_states(args.nmax)
               if s.n >= args.nmin and (args.isomer is None or s.i_nuc == args.isomer)]
@@ -105,18 +107,17 @@ def cmd_spectrum(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _build_drive(config: RunConfig, crystal: TwoIonCrystal, shift1_hz: float,
-                 shift2_hz: float) -> LatticeDrive:
-    return LatticeDrive.for_crystal(
-        crystal, config.wavelength_nm, shift1_hz, shift2_hz,
-        beat_frequency_hz=config.beat_frequency_hz,
-        duration_s=config.pulse_ms * 1e-3,
-    )
-
-
 def cmd_simulate(args, config: RunConfig) -> int:
     if args.sweep and not (args.sweep[2] >= 1 and args.sweep[2].is_integer()):
         raise ValueError(f"--sweep COUNT must be an integer >= 1, got {args.sweep[2]:g}")
+    import numpy as np
+
+    from .crystal import LatticeDrive, TwoIonCrystal
+    from .dynamics import (IntegrationError, SimulationConfig, linearized_prediction,
+                           mode_amplitude, simulate_odf, sweep_beat_frequency)
+    from .quantities import polarizability_to_shift
+    from .stark import atomic_polarizability
+
     crystal = config.crystal()
     crystal_op = TwoIonCrystal.from_distance(
         crystal.m1_u, crystal.m2_u, crystal.d + config.wavelength_nm * 1e-9 / 4.0)
@@ -127,23 +128,32 @@ def cmd_simulate(args, config: RunConfig) -> int:
     atomic_shift = polarizability_to_shift(
         atomic_polarizability(config.atomic_model(), config.wavelength_nm),
         config.intensity_w_m2)
-    drive = _build_drive(config, crystal, args.molecular_shift, atomic_shift)
+    drive = LatticeDrive.for_crystal(
+        crystal, config.wavelength_nm, args.molecular_shift, atomic_shift,
+        beat_frequency_hz=config.beat_frequency_hz,
+        duration_s=config.pulse_ms * 1e-3,
+    )
     print(f"drive: {drive.configuration}, beat {drive.beat_frequency_hz / 1e3:.2f} kHz, "
           f"shifts ({drive.shift1_hz:.1f}, {drive.shift2_hz:.1f}) Hz")
     outdir = _outdir(args)
     sim_config = SimulationConfig(crystal, drive)
+    try:
+        if args.sweep:
+            lo, hi, count = args.sweep
+            rows = sweep_beat_frequency(sim_config, np.linspace(lo, hi, int(count)),
+                                        use_simulator=not args.linearized)
+        else:
+            trajectory = simulate_odf(sim_config)
+    except IntegrationError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     if args.sweep:
-        lo, hi, count = args.sweep
-        freqs = np.linspace(lo, hi, int(count))
-        rows = sweep_beat_frequency(sim_config, freqs,
-                                    use_simulator=not args.linearized)
         path = outdir / "beat_sweep.csv"
         write_table(path, ["beat_hz", "ip_amplitude_m"],
                     ([f"{f:.3f}", f"{amp:.8e}"] for f, amp in rows))
         peak = max(rows, key=lambda r: r[1])
         print(f"wrote {path}; peak at {peak[0] / 1e3:.3f} kHz")
     else:
-        trajectory = simulate_odf(sim_config)
         excitation = mode_amplitude(trajectory)
         linear = linearized_prediction(sim_config)
         path = outdir / "trajectory.csv"
@@ -161,7 +171,8 @@ def cmd_calibrate(args, config: RunConfig) -> int:
     for flag, value in (("--shift-min", args.shift_min), ("--shift-max", args.shift_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value:g}")
-    # no other subcommand needs readout, so only this one pays its import.
+    import numpy as np
+
     from .readout import FitError, ReadoutPipeline, build_calibration
 
     crystal = config.crystal()
@@ -196,6 +207,12 @@ def cmd_calibrate(args, config: RunConfig) -> int:
 
 
 def cmd_identify(args, config: RunConfig) -> int:
+    from .identify import (background_shift_hz, format_report_text,
+                           identification_report, predict_catalog_shifts,
+                           read_measurements, write_report_json)
+    from .stark import NearResonanceError
+    from .states import enumerate_states
+
     catalog = config.catalog()
     states = enumerate_states(args.nmax)
     measurements = read_measurements(args.measurements)
@@ -224,6 +241,8 @@ def cmd_identify(args, config: RunConfig) -> int:
 
 
 def cmd_windows(args, config: RunConfig) -> int:
+    from .identify import apply_partial_readout, exclusion_window, read_measurements
+
     catalog = config.catalog()
     red_min, blue_max = exclusion_window(args.exclude_up_to, catalog)
     print(f"manifold N'' <= {args.exclude_up_to}:")
@@ -239,6 +258,8 @@ def cmd_windows(args, config: RunConfig) -> int:
 
 
 def cmd_classify(args, config: RunConfig) -> int:
+    from .identify import classify_event, read_measurements
+
     measurements = read_measurements(args.measurements)
     if len(measurements) < 2:
         print("need at least two measurements (before/after pairs)", file=sys.stderr)
@@ -334,9 +355,6 @@ def main(argv=None) -> int:
     except (ConfigError, CatalogError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except IntegrationError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

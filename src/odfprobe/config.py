@@ -4,18 +4,20 @@ complete default file so no setting is hidden in code."""
 from __future__ import annotations
 
 import configparser
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .catalog import (SHIPPED_FAR_BANDS_FILE, SHIPPED_LINES_FILE, LineCatalog,
                       load_line_catalog, shipped_data_path)
-from .crystal import TwoIonCrystal
 from .quantities import intensity_from_core_anchor
-from .stark import AtomicLevelModel, load_shipped_atomic_model
+
+if TYPE_CHECKING:
+    from .crystal import TwoIonCrystal
+    from .stark import AtomicLevelModel
 
 DEFAULT_CONFIG_FILE = "default.cfg"
 
@@ -69,7 +71,10 @@ class RunConfig:
 
     raw_items: dict = field(default_factory=dict, repr=False)
 
+    # crystal, stark and hashlib load when a command first asks for them
     def crystal(self) -> TwoIonCrystal:
+        from .crystal import TwoIonCrystal
+
         if self.lattice_periods_n is not None:
             return TwoIonCrystal.from_lattice_periods(
                 self.molecule_mass_u, self.atom_mass_u, self.lattice_periods_n,
@@ -92,9 +97,13 @@ class RunConfig:
         return load_line_catalog(lines, None if far in ("", "none") else far)
 
     def atomic_model(self) -> AtomicLevelModel:
+        from .stark import load_shipped_atomic_model
+
         return load_shipped_atomic_model("D5/2", theta=self.polarization_angle_rad)
 
     def hash(self) -> str:
+        import hashlib
+
         payload = json.dumps(self.raw_items, sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
@@ -188,32 +197,46 @@ def load_config(path=None) -> RunConfig:
 
 
 def _validate(config: RunConfig, path) -> None:
-    n, f2, beat = (config.lattice_periods_n, config.atomic_frequency_hz,
-                   config.beat_frequency_hz)
+    """Every number must be finite (but for an infinite decoherence time, which
+    readout reads as none) and inside the range its arithmetic survives: at
+    [lattice] wavelength_nm = 1e300 the ion spacing cubed overflows, at
+    [masses] molecule_u = 1e-30 a mode frequency divides by zero, and at
+    [readout] carrier_rabi_hz = 1e300 the Rabi phase has no significant digit.
+    The bounds lie far outside any trapped-ion experiment.  (A chained
+    comparison is False for NaN.)"""
+    c = config
+    n, f2, beat = c.lattice_periods_n, c.atomic_frequency_hz, c.beat_frequency_hz
     checks = [
-        (n is None or n >= 1, "lattice_periods_n must be >= 1"),
-        (f2 is None or (math.isfinite(f2) and f2 > 0.0),
-         "atomic_frequency_hz must be finite and > 0"),
-        (beat is None or (math.isfinite(beat) and beat >= 0.0),
-         "beat_frequency_hz must be finite and >= 0 (or auto)"),
-        (math.isfinite(config.polarization_angle_rad),
-         "polarization_angle_rad must be finite"),
-        (config.wavelength_nm > 0.0, "wavelength_nm must be > 0"),
-        (config.intensity_w_m2 >= 0.0, "intensity must be >= 0"),
-        (config.pulse_ms > 0.0, "pulse_ms must be > 0"),
-        (config.molecule_mass_u > 0.0, "molecule mass must be > 0"),
-        (config.atom_mass_u > 0.0, "atom mass must be > 0"),
-        (0.0 < config.lamb_dicke <= 0.5, "lamb_dicke must be in (0, 0.5]"),
-        (config.carrier_rabi_hz > 0.0, "carrier_rabi_hz must be > 0"),
-        (config.shots >= 1, "shots must be >= 1"),
-        (config.seed >= 0, "seed must be >= 0"),
-        # inf is allowed: readout reads it as no decoherence
-        (config.decoherence_tau_ms > 0.0, "decoherence_tau_ms must be > 0"),
-        (config.sigma_multiplier > 0.0, "sigma_multiplier must be > 0"),
-        (config.resonance_guard_hz > 0.0, "resonance_guard_hz must be > 0"),
-        (0.0 < config.reaction_rel_change < 1.0, "reaction_rel_change must be in (0, 1)"),
-        (math.isfinite(config.intensity_w_m2), "intensity must be finite"),
+        ("trap", "lattice_periods_n", n, n is None or 1 <= n <= 10**6,
+         "an integer in [1, 1e6]"),
+        ("trap", "atomic_frequency_hz", f2, f2 is None or 1.0 <= f2 <= 1e9,
+         "in [1, 1e9] Hz"),
+        ("lattice", "wavelength_nm", c.wavelength_nm, 1.0 <= c.wavelength_nm <= 1e6,
+         "in [1, 1e6] nm"),
+        ("lattice", "beat_frequency_hz", beat, beat is None or 0.0 <= beat <= 1e9,
+         "in [0, 1e9] Hz (or auto)"),
+        ("lattice", "intensity_w_m2", c.intensity_w_m2, 0.0 <= c.intensity_w_m2 <= 1e20,
+         "in [0, 1e20] W/m^2"),
+        ("lattice", "polarization_angle_rad", c.polarization_angle_rad,
+         math.isfinite(c.polarization_angle_rad), "finite"),
+        ("lattice", "pulse_ms", c.pulse_ms, 0.0 < c.pulse_ms <= 1e3, "in (0, 1000] ms"),
+        ("masses", "molecule_u", c.molecule_mass_u, 1.0 <= c.molecule_mass_u <= 1e4,
+         "in [1, 1e4] u"),
+        ("masses", "atom_u", c.atom_mass_u, 1.0 <= c.atom_mass_u <= 1e4, "in [1, 1e4] u"),
+        ("readout", "lamb_dicke", c.lamb_dicke, 0.0 < c.lamb_dicke <= 0.5, "in (0, 0.5]"),
+        ("readout", "carrier_rabi_hz", c.carrier_rabi_hz, 0.0 < c.carrier_rabi_hz <= 1e9,
+         "in (0, 1e9] Hz"),
+        ("readout", "shots", c.shots, c.shots >= 1, ">= 1"),
+        ("readout", "seed", c.seed, c.seed >= 0, ">= 0"),
+        ("readout", "decoherence_tau_ms", c.decoherence_tau_ms,
+         0.0 < c.decoherence_tau_ms <= math.inf, "> 0 ms (inf: none)"),
+        ("thresholds", "sigma_multiplier", c.sigma_multiplier,
+         0.0 < c.sigma_multiplier <= 100.0, "in (0, 100]"),
+        ("thresholds", "resonance_guard_hz", c.resonance_guard_hz,
+         0.0 < c.resonance_guard_hz < math.inf, "finite and > 0 Hz"),
+        ("thresholds", "reaction_rel_change", c.reaction_rel_change,
+         0.0 < c.reaction_rel_change < 1.0, "in (0, 1)"),
     ]
-    for ok, message in checks:
+    for section, key, value, ok, rule in checks:
         if not ok:
-            raise ConfigError(f"{path}: {message}")
+            raise ConfigError(f"{path}: [{section}] {key} must be {rule}, got {value!r}")

@@ -2,16 +2,17 @@
 
 Everything here is deliberately written by a different route than the
 production code: plain-float Racah alternating sums for the Wigner symbols,
-a numeric eigenvector construction for the intermediate-coupling line
-strengths, and textbook closed forms for two-level polarizabilities and
-driven oscillators.
+the same sums in ``Fraction`` arithmetic as an exact reference, a numeric
+eigenvector construction for the intermediate-coupling line strengths, and
+textbook closed forms for two-level polarizabilities and driven oscillators.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-_FACT = [math.factorial(n) for n in range(80)]
+_FACT = [math.factorial(n) for n in range(200)]
 
 
 def _triangle(two_a, two_b, two_c):
@@ -85,6 +86,73 @@ def racah_6j(j1, j2, j3, j4, j5, j6):
             * _FACT[q1 - t] * _FACT[q2 - t] * _FACT[q3 - t]
         )
     return prefactor * total
+
+
+def _exact_delta_squared(two_a, two_b, two_c):
+    return Fraction(
+        _FACT[(two_a + two_b - two_c) // 2]
+        * _FACT[(two_a - two_b + two_c) // 2]
+        * _FACT[(-two_a + two_b + two_c) // 2],
+        _FACT[(two_a + two_b + two_c) // 2 + 1],
+    )
+
+
+def _exact_signed_sqrt(value_squared: Fraction, negative: bool) -> float:
+    root = math.sqrt(value_squared)
+    return -root if negative else root
+
+
+def exact_3j_doubled(two_j1, two_j2, two_j3, two_m1, two_m2, two_m3):
+    """Racah's 3j sum in ``Fraction`` arithmetic, from doubled arguments; the
+    square of the symbol is exact and only its sqrt is rounded."""
+    if two_m1 + two_m2 + two_m3 != 0 or not _triangle(two_j1, two_j2, two_j3):
+        return 0.0
+    for tj, tm in ((two_j1, two_m1), (two_j2, two_m2), (two_j3, two_m3)):
+        if abs(tm) > tj or (tj - tm) % 2:
+            return 0.0
+    pre2 = _exact_delta_squared(two_j1, two_j2, two_j3) * Fraction(
+        _FACT[(two_j1 + two_m1) // 2] * _FACT[(two_j1 - two_m1) // 2]
+        * _FACT[(two_j2 + two_m2) // 2] * _FACT[(two_j2 - two_m2) // 2]
+        * _FACT[(two_j3 + two_m3) // 2] * _FACT[(two_j3 - two_m3) // 2])
+    t_min = max(0, (two_j2 - two_j3 - two_m1) // 2, (two_j1 - two_j3 + two_m2) // 2)
+    t_max = min((two_j1 + two_j2 - two_j3) // 2, (two_j1 - two_m1) // 2,
+                (two_j2 + two_m2) // 2)
+    total = Fraction(0)
+    for t in range(t_min, t_max + 1):
+        total += Fraction((-1) ** t, (
+            _FACT[t]
+            * _FACT[(two_j3 - two_j2 + two_m1) // 2 + t]
+            * _FACT[(two_j3 - two_j1 - two_m2) // 2 + t]
+            * _FACT[(two_j1 + two_j2 - two_j3) // 2 - t]
+            * _FACT[(two_j1 - two_m1) // 2 - t]
+            * _FACT[(two_j2 + two_m2) // 2 - t]))
+    if total == 0:
+        return 0.0
+    phase_odd = ((two_j1 - two_j2 - two_m3) // 2) % 2 == 1
+    return _exact_signed_sqrt(pre2 * total * total, (total < 0) != phase_odd)
+
+
+def exact_6j_doubled(two_j1, two_j2, two_j3, two_j4, two_j5, two_j6):
+    """Racah's 6j sum in ``Fraction`` arithmetic, from doubled arguments."""
+    triads = ((two_j1, two_j2, two_j3), (two_j1, two_j5, two_j6),
+              (two_j4, two_j2, two_j6), (two_j4, two_j5, two_j3))
+    if not all(_triangle(*triad) for triad in triads):
+        return 0.0
+    pre2 = Fraction(1)
+    for triad in triads:
+        pre2 *= _exact_delta_squared(*triad)
+    s = [sum(triad) // 2 for triad in triads]
+    q1 = (two_j1 + two_j2 + two_j4 + two_j5) // 2
+    q2 = (two_j2 + two_j3 + two_j5 + two_j6) // 2
+    q3 = (two_j3 + two_j1 + two_j6 + two_j4) // 2
+    total = Fraction(0)
+    for t in range(max(s), min(q1, q2, q3) + 1):
+        total += Fraction((-1) ** t * _FACT[t + 1], (
+            math.prod(_FACT[t - si] for si in s)
+            * _FACT[q1 - t] * _FACT[q2 - t] * _FACT[q3 - t]))
+    if total == 0:
+        return 0.0
+    return _exact_signed_sqrt(pre2 * total * total, total < 0)
 
 
 def _safe_3j(*args):

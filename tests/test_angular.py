@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odfprobe.angular import (HalfInt, PiCoupling, allowed_branches, honl_london,
+from odfprobe.angular import (HalfInt, PiCoupling, _wigner_3j_doubled,
+                              _wigner_6j_doubled, allowed_branches, honl_london,
                               parse_branch, pi_mixing_weights, wigner_3j, wigner_6j)
 
-from oracles import honl_london_direct, racah_3j, racah_6j
+from oracles import (exact_3j_doubled, exact_6j_doubled, honl_london_direct, racah_3j,
+                     racah_6j)
 
 N2_COUPLING = PiCoupling(spin_orbit_a=-74.62, rotational_b=1.697425)
 
@@ -71,9 +74,9 @@ class TestHalfInt:
 
 
 @st.composite
-def three_j_args(draw):
-    two_j1 = draw(st.integers(0, 12))
-    two_j2 = draw(st.integers(0, 12))
+def three_j_args(draw, top=12):
+    two_j1 = draw(st.integers(0, top))
+    two_j2 = draw(st.integers(0, top))
     two_j3 = draw(st.sampled_from(range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2)))
     two_m1 = draw(st.sampled_from(range(-two_j1, two_j1 + 1, 2)))
     two_m2 = draw(st.sampled_from(range(-two_j2, two_j2 + 1, 2)))
@@ -81,11 +84,11 @@ def three_j_args(draw):
 
 
 @st.composite
-def six_j_args(draw):
-    two_j1 = draw(st.integers(0, 10))
-    two_j2 = draw(st.integers(0, 10))
+def six_j_args(draw, top=10):
+    two_j1 = draw(st.integers(0, top))
+    two_j2 = draw(st.integers(0, top))
     two_j3 = draw(st.sampled_from(range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2)))
-    two_j4 = draw(st.integers(0, 10))
+    two_j4 = draw(st.integers(0, top))
     two_j5 = draw(st.sampled_from(range(abs(two_j4 - two_j3), two_j4 + two_j3 + 1, 2)))
     lo = max(abs(two_j1 - two_j5), abs(two_j4 - two_j2))
     hi = min(two_j1 + two_j5, two_j4 + two_j2)
@@ -225,6 +228,43 @@ class TestWigner6j:
         assert wigner_6j(j2, j1, j3, j5, j4, j6) == pytest.approx(base, abs=1e-12)
         assert wigner_6j(j3, j2, j1, j6, j5, j4) == pytest.approx(base, abs=1e-12)
         assert wigner_6j(j4, j5, j3, j1, j2, j6) == pytest.approx(base, abs=1e-12)
+
+
+# The kernels themselves, not their caches: every symbol is computed afresh.
+KERNEL_3J = _wigner_3j_doubled.__wrapped__
+KERNEL_6J = _wigner_6j_doubled.__wrapped__
+
+
+def _same(mine, exact):
+    # == also holds for 0.0 against -0.0, so compare the sign bits too
+    return mine == exact and math.copysign(1.0, mine) == math.copysign(1.0, exact)
+
+
+class TestExactKernels:
+    """The integer Racah sums return the float of the exact rational, so each
+    symbol equals the ``Fraction`` reference in tests/oracles.py exactly."""
+
+    def test_every_3j_to_two_j_ten(self):
+        for two_j1, two_j2, two_j3 in itertools.product(range(11), repeat=3):
+            for two_m1 in range(-two_j1, two_j1 + 1, 2):
+                for two_m2 in range(-two_j2, two_j2 + 1, 2):
+                    args = (two_j1, two_j2, two_j3, two_m1, two_m2, -two_m1 - two_m2)
+                    assert _same(KERNEL_3J(*args), exact_3j_doubled(*args)), args
+
+    def test_every_6j_to_two_j_six(self):
+        for args in itertools.product(range(7), repeat=6):
+            assert _same(KERNEL_6J(*args), exact_6j_doubled(*args)), args
+
+    @settings(max_examples=100, deadline=None)
+    @given(three_j_args(top=60))
+    def test_large_3j(self, args):
+        assert _same(KERNEL_3J(*args), exact_3j_doubled(*args))
+
+    @settings(max_examples=100, deadline=None)
+    @given(six_j_args(top=60))
+    def test_large_6j(self, args):
+        if args[5] is not None:
+            assert _same(KERNEL_6J(*args), exact_6j_doubled(*args))
 
 
 class TestHonlLondon:

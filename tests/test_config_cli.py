@@ -175,6 +175,28 @@ class TestConfig:
                                             f"[{section}]\n{key} = {value}\n"))
         load_config(path)
 
+    @pytest.mark.parametrize("section, key, value, command", [
+        ("lattice", "wavelength_nm", "1e300",
+         ["simulate", "--linearized", "--sweep", "694000", "698000", "3"]),
+        ("lattice", "wavelength_nm", "inf", ["enumerate"]),
+        ("lattice", "pulse_ms", "inf", ["simulate"]),
+        ("masses", "molecule_u", "1e-300", ["simulate"]),
+        ("readout", "carrier_rabi_hz", "1e300", ["calibrate", "--noiseless", "--count", "3"]),
+        ("thresholds", "sigma_multiplier", "inf", ["enumerate"]),
+    ])
+    def test_out_of_range_value_is_named(self, tmp_path, capsys, section, key, value,
+                                         command):
+        # each of these once ended in a traceback, an unnamed "math domain
+        # error" or exit 0
+        path = config_with(tmp_path, section, key, value)
+        code = main(command + ["--config", str(path), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"[{section}] {key} must be" in captured.err
+        assert f"got {float(value)!r}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_value_reported(self, tmp_path):
         bad = BASE_CONFIG.replace("wavelength_nm = 789.0", "wavelength_nm = nm")
         path = tmp_path / "bad.cfg"
@@ -450,6 +472,16 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert not (tmp_path / "stark_spectrum.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--lambda-min", "--lambda-max"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+    def test_spectrum_bad_wavelength_flag_is_named(self, tmp_path, capsys, flag, value):
+        # checked before the sweep, which once turned an inf into a nan
+        code = main(["spectrum", "--steps", "2", f"{flag}={value}", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{flag} must be positive and finite, got {float(value):g}" in captured.err
+        assert not (tmp_path / "stark_spectrum.csv").exists()
+
     def test_spectrum_empty_selection_is_validation_error(self, tmp_path, capsys):
         code = main(["spectrum", "--nmin", "10", "--nmax", "8", "--out", str(tmp_path)])
         captured = capsys.readouterr()
@@ -662,6 +694,52 @@ FAR_BAND_ROWS = st.tuples(
 ).map(_row)
 
 
+# Every numeric config key with its shipped (or a typical) value.  Finite
+# draws scale a float by 1e-3 to 1e3, pulses only down from the shipped
+# 3 ms, and take an integer from -3 to ten times its value.
+CONFIG_NUMBERS = {
+    ("trap", "lattice_periods_n"): 19, ("trap", "atomic_frequency_hz"): 646400.0,
+    ("lattice", "wavelength_nm"): 789.0, ("lattice", "beat_frequency_hz"): 695860.0,
+    ("lattice", "intensity_w_m2"): 1.15e7, ("lattice", "polarization_angle_rad"): 0.3,
+    ("lattice", "pulse_ms"): 3.0,
+    ("masses", "molecule_u"): 28.0, ("masses", "atom_u"): 40.0,
+    ("readout", "lamb_dicke"): 0.1, ("readout", "carrier_rabi_hz"): 50e3,
+    ("readout", "shots"): 20, ("readout", "seed"): 1234,
+    ("readout", "decoherence_tau_ms"): 1.5,
+    ("thresholds", "sigma_multiplier"): 2.0, ("thresholds", "resonance_guard_hz"): 1e9,
+    ("thresholds", "reaction_rel_change"): 3e-3,
+}
+SPECIAL_NUMBERS = ("0", "-1.5", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300")
+
+
+@st.composite
+def config_values(draw):
+    """One numeric config key and a value text for it."""
+    (section, key), typical = draw(st.sampled_from(sorted(CONFIG_NUMBERS.items())))
+    if isinstance(typical, int):
+        finite = st.integers(-3, 10 * typical).map(str)
+    else:
+        top = 0.0 if key == "pulse_ms" else 3.0
+        finite = st.floats(-3.0, top).map(lambda e: repr(typical * 10.0 ** e))
+    return section, key, draw(_mostly(finite, st.sampled_from(SPECIAL_NUMBERS), one_in=2))
+
+
+def config_with(directory, section, key, value):
+    """The shipped config with one key set to ``value``; an intensity comes
+    with intensity_mode = explicit, an atomic frequency in place of the
+    lattice periods."""
+    items = load_config("default").raw_items
+    items[section][key] = value
+    if key == "intensity_w_m2":
+        items["lattice"]["intensity_mode"] = "explicit"
+    if key == "atomic_frequency_hz":
+        del items["trap"]["lattice_periods_n"]
+    path = Path(directory) / "one_key.cfg"
+    path.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+                            for s, values in items.items()))
+    return path
+
+
 class TestExitCodeContract:
     """Whatever the measurement file, the catalog or the flags hold, a command
     ends with exit 0, 2 or 3 and never a traceback, and a written report is
@@ -726,3 +804,37 @@ class TestExitCodeContract:
                              "--out", tmp] + ["--noiseless"] * noiseless)
             assert code in (0, 2, 3)
             assert "Traceback" not in stderr.getvalue()
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(setting=config_values())
+    @example(setting=("lattice", "wavelength_nm", "1e300"))
+    @example(setting=("lattice", "pulse_ms", "inf"))
+    @example(setting=("thresholds", "sigma_multiplier", "inf"))
+    def test_config_values_exit_with_a_documented_code(self, setting):
+        # a non-finite value is refused by name (but an infinite decoherence
+        # time, which means none); any other ends in a documented code, and
+        # whatever JSON a command writes is strict
+        section, key, value = setting
+        refused = value in ("inf", "-inf", "nan") \
+            and (key, value) != ("decoherence_tau_ms", "inf")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = config_with(tmp, section, key, value)
+            meas = Path(tmp) / "m.csv"
+            meas.write_text(MEASUREMENTS)
+            for command in (["enumerate"], ["identify", "--measurements", str(meas)],
+                            ["spectrum", "--steps", "2"],
+                            ["simulate", "--linearized", "--sweep", "694000", "698000", "3"],
+                            ["calibrate", "--noiseless", "--count", "3"]):
+                out = Path(tmp) / command[0]
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(stderr):
+                    code = main(command + ["--config", str(path), "--out", str(out)])
+                assert code in (0, 2, 3)
+                assert "Traceback" not in stderr.getvalue()
+                if refused:
+                    assert code == 2
+                    assert f"[{section}] {key}" in stderr.getvalue()
+                for report in out.glob("*.json"):
+                    json.loads(report.read_text(), parse_constant=_refuse_constant)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -366,6 +367,28 @@ print([n for n in odfprobe.__all__ if n not in namespace],
 """
 
 
+# Runs one command in a fresh interpreter and prints, as its last line, the
+# odfprobe modules loaded after each step, the exit code and whether
+# fractions was loaded.
+MODULES_LOADED = """
+import json, sys
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("odfprobe."))
+steps = []
+import odfprobe
+steps.append(loaded())
+import odfprobe.cli
+steps.append(loaded())
+code = odfprobe.cli.main(sys.argv[1:])
+steps.append(loaded())
+print(json.dumps([steps, code, "fractions" in sys.modules]))
+"""
+
+# What a command that runs nothing but the CLI and its config loads.
+CLI_MODULES = {"odfprobe.angular", "odfprobe.catalog", "odfprobe.cli", "odfprobe.config",
+               "odfprobe.quantities", "odfprobe.terms"}
+
+
 def _fresh_python(code, *args):
     src = str(Path(odfprobe.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -397,3 +420,44 @@ class TestColdStart:
 
     def test_readout_names_load_on_first_use(self):
         assert _fresh_python(READOUT_NAMES) == "[] True"
+
+    @pytest.mark.parametrize("command, extra, code", [
+        (["enumerate"], {"states"}, 0),
+        (["identify", "--measurements"], {"states", "stark", "identify"}, 0),
+        (["simulate", "--linearized", "--sweep", "694000", "698000", "3"],
+         {"states", "stark", "crystal", "dynamics"}, 0),
+        (["calibrate", "--noiseless", "--count", "3"], {"crystal", "readout"}, 0),
+        (["enumerate", "--config"], set(), 2),
+    ], ids=["enumerate", "identify", "simulate", "calibrate", "config-error"])
+    def test_each_command_loads_only_its_modules(self, tmp_path, command, extra, code):
+        # ``import odfprobe`` loads no submodule, ``import odfprobe.cli`` only
+        # the config and catalog it reads first, and each command the modules
+        # it calls; the Wigner kernels need no fractions.
+        if command[-1] == "--measurements":
+            meas = tmp_path / "meas.csv"
+            meas.write_text("wavelength_nm,intensity_W_m2,shift_Hz,sigma_Hz,sign,f_ip_Hz\n"
+                            "789.0,1.1508e7,1229.9,130.0,red,694920.0\n")
+            command = command + [str(meas)]
+        elif command[-1] == "--config":
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(Path(odfprobe.__file__).with_name("data").joinpath(
+                "default.cfg").read_text().replace("wavelength_nm = 789.0",
+                                                   "wavelength_nm = inf"))
+            command = command + [str(bad)]
+        steps, exit_code, fractions = json.loads(_fresh_python(
+            MODULES_LOADED, *command, "--out", str(tmp_path / "out")))
+        assert steps[:2] == [[], sorted(CLI_MODULES)]
+        assert set(steps[2]) == CLI_MODULES | {f"odfprobe.{name}" for name in extra}
+        assert exit_code == code
+        assert not fractions
+
+    def test_name_table_matches_all(self):
+        names = [name for names in odfprobe._EXPORTS.values() for name in names]
+        assert len(names) == len(set(names))
+        assert sorted(names) == sorted(set(odfprobe.__all__) - {"__version__"})
+        for module, names in odfprobe._EXPORTS.items():
+            home = importlib.import_module(f"odfprobe.{module}")
+            for name in names:
+                value = getattr(odfprobe, name)
+                assert value is getattr(home, name)
+                assert value.__module__ == home.__name__

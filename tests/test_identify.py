@@ -1,11 +1,12 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odfprobe import identify
+from odfprobe import identify, stark
 from odfprobe.angular import HalfInt
 from odfprobe.catalog import load_shipped_catalog
 from odfprobe.identify import (Measurement, apply_partial_readout,
@@ -17,6 +18,8 @@ from odfprobe.identify import (Measurement, apply_partial_readout,
 from odfprobe.quantities import polarizability_to_shift
 from odfprobe.stark import NearResonanceError, polarizability_breakdown
 from odfprobe.states import MolecularState, enumerate_states
+
+from oracles import exact_3j_doubled, exact_6j_doubled
 
 F_IP = 695.86e3
 
@@ -158,6 +161,18 @@ class TestStrengthTable:
         states = [s for s in enumerate_states(8) if s.i_nuc == 2 and s.n >= 4][::-1]
         assert table_predictions(789.0, anchor_module, states, catalog_module) \
             == scalar_predictions(789.0, anchor_module, states, catalog_module)
+
+    def test_equals_table_on_exact_kernels(self, catalog_module, monkeypatch):
+        # all 540 states, tabulated once with the integer Wigner kernels and
+        # once with the Fraction reference of tests/oracles.py
+        states = tuple(sorted(enumerate_states(8), key=MolecularState.sort_key))
+        line_index, mu2_si = identify._strength_table(states, catalog_module)
+        monkeypatch.setattr(stark, "_wigner_3j_doubled", exact_3j_doubled)
+        monkeypatch.setattr(stark, "_wigner_6j_doubled", exact_6j_doubled)
+        exact_index, exact_mu2 = identify._strength_table(states, catalog_module)
+        assert len(states) == 540
+        assert np.array_equal(line_index, exact_index)
+        assert np.array_equal(mu2_si, exact_mu2)
 
     def test_built_once_per_state_set(self, anchor_module, monkeypatch):
         catalog = load_shipped_catalog()
