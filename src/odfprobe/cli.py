@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .catalog import CatalogError, write_table
-from .config import ConfigError, RunConfig, load_config
+from .catalog import write_table
+from .config import ConfigError, RunConfig, check_flag, load_config
 
 # Each cmd_* imports the modules it calls, so a cold command loads only what
 # it runs: a config error stops at config, and only calibrate loads readout.
@@ -66,6 +66,7 @@ def cmd_spectrum(args, config: RunConfig) -> int:
                         ("--lambda-max", args.lambda_max)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{flag} must be positive and finite, got {value:g}")
+        check_flag(flag, "wavelength_nm", value)
     import numpy as np
 
     from .identify import predict_catalog_shifts
@@ -108,15 +109,18 @@ def cmd_spectrum(args, config: RunConfig) -> int:
 
 
 def cmd_simulate(args, config: RunConfig) -> int:
-    if args.sweep and not (args.sweep[2] >= 1 and args.sweep[2].is_integer()):
-        raise ValueError(f"--sweep COUNT must be an integer >= 1, got {args.sweep[2]:g}")
+    if args.sweep:
+        lo, hi, count = args.sweep
+        if not (count >= 1 and count.is_integer()):
+            raise ValueError(f"--sweep COUNT must be an integer >= 1, got {count:g}")
+        check_flag("--sweep LO", "beat_frequency_hz", lo)
+        check_flag("--sweep HI", "beat_frequency_hz", hi)
     import numpy as np
 
     from .crystal import LatticeDrive, TwoIonCrystal
     from .dynamics import (IntegrationError, SimulationConfig, linearized_prediction,
                            mode_amplitude, simulate_odf, sweep_beat_frequency)
-    from .quantities import polarizability_to_shift
-    from .stark import atomic_polarizability
+    from .stark import atomic_stark_shift
 
     crystal = config.crystal()
     crystal_op = TwoIonCrystal.from_distance(
@@ -125,9 +129,8 @@ def cmd_simulate(args, config: RunConfig) -> int:
     print(f"f_IP(SP) = {crystal.f_ip / 1e3:.2f} kHz, "
           f"f_IP(OP distance) = {crystal_op.f_ip / 1e3:.2f} kHz, "
           f"f_OP_mode = {crystal.omega_plus / (2e3 * math.pi):.2f} kHz")
-    atomic_shift = polarizability_to_shift(
-        atomic_polarizability(config.atomic_model(), config.wavelength_nm),
-        config.intensity_w_m2)
+    atomic_shift = atomic_stark_shift(config.atomic_model(), config.wavelength_nm,
+                                      config.intensity_w_m2)
     drive = LatticeDrive.for_crystal(
         crystal, config.wavelength_nm, args.molecular_shift, atomic_shift,
         beat_frequency_hz=config.beat_frequency_hz,
@@ -139,7 +142,6 @@ def cmd_simulate(args, config: RunConfig) -> int:
     sim_config = SimulationConfig(crystal, drive)
     try:
         if args.sweep:
-            lo, hi, count = args.sweep
             rows = sweep_beat_frequency(sim_config, np.linspace(lo, hi, int(count)),
                                         use_simulator=not args.linearized)
         else:
@@ -262,8 +264,7 @@ def cmd_classify(args, config: RunConfig) -> int:
 
     measurements = read_measurements(args.measurements)
     if len(measurements) < 2:
-        print("need at least two measurements (before/after pairs)", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("need at least two measurements (before/after pairs)")
     for before, after in zip(measurements, measurements[1:]):
         event = classify_event(before, after,
                                reaction_threshold=config.reaction_rel_change,
@@ -352,7 +353,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(args, config)
-    except (ConfigError, CatalogError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

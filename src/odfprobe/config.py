@@ -1,12 +1,16 @@
-"""Run configuration: flat key-value text with sections (INI), shipped with a
-complete default file so no setting is hidden in code."""
+"""Run configuration: flat key-value text with sections (INI).
+
+Each key is declared once, on its ``RunConfig`` field: its section, its name,
+the parser of its text, its value when absent (or that it is required) and
+its bound.  The shipped ``default.cfg`` sets every key but the two optional
+ones to that same value, and a test keeps the two equal."""
 
 from __future__ import annotations
 
 import configparser
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -20,54 +24,79 @@ if TYPE_CHECKING:
     from .stark import AtomicLevelModel
 
 DEFAULT_CONFIG_FILE = "default.cfg"
-
-# Every section and key load_config reads; anything else is a ConfigError.
-KNOWN_KEYS = {
-    "trap": ("lattice_periods_n", "atomic_frequency_hz"),
-    "lattice": ("wavelength_nm", "beat_frequency_hz", "intensity_mode",
-                "intensity_w_m2", "polarization_angle_rad", "pulse_ms"),
-    "masses": ("molecule_u", "atom_u"),
-    "catalog": ("lines", "far_bands"),
-    "readout": ("lamb_dicke", "carrier_rabi_hz", "shots", "seed",
-                "decoherence_tau_ms"),
-    "thresholds": ("sigma_multiplier", "resonance_guard_hz", "reaction_rel_change"),
-}
+_REQUIRED = object()     # the absent-key value of a key a config must set
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _key(section, parse=float, absent=_REQUIRED, ok=None, rule="", key=None):
+    """The declaration of one config key: ``[section] key`` (the field's name
+    unless given) is read by ``parse``, is ``absent`` when not set, and must
+    satisfy ``ok``, which ``rule`` states."""
+    return field(metadata={"section": section, "key": key, "parse": parse,
+                           "absent": absent, "ok": ok, "rule": rule})
+
+
+def _beat(text: str) -> float | None:
+    text = text.strip()
+    return None if text in ("", "auto") else float(text)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings for the command-line front end."""
+    """Validated settings for the command-line front end.
 
-    # trap: exactly one of the two was configured
-    lattice_periods_n: int | None
-    atomic_frequency_hz: float | None
+    Every number must be finite (but for an infinite decoherence time, which
+    readout reads as none) and inside the range its arithmetic survives: at
+    [lattice] wavelength_nm = 1e300 the ion spacing cubed overflows, at
+    [masses] molecule_u = 1e-30 a mode frequency divides by zero, and at
+    [readout] carrier_rabi_hz = 1e300 the Rabi phase has no significant digit.
+    The bounds lie far outside any trapped-ion experiment.  (A chained
+    comparison is False for NaN.)"""
+
+    # trap: exactly one of the two is set
+    lattice_periods_n: int | None = _key(
+        "trap", int, None, lambda n: 1 <= n <= 10**6, "an integer in [1, 1e6]")
+    atomic_frequency_hz: float | None = _key(
+        "trap", float, None, lambda f: 1.0 <= f <= 1e9, "in [1, 1e9] Hz")
     # lattice
-    wavelength_nm: float
-    beat_frequency_hz: float | None     # None -> resonant with the IP mode
-    intensity_w_m2: float               # resolved value
-    intensity_mode: str                 # "core_anchor" | "explicit"
-    polarization_angle_rad: float
-    pulse_ms: float
+    wavelength_nm: float = _key(
+        "lattice", ok=lambda v: 1.0 <= v <= 1e6, rule="in [1, 1e6] nm")
+    beat_frequency_hz: float | None = _key(     # None -> resonant with the IP mode
+        "lattice", _beat, None, lambda v: 0.0 <= v <= 1e9, "in [0, 1e9] Hz (or auto)")
+    intensity_w_m2: float = _key(               # resolved value
+        "lattice", float, None, lambda v: 0.0 <= v <= 1e20, "in [0, 1e20] W/m^2")
+    intensity_mode: str = _key(                 # "core_anchor" | "explicit"
+        "lattice", str.strip, "core_anchor")
+    polarization_angle_rad: float = _key("lattice", float, 0.0, math.isfinite, "finite")
+    pulse_ms: float = _key("lattice", float, 3.0, lambda v: 0.0 < v <= 1e3,
+                           "in (0, 1000] ms")
     # masses
-    molecule_mass_u: float
-    atom_mass_u: float
+    molecule_mass_u: float = _key("masses", key="molecule_u",
+                                  ok=lambda v: 1.0 <= v <= 1e4, rule="in [1, 1e4] u")
+    atom_mass_u: float = _key("masses", key="atom_u",
+                              ok=lambda v: 1.0 <= v <= 1e4, rule="in [1, 1e4] u")
     # catalog
-    lines_path: str
-    far_bands_path: str
+    lines_path: str = _key("catalog", str.strip, "builtin", key="lines")
+    far_bands_path: str = _key("catalog", str.strip, "builtin", key="far_bands")
     # readout
-    lamb_dicke: float
-    carrier_rabi_hz: float
-    shots: int
-    seed: int
-    decoherence_tau_ms: float
+    lamb_dicke: float = _key("readout", float, 0.1, lambda v: 0.0 < v <= 0.5,
+                             "in (0, 0.5]")
+    carrier_rabi_hz: float = _key("readout", float, 50e3, lambda v: 0.0 < v <= 1e9,
+                                  "in (0, 1e9] Hz")
+    shots: int = _key("readout", int, 20, lambda v: v >= 1, ">= 1")
+    seed: int = _key("readout", int, 1234, lambda v: v >= 0, ">= 0")
+    decoherence_tau_ms: float = _key("readout", float, 1.5,
+                                     lambda v: 0.0 < v <= math.inf, "> 0 ms (inf: none)")
     # thresholds
-    sigma_multiplier: float
-    resonance_guard_hz: float
-    reaction_rel_change: float
+    sigma_multiplier: float = _key("thresholds", float, 2.0,
+                                   lambda v: 0.0 < v <= 100.0, "in (0, 100]")
+    resonance_guard_hz: float = _key("thresholds", float, 1e9,
+                                     lambda v: 0.0 < v < math.inf, "finite and > 0 Hz")
+    reaction_rel_change: float = _key("thresholds", float, 3e-3,
+                                      lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
     raw_items: dict = field(default_factory=dict, repr=False)
 
@@ -108,6 +137,25 @@ class RunConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
+# field name -> (section, key, declaration) of every key, in field order
+_DECLARED = {f.name: (f.metadata["section"], f.metadata["key"] or f.name, f.metadata)
+             for f in fields(RunConfig) if f.metadata}
+
+# Every section and key load_config reads; anything else is a ConfigError.
+KNOWN_KEYS = {section: tuple(k for s, k, _ in _DECLARED.values() if s == section)
+              for section, _, _ in _DECLARED.values()}
+
+
+def check_flag(flag: str, name: str, value: float) -> None:
+    """Hold a command-line flag that carries the quantity of the RunConfig
+    field ``name`` to the bound declared there, which must admit only finite
+    values."""
+    _, key, declared = _DECLARED[name]
+    if not declared["ok"](value):
+        raise ValueError(f"{flag}: {key} must be finite and {declared['rule']}, "
+                         f"got {value:g}")
+
+
 def default_config_path() -> Path:
     return Path(shipped_data_path(DEFAULT_CONFIG_FILE))
 
@@ -132,111 +180,41 @@ def load_config(path=None) -> RunConfig:
             if key not in KNOWN_KEYS[section]:
                 raise ConfigError(f"{path}: unknown key [{section}] {key}")
 
-    def get(section, key, cast=str, fallback=None):
+    values = {}
+    for name, (section, key, declared) in _DECLARED.items():
         try:
-            if not parser.has_option(section, key):
-                if fallback is not None:
-                    return fallback
+            if parser.has_option(section, key):
+                values[name] = declared["parse"](parser.get(section, key))
+            elif declared["absent"] is not _REQUIRED:
+                values[name] = declared["absent"]
+            else:
                 raise ConfigError(f"{path}: missing [{section}] {key}")
-            return cast(parser.get(section, key))
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for [{section}] {key}: {exc}") from exc
 
-    n = get("trap", "lattice_periods_n", int) if parser.has_option("trap", "lattice_periods_n") else None
-    f2 = get("trap", "atomic_frequency_hz", float) if parser.has_option("trap", "atomic_frequency_hz") else None
-    if (n is None) == (f2 is None):
+    if (values["lattice_periods_n"] is None) == (values["atomic_frequency_hz"] is None):
         raise ConfigError(
             f"{path}: [trap] must set exactly one of lattice_periods_n or "
             "atomic_frequency_hz"
         )
-
-    intensity_mode = get("lattice", "intensity_mode", str, "core_anchor").strip()
-    has_explicit = parser.has_option("lattice", "intensity_w_m2")
+    intensity_mode = values["intensity_mode"]
     if intensity_mode == "explicit":
-        if not has_explicit:
+        if values["intensity_w_m2"] is None:
             raise ConfigError(f"{path}: intensity_mode=explicit needs intensity_w_m2")
-        intensity = get("lattice", "intensity_w_m2", float)
     elif intensity_mode == "core_anchor":
-        if has_explicit:
+        if values["intensity_w_m2"] is not None:
             raise ConfigError(
                 f"{path}: intensity_w_m2 conflicts with intensity_mode=core_anchor; "
                 "exactly one intensity specification is allowed"
             )
-        intensity = intensity_from_core_anchor()
+        values["intensity_w_m2"] = intensity_from_core_anchor()
     else:
         raise ConfigError(f"{path}: unknown intensity_mode {intensity_mode!r}")
 
-    beat_text = get("lattice", "beat_frequency_hz", str, "auto").strip()
-    beat = None if beat_text in ("", "auto") else get("lattice", "beat_frequency_hz", float)
-
-    config = RunConfig(
-        lattice_periods_n=n,
-        atomic_frequency_hz=f2,
-        wavelength_nm=get("lattice", "wavelength_nm", float),
-        beat_frequency_hz=beat,
-        intensity_w_m2=intensity,
-        intensity_mode=intensity_mode,
-        polarization_angle_rad=get("lattice", "polarization_angle_rad", float, 0.0),
-        pulse_ms=get("lattice", "pulse_ms", float, 3.0),
-        molecule_mass_u=get("masses", "molecule_u", float),
-        atom_mass_u=get("masses", "atom_u", float),
-        lines_path=get("catalog", "lines", str, "builtin").strip(),
-        far_bands_path=get("catalog", "far_bands", str, "builtin").strip(),
-        lamb_dicke=get("readout", "lamb_dicke", float, 0.1),
-        carrier_rabi_hz=get("readout", "carrier_rabi_hz", float, 50e3),
-        shots=get("readout", "shots", int, 20),
-        seed=get("readout", "seed", int, 1234),
-        decoherence_tau_ms=get("readout", "decoherence_tau_ms", float, 1.5),
-        sigma_multiplier=get("thresholds", "sigma_multiplier", float, 2.0),
-        resonance_guard_hz=get("thresholds", "resonance_guard_hz", float, 1e9),
-        reaction_rel_change=get("thresholds", "reaction_rel_change", float, 3e-3),
-        raw_items={s: dict(parser.items(s)) for s in parser.sections()},
-    )
-    _validate(config, path)
-    return config
-
-
-def _validate(config: RunConfig, path) -> None:
-    """Every number must be finite (but for an infinite decoherence time, which
-    readout reads as none) and inside the range its arithmetic survives: at
-    [lattice] wavelength_nm = 1e300 the ion spacing cubed overflows, at
-    [masses] molecule_u = 1e-30 a mode frequency divides by zero, and at
-    [readout] carrier_rabi_hz = 1e300 the Rabi phase has no significant digit.
-    The bounds lie far outside any trapped-ion experiment.  (A chained
-    comparison is False for NaN.)"""
-    c = config
-    n, f2, beat = c.lattice_periods_n, c.atomic_frequency_hz, c.beat_frequency_hz
-    checks = [
-        ("trap", "lattice_periods_n", n, n is None or 1 <= n <= 10**6,
-         "an integer in [1, 1e6]"),
-        ("trap", "atomic_frequency_hz", f2, f2 is None or 1.0 <= f2 <= 1e9,
-         "in [1, 1e9] Hz"),
-        ("lattice", "wavelength_nm", c.wavelength_nm, 1.0 <= c.wavelength_nm <= 1e6,
-         "in [1, 1e6] nm"),
-        ("lattice", "beat_frequency_hz", beat, beat is None or 0.0 <= beat <= 1e9,
-         "in [0, 1e9] Hz (or auto)"),
-        ("lattice", "intensity_w_m2", c.intensity_w_m2, 0.0 <= c.intensity_w_m2 <= 1e20,
-         "in [0, 1e20] W/m^2"),
-        ("lattice", "polarization_angle_rad", c.polarization_angle_rad,
-         math.isfinite(c.polarization_angle_rad), "finite"),
-        ("lattice", "pulse_ms", c.pulse_ms, 0.0 < c.pulse_ms <= 1e3, "in (0, 1000] ms"),
-        ("masses", "molecule_u", c.molecule_mass_u, 1.0 <= c.molecule_mass_u <= 1e4,
-         "in [1, 1e4] u"),
-        ("masses", "atom_u", c.atom_mass_u, 1.0 <= c.atom_mass_u <= 1e4, "in [1, 1e4] u"),
-        ("readout", "lamb_dicke", c.lamb_dicke, 0.0 < c.lamb_dicke <= 0.5, "in (0, 0.5]"),
-        ("readout", "carrier_rabi_hz", c.carrier_rabi_hz, 0.0 < c.carrier_rabi_hz <= 1e9,
-         "in (0, 1e9] Hz"),
-        ("readout", "shots", c.shots, c.shots >= 1, ">= 1"),
-        ("readout", "seed", c.seed, c.seed >= 0, ">= 0"),
-        ("readout", "decoherence_tau_ms", c.decoherence_tau_ms,
-         0.0 < c.decoherence_tau_ms <= math.inf, "> 0 ms (inf: none)"),
-        ("thresholds", "sigma_multiplier", c.sigma_multiplier,
-         0.0 < c.sigma_multiplier <= 100.0, "in (0, 100]"),
-        ("thresholds", "resonance_guard_hz", c.resonance_guard_hz,
-         0.0 < c.resonance_guard_hz < math.inf, "finite and > 0 Hz"),
-        ("thresholds", "reaction_rel_change", c.reaction_rel_change,
-         0.0 < c.reaction_rel_change < 1.0, "in (0, 1)"),
-    ]
-    for section, key, value, ok, rule in checks:
-        if not ok:
-            raise ConfigError(f"{path}: [{section}] {key} must be {rule}, got {value!r}")
+    for name, (section, key, declared) in _DECLARED.items():
+        value = values[name]
+        if declared["ok"] is not None and value is not None and not declared["ok"](value):
+            raise ConfigError(f"{path}: [{section}] {key} must be {declared['rule']}, "
+                              f"got {value!r}")
+    return RunConfig(**values,
+                     raw_items={s: dict(parser.items(s)) for s in parser.sections()})

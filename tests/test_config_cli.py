@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from odfprobe.catalog import SHIPPED_LINES_FILE, shipped_data_path
 from odfprobe.cli import main
 from odfprobe import readout
-from odfprobe.config import KNOWN_KEYS, ConfigError, load_config
+from odfprobe.config import KNOWN_KEYS, ConfigError, RunConfig, load_config
 from odfprobe.quantities import polarizability_to_shift
 from odfprobe.stark import NearResonanceError, polarizability_breakdown
 from odfprobe.states import enumerate_states
@@ -132,6 +133,25 @@ class TestConfig:
             f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
             for section, values in config.raw_items.items()))
         assert load_config(path) == config
+
+    def test_required_keys_alone_load_the_default(self, tmp_path):
+        # every value a key takes when absent equals the one default.cfg sets
+        path = tmp_path / "required.cfg"
+        path.write_text("[trap]\nlattice_periods_n = 19\n"
+                        "[lattice]\nwavelength_nm = 789.0\n"
+                        "[masses]\nmolecule_u = 28.0\natom_u = 40.0\n")
+        required, default = load_config(path), load_config("default")
+        for f in dataclasses.fields(RunConfig):
+            if f.name != "raw_items":
+                assert getattr(required, f.name) == getattr(default, f.name), f.name
+
+    def test_default_cfg_sets_every_key_but_the_optional_ones(self):
+        shipped = {(section, key) for section, values in
+                   load_config("default").raw_items.items() for key in values}
+        declared = {(section, key) for section, keys in KNOWN_KEYS.items()
+                    for key in keys}
+        assert shipped == declared - {("trap", "atomic_frequency_hz"),
+                                      ("lattice", "intensity_w_m2")}
 
     @pytest.mark.parametrize("key, value", [
         ("beat_frequency_hz", "fast"),
@@ -289,6 +309,8 @@ class TestCli:
                         + MEASUREMENTS.splitlines()[1] + "\n")
         assert main(["classify", "--measurements", str(meas),
                      "--out", str(tmp_path)]) == 2
+        assert "error: need at least two measurements (before/after pairs)" \
+            in capsys.readouterr().err
 
     def test_calibrate(self, tmp_path, capsys):
         code = main(["calibrate", "--count", "4", "--noiseless",
@@ -396,6 +418,24 @@ class TestCli:
         assert "--sweep COUNT must be an integer >= 1" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("linearized", [True, False], ids=["linearized", "simulator"])
+    @pytest.mark.parametrize("sweep, flag", [
+        (["1e300", "1e301", "2"], "--sweep LO"),
+        (["694000", "2e9", "3"], "--sweep HI"),
+    ], ids=["LO", "HI"])
+    def test_simulate_sweep_outside_beat_bound_is_named(self, tmp_path, capsys, linearized,
+                                                        sweep, flag):
+        # held to [lattice] beat_frequency_hz's bound; 1e300 once printed a
+        # 298-digit peak, and the simulator did not finish it in 20 s
+        code = main(["simulate", "--sweep", *sweep, "--out", str(tmp_path)]
+                    + ["--linearized"] * linearized)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{flag}: beat_frequency_hz must be finite and in [0, 1e9] Hz" \
+            in captured.err
+        assert "peak at" not in captured.out
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_identify_far_band_row_flags_all_states(self, tmp_path, capsys):
         # 1109.14 nm is the A(v'=0) far band itself.
         meas = tmp_path / "meas.csv"
@@ -481,6 +521,19 @@ class TestCli:
         assert code == 2
         assert f"{flag} must be positive and finite, got {float(value):g}" in captured.err
         assert not (tmp_path / "stark_spectrum.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--lambda-min", "--lambda-max"])
+    @pytest.mark.parametrize("value", ["1e-300", "0.5", "2e6"])
+    def test_spectrum_wavelength_flag_outside_bound_is_named(self, tmp_path, capsys,
+                                                             flag, value):
+        # held to [lattice] wavelength_nm's bound; 1e-300 nm once wrote
+        # 0.00000 nm and -390 Hz for every state
+        code = main(["spectrum", "--steps", "2", f"{flag}={value}", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{flag}: wavelength_nm must be finite and in [1, 1e6] nm, " \
+               f"got {float(value):g}" in captured.err
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_spectrum_empty_selection_is_validation_error(self, tmp_path, capsys):
         code = main(["spectrum", "--nmin", "10", "--nmax", "8", "--out", str(tmp_path)])
@@ -744,6 +797,14 @@ class TestExitCodeContract:
     """Whatever the measurement file, the catalog or the flags hold, a command
     ends with exit 0, 2 or 3 and never a traceback, and a written report is
     strict JSON."""
+
+    def test_config_numbers_cover_every_numeric_key(self):
+        # a new numeric key cannot escape test_config_values_exit_...
+        declared = {(section, key) for section, keys in KNOWN_KEYS.items()
+                    for key in keys}
+        text_keys = {("lattice", "intensity_mode"), ("catalog", "lines"),
+                     ("catalog", "far_bands")}
+        assert set(CONFIG_NUMBERS) == declared - text_keys
 
     @pytest.mark.parametrize("command", sorted(CONTRACT_COMMANDS))
     @settings(max_examples=40, deadline=None,
