@@ -19,8 +19,7 @@ _EXPORTS = {
                    "shift_to_intensity"),
     "angular": ("HalfInt", "wigner_3j", "wigner_6j", "honl_london"),
     "states": ("MolecularState", "enumerate_states"),
-    "catalog": ("LineCatalog", "TransitionLine", "build_line_catalog",
-                "load_shipped_catalog"),
+    "catalog": ("LineCatalog", "TransitionLine", "load_shipped_catalog"),
     "stark": ("transition_strength", "dynamic_polarizability", "atomic_polarizability",
               "molecular_stark_shift"),
     "crystal": ("TwoIonCrystal", "LatticeDrive", "equilibrium_distance",

@@ -2,8 +2,9 @@
 
 A catalog holds the rotationally resolved lines of the near-resonant vibronic
 band, a set of far-detuned rotationless band heads, and the constant core
-polarizability.  Catalogs can be loaded from CSV files (the package ships one
-for the molecular ion of interest) or generated from spectroscopic constants.
+polarizability.  Catalogs are loaded from CSV files (the package ships one
+for the molecular ion of interest); ``generate_lines`` derives a band's lines
+from its spectroscopic constants.
 """
 
 from __future__ import annotations
@@ -337,35 +338,6 @@ def generate_lines(constants: BandConstants, n_max: int) -> list[TransitionLine]
                     einstein_a=constants.einstein_a,
                 ))
     return lines
-
-
-def build_line_catalog(source, far_bands=None, core_polarizability_au=None,
-                       n_max: int = 10) -> LineCatalog:
-    """Build a catalog from a CSV path or a :class:`BandConstants` set.
-
-    With a path source, ``far_bands`` may be a second CSV path.  With a
-    constants source, ``far_bands`` may be an iterable of :class:`FarBand`
-    and ``core_polarizability_au`` must be given explicitly if nonzero.
-    """
-    if isinstance(source, (str, Path)):
-        catalog = load_line_catalog(source, far_bands)
-        if core_polarizability_au is not None:
-            catalog = LineCatalog(
-                lines=catalog.lines,
-                far_bands=catalog.far_bands,
-                core_polarizability_au=core_polarizability_au,
-                pi_coupling=catalog.pi_coupling,
-                metadata=catalog.metadata,
-            )
-        return catalog
-    if isinstance(source, BandConstants):
-        return LineCatalog(
-            lines=tuple(generate_lines(source, n_max)),
-            far_bands=tuple(far_bands or ()),
-            core_polarizability_au=core_polarizability_au or 0.0,
-            pi_coupling=source.pi.coupling,
-        )
-    raise CatalogError(f"unsupported catalog source {type(source).__name__}")
 
 
 def write_line_catalog(lines, path, metadata: dict | None = None) -> None:

@@ -70,11 +70,11 @@ def cmd_spectrum(args, config: RunConfig) -> int:
     import numpy as np
 
     from .identify import predict_catalog_shifts
-    from .states import enumerate_states
+    from .states import NUCLEAR_SPIN_ISOMERS, enumerate_states
 
     catalog = config.catalog()
-    states = [s for s in enumerate_states(args.nmax)
-              if s.n >= args.nmin and (args.isomer is None or s.i_nuc == args.isomer)]
+    isomers = NUCLEAR_SPIN_ISOMERS if args.isomer is None else (args.isomer,)
+    states = [s for s in enumerate_states(args.nmax, isomers) if s.n >= args.nmin]
     if not states:
         raise ValueError(f"no states selected (nmin {args.nmin}, nmax {args.nmax}, "
                          f"isomer {args.isomer})")

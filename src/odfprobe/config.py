@@ -182,13 +182,13 @@ def load_config(path=None) -> RunConfig:
 
     values = {}
     for name, (section, key, declared) in _DECLARED.items():
-        try:
-            if parser.has_option(section, key):
-                values[name] = declared["parse"](parser.get(section, key))
-            elif declared["absent"] is not _REQUIRED:
-                values[name] = declared["absent"]
-            else:
+        if not parser.has_option(section, key):
+            if declared["absent"] is _REQUIRED:
                 raise ConfigError(f"{path}: missing [{section}] {key}")
+            values[name] = declared["absent"]
+            continue
+        try:
+            values[name] = declared["parse"](parser.get(section, key))
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for [{section}] {key}: {exc}") from exc
 

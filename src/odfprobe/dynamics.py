@@ -29,6 +29,10 @@ from .quantities import ATOMIC_MASS, COULOMB_PREFACTOR, HBAR, PLANCK
 # beat note.  Criterion 07b's lattice-off energy drift over 3 ms reads 7.6e-11
 # here; at 140 steps it reads 1.1e-9, above the criterion's 1e-9.
 _STEPS_PER_PERIOD = 220
+# The most steps one run may take: about ten times a 3 ms pulse at f_IP
+# (466 170 steps, 2 s in plain Python); a half-step check then takes twice as
+# many.  A beat far above f_IP sets the step, so the count grows as beat x pulse.
+_MAX_STEPS = 5_000_000
 # Stored samples per out-of-phase period; mode_amplitude needs 20.
 _SAMPLES_PER_PERIOD = 25
 # A lattice whose curvature 8 k^2 h |dE| reaches this fraction of the trap's
@@ -145,7 +149,8 @@ def simulate_odf(config: SimulationConfig) -> Trajectory:
     1/_SAMPLES_PER_PERIOD of the out-of-phase period (the count rounded
     down), lie a whole number of steps apart, so their count follows the
     pulse length alone.  A drive deeper than _DEEP_LATTICE is run again at
-    half the step, and an end state that moves raises IntegrationError.
+    half the step, and an end state that moves raises IntegrationError.  A
+    run that would take more than _MAX_STEPS steps raises ValueError.
     """
     crystal, drive = config.crystal, config.drive
     duration = config.duration
@@ -153,6 +158,10 @@ def simulate_odf(config: SimulationConfig) -> Trajectory:
                          * duration))
     fastest = max(crystal.f_ip, drive.beat_frequency_hz)
     stride = math.ceil(_STEPS_PER_PERIOD * fastest * duration / samples)
+    if stride * samples > _MAX_STEPS:
+        raise ValueError(f"a {drive.beat_frequency_hz:g} Hz beat over a {duration * 1e3:g} ms "
+                         f"pulse needs {stride * samples} integration steps, more than "
+                         f"the {_MAX_STEPS} allowed")
     states = _integrate(config, samples, stride)
     t = np.linspace(0.0, duration, samples + 1)
     finite = np.isfinite(states).all(axis=1)

@@ -29,8 +29,8 @@ class ConvergenceError(RuntimeError):
 
 
 # scipy costs about 0.4 s and 25 MB or more to import, and building
-# calibration templates needs none of it: the fits, the interpolant and the
-# exact Lamb-Dicke rates import it on use.
+# calibration templates needs none of it: the fits and the interpolant import
+# it on use.
 def PchipInterpolator(*args, **kwargs):
     """``scipy.interpolate.PchipInterpolator``, imported on the first call."""
     from scipy.interpolate import PchipInterpolator as pchip
@@ -97,10 +97,9 @@ def _coherent_cut(n_mean: float) -> int:
 
 @dataclass(frozen=True)
 class MotionalDistribution:
-    """Population over Fock levels n = 0..n_cut with a provenance tag."""
+    """Population over Fock levels n = 0..n_cut."""
 
     p_n: np.ndarray
-    provenance: str = "explicit"
 
     def __post_init__(self):
         p = np.asarray(self.p_n, dtype=float)
@@ -125,23 +124,7 @@ class MotionalDistribution:
         else:
             log_p = -n_mean + n * math.log(n_mean) - _log_factorials(n_cut)
             p = np.exp(log_p)
-        return cls(p, provenance=f"coherent(n_mean={n_mean:.6g})")
-
-    @classmethod
-    def thermal(cls, n_mean: float, n_cut: int | None = None) -> "MotionalDistribution":
-        if n_mean < 0.0:
-            raise ValueError("mean phonon number must be >= 0")
-        if n_cut is None:
-            n_cut = int(25.0 * (n_mean + 1.0))
-        n = np.arange(n_cut + 1)
-        if n_mean == 0.0:
-            p = np.zeros(n_cut + 1)
-            p[0] = 1.0
-        else:
-            ratio = n_mean / (n_mean + 1.0)
-            p = ratio**n / (n_mean + 1.0)
-            p /= p.sum()  # absorb the truncated tail
-        return cls(p, provenance=f"thermal(n_mean={n_mean:.6g})")
+        return cls(p)
 
     @property
     def n_mean(self) -> float:
@@ -180,31 +163,20 @@ class RabiSignal:
         return [(f"{t:.9e}", f"{p:.9f}", shots) for t, p in zip(self.times_s, self.p)]
 
 
-def sideband_rabi_frequencies(n_levels: int, eta: float, omega0: float,
-                              exact_lamb_dicke: bool = False) -> np.ndarray:
-    """Blue-sideband flopping rates Omega_{n,n+1} for n = 0..n_levels-1.
-
-    First-order Lamb-Dicke form Omega0 eta sqrt(n+1) by default; the exact
-    generalized-Laguerre matrix element behind the ``exact_lamb_dicke``
-    switch.
-    """
+def sideband_rabi_frequencies(n_levels: int, eta: float, omega0: float) -> np.ndarray:
+    """Blue-sideband flopping rates Omega_{n,n+1} = Omega0 eta sqrt(n+1) for
+    n = 0..n_levels-1, in the first-order Lamb-Dicke form."""
     if not 0.0 < eta <= 0.5:
         raise ValueError(f"Lamb-Dicke parameter must be in (0, 0.5], got {eta}")
     if omega0 <= 0.0:
         raise ValueError("carrier Rabi frequency must be > 0")
     n = np.arange(n_levels)
-    if not exact_lamb_dicke:
-        return omega0 * eta * np.sqrt(n + 1.0)
-    from scipy.special import eval_genlaguerre
-    eta2 = eta * eta
-    laguerre = eval_genlaguerre(n, 1, eta2)
-    return omega0 * eta * math.exp(-eta2 / 2.0) * laguerre / np.sqrt(n + 1.0)
+    return omega0 * eta * np.sqrt(n + 1.0)
 
 
 def synthesize_bsb_signal(dist: MotionalDistribution, eta: float, omega0: float,
                           times_s, decoherence_tau_s: float = math.inf,
-                          shots: int | None = None, seed: int | None = None,
-                          exact_lamb_dicke: bool = False) -> RabiSignal:
+                          shots: int | None = None, seed: int | None = None) -> RabiSignal:
     """Blue-sideband Rabi signal of a motional distribution.
 
     P(t) = sum_n p_n sin^2(Omega_{n,n+1} t / 2) e^(-t/tau) + (1 - e^(-t/tau))/2.
@@ -212,7 +184,7 @@ def synthesize_bsb_signal(dist: MotionalDistribution, eta: float, omega0: float,
     for reproducibility); otherwise the analytic curve is returned.
     """
     times = np.asarray(times_s, dtype=float)
-    rates = sideband_rabi_frequencies(len(dist.p_n), eta, omega0, exact_lamb_dicke)
+    rates = sideband_rabi_frequencies(len(dist.p_n), eta, omega0)
     phases = 0.5 * np.outer(times, rates)
     coherent_part = np.sin(phases) ** 2 @ dist.p_n
     if math.isinf(decoherence_tau_s):
@@ -309,7 +281,6 @@ class ReadoutPipeline:
     probe_times_s: np.ndarray = field(
         default_factory=lambda: np.linspace(0.0, 120e-6, 61))
     decoherence_tau_s: float = 1.5e-3
-    exact_lamb_dicke: bool = False
 
     def __post_init__(self):
         # the template alignment locates samples with searchsorted
@@ -340,7 +311,6 @@ class ReadoutPipeline:
         return synthesize_bsb_signal(
             self.distribution(mode_shift_hz), self.eta, self.carrier_rabi_hz * 2.0 * math.pi,
             self.probe_times_s, self.decoherence_tau_s, shots=shots, seed=seed,
-            exact_lamb_dicke=self.exact_lamb_dicke,
         )
 
 
@@ -382,8 +352,6 @@ class CalibrationSet:
         """(shifts, frequencies, curves), the zero anchor first."""
         pipeline = self.pipeline
         zero_frequency = pipeline.carrier_rabi_hz * pipeline.eta
-        if pipeline.exact_lamb_dicke:
-            zero_frequency *= math.exp(-pipeline.eta**2 / 2.0)
         s = np.concatenate(([0.0], self.shifts_hz))
         f = np.concatenate(([zero_frequency], self.template_frequencies_hz))
         curves = np.vstack([pipeline.signal(0.0).p] + [tpl.p for tpl in self.templates])

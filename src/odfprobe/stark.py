@@ -217,18 +217,12 @@ class AtomicLevelModel:
         return angle * (3.0 * m * m - j * (j + 1.0)) / (j * (2.0 * j - 1.0))
 
 
-def atomic_polarizability(model: AtomicLevelModel, wavelength_nm: float,
-                          use: str = "lattice") -> float:
-    """Polarizability (au) of the atomic level at the given wavelength.
-
-    ``use='lattice'`` adds the core term (the lattice couples to core and
-    valence electrons alike); ``use='spectroscopy'`` returns the valence-only
-    value entering differential shifts between two levels with nearly equal
-    cores.  For J = 1/2 the tensor term is undefined and the scalar value is
-    returned with a warning.
+def atomic_polarizability(model: AtomicLevelModel, wavelength_nm: float) -> float:
+    """Lattice polarizability (au) of the atomic level at the given wavelength:
+    the valence value plus the core term, since the lattice couples to core
+    and valence electrons alike.  For J = 1/2 the tensor term is undefined
+    and the valence value is the scalar one, returned with a warning.
     """
-    if use not in ("lattice", "spectroscopy"):
-        raise ValueError(f"use must be 'lattice' or 'spectroscopy', got {use!r}")
     alpha = model._interp(model.alpha_scalar_au, wavelength_nm)
     if model.j.twice > 1:
         alpha += model.tensor_prefactor() * model._interp(
@@ -239,16 +233,13 @@ def atomic_polarizability(model: AtomicLevelModel, wavelength_nm: float,
             "returning the scalar part only",
             stacklevel=2,
         )
-    if use == "lattice":
-        alpha += model.core_au
-    return alpha
+    return alpha + model.core_au
 
 
 def atomic_stark_shift(model: AtomicLevelModel, wavelength_nm: float,
                        intensity: float) -> float:
     """Single-beam lattice shift (Hz, signed) of the atomic level."""
-    alpha = atomic_polarizability(model, wavelength_nm, use="lattice")
-    return polarizability_to_shift(alpha, intensity)
+    return polarizability_to_shift(atomic_polarizability(model, wavelength_nm), intensity)
 
 
 SHIPPED_ATOMIC_FILE = "ca_polarizabilities.csv"

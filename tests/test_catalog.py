@@ -7,8 +7,7 @@ import odfprobe
 from odfprobe.angular import HalfInt
 from odfprobe.catalog import (N2PLUS_BAND, CatalogError, FarBand,
                               TransitionLine, band_dipole_squared_au,
-                              build_line_catalog, generate_lines,
-                              load_line_catalog, write_line_catalog)
+                              generate_lines, load_line_catalog, write_line_catalog)
 from odfprobe.terms import (PiConstants, SigmaConstants, pi_term_energy,
                             sigma_term_energy)
 
@@ -212,18 +211,6 @@ class TestIngestion:
     def test_unreadable_path(self):
         with pytest.raises(CatalogError, match="cannot read"):
             load_line_catalog("/nonexistent/lines.csv")
-
-    def test_build_from_constants(self):
-        far = (FarBand("B-X", 391.15, 1.05e7),)
-        cat = build_line_catalog(N2PLUS_BAND, far_bands=far,
-                                 core_polarizability_au=7.23, n_max=4)
-        assert cat.core_polarizability_au == 7.23
-        assert cat.max_n_lower == 4
-        assert cat.far_bands == far
-
-    def test_build_rejects_unknown_source(self):
-        with pytest.raises(CatalogError):
-            build_line_catalog(12345)
 
 
 class TestStrengthConversion:

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="wavelength_nm"):
             load_config(path)
 
+    @pytest.mark.parametrize("section, key", [("lattice", "wavelength_nm"),
+                                              ("masses", "molecule_u")])
+    def test_missing_key_is_named(self, tmp_path, capsys, section, key):
+        path = tmp_path / "missing.cfg"
+        path.write_text("".join(line for line in BASE_CONFIG.splitlines(keepends=True)
+                                if not line.startswith(f"{key} =")))
+        message = f"{path}: missing [{section}] {key}"
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == message
+        code = main(["enumerate", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 MEASUREMENTS = """\
 wavelength_nm,intensity_W_m2,shift_Hz,sigma_Hz,sign,f_ip_Hz
@@ -435,6 +450,28 @@ class TestCli:
             in captured.err
         assert "peak at" not in captured.out
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("flags, beat", [
+        (["--sweep", "2e7", "2e7", "1"], "2e+07"),
+        (["--sweep", "1e9", "1e9", "1"], "1e+09"),
+        ([], "1e+09"),
+    ], ids=["sweep-2e7", "sweep-1e9", "config-1e9"])
+    def test_simulate_over_the_step_budget_is_validation_error(self, tmp_path, capsys,
+                                                               flags, beat):
+        # the step follows the beat, so a 3 ms pulse at these beats once ran
+        # for minutes to hours
+        config = [] if flags else [
+            "--config", str(config_with(tmp_path, "lattice", "beat_frequency_hz", "1e9"))]
+        start = time.monotonic()
+        code = main(["simulate", *flags, *config, "--out", str(tmp_path / "out")])
+        elapsed = time.monotonic() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: a {beat} Hz beat over a 3 ms pulse needs " in captured.err
+        assert "integration steps, more than the 5000000 allowed" in captured.err
+        assert "Traceback" not in captured.err
+        assert not list(tmp_path.rglob("*.csv"))
+        assert elapsed < 10.0
 
     def test_identify_far_band_row_flags_all_states(self, tmp_path, capsys):
         # 1109.14 nm is the A(v'=0) far band itself.

@@ -214,9 +214,9 @@ class TestAtomicPolarizability:
     def test_d_state_anchor(self):
         model = load_shipped_atomic_model("D5/2")
         assert model.tensor_prefactor() == 1.0
-        assert atomic_polarizability(model, 789.0, use="spectroscopy") \
+        assert atomic_polarizability(model, 789.0) - model.core_au \
             == pytest.approx(4.44, rel=1e-12)
-        assert atomic_polarizability(model, 789.0, use="lattice") \
+        assert atomic_polarizability(model, 789.0) \
             == pytest.approx(4.44 + 3.03, rel=1e-12)
 
     def test_s_state_scalar_only(self):
@@ -224,13 +224,13 @@ class TestAtomicPolarizability:
             model = load_shipped_atomic_model("S1/2", theta=theta)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                value = atomic_polarizability(model, 789.0, use="spectroscopy")
+                value = atomic_polarizability(model, 789.0) - model.core_au
             assert value == pytest.approx(97.5, rel=1e-12)
 
     def test_magic_angle_kills_tensor_term(self):
         theta = math.acos(math.sqrt(1.0 / 3.0))
         model = load_shipped_atomic_model("D5/2", theta=theta)
-        scalar_only = atomic_polarizability(model, 789.0, use="spectroscopy")
+        scalar_only = atomic_polarizability(model, 789.0) - model.core_au
         assert scalar_only == pytest.approx(10.0, abs=1e-12)
 
     def test_prefactor_exact_for_stretched_m(self):
@@ -247,7 +247,7 @@ class TestAtomicPolarizability:
             core_au=3.134,
         )
         with pytest.warns(UserWarning, match="tensor"):
-            value = atomic_polarizability(model, 789.0, use="spectroscopy")
+            value = atomic_polarizability(model, 789.0) - model.core_au
         assert value == pytest.approx(np.interp(789.0, (785.0, 790.0), (97.9, 97.4)))
 
     def test_table_range_enforced(self):
