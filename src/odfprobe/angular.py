@@ -388,21 +388,3 @@ def honl_london(branch: str, j_lower, coupling: PiCoupling) -> float:
             two_j1, 2, two_j2, -two_omega_up, 2, two_sigma
         )
     return (two_j1 + 1.0) * (two_j2 + 1.0) * amp * amp
-
-
-def allowed_branches(n_lower: int, j_comp: int) -> list[str]:
-    """Branch labels reachable from the lower level (N'', F_jcomp)."""
-    two_j2 = 2 * n_lower + 1 if j_comp == 1 else 2 * n_lower - 1
-    if two_j2 < 1:
-        return []
-    labels = []
-    for letter, dj in _DELTA_J.items():
-        two_j1 = two_j2 + 2 * dj
-        if two_j1 < 1:
-            continue
-        for i_up in (1, 2):
-            if two_j1 == 1 and i_up == 1:
-                continue  # no F1 level at J' = 1/2
-            sub = str(i_up) if i_up == j_comp else f"{i_up}{j_comp}"
-            labels.append(f"{letter}{sub}")
-    return labels

@@ -1,10 +1,10 @@
-"""Spectroscopic line catalog: construction, CSV ingestion and validation.
+"""Spectroscopic line catalog: CSV ingestion and validation.
 
 A catalog holds the rotationally resolved lines of the near-resonant vibronic
 band, a set of far-detuned rotationless band heads, and the constant core
 polarizability.  Catalogs are loaded from CSV files (the package ships one
-for the molecular ion of interest); ``generate_lines`` derives a band's lines
-from its spectroscopic constants.
+for the molecular ion of interest); the line model that generated the
+shipped list is kept with the tests, which check the list against it.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from .angular import HalfInt, PiCoupling, allowed_branches, honl_london, parse_branch
+from .angular import HalfInt, PiCoupling, honl_london, parse_branch
 from .quantities import (
     HBAR,
     SPEED_OF_LIGHT,
     VACUUM_PERMITTIVITY,
     AU_DIPOLE_SQUARED,
     wavelength_to_angular_frequency,
-    wavenumber_to_wavelength_nm,
 )
-from .terms import PiConstants, SigmaConstants, pi_term_energy, sigma_term_energy
 
 LINE_COLUMNS = (
     "band", "branch", "N_lower", "J_lower_x2", "J_upper_x2",
@@ -295,63 +293,6 @@ def _pi_coupling(meta: dict) -> PiCoupling | None:
     return None
 
 
-@dataclass(frozen=True)
-class BandConstants:
-    """Spectroscopic constants defining the resolved band of the catalog."""
-
-    band: str
-    sigma: SigmaConstants
-    pi: PiConstants
-    einstein_a: float
-
-
-def generate_lines(constants: BandConstants, n_max: int) -> list[TransitionLine]:
-    """All P/Q/R (+ spin sub-branch) lines from even N'' <= n_max."""
-    if n_max < 0 or n_max % 2 != 0:
-        raise ValueError(f"N_max must be even and >= 0, got {n_max}")
-    mu2_cache: dict[float, float] = {}
-    lines = []
-    for n2 in range(0, n_max + 1, 2):
-        for j_comp in (1, 2):
-            two_j2 = 2 * n2 + 1 if j_comp == 1 else 2 * n2 - 1
-            if two_j2 < 1:
-                continue
-            j_lower = HalfInt(two_j2)
-            lower = sigma_term_energy(n2, j_lower, constants.sigma)
-            for branch in allowed_branches(n2, j_comp):
-                delta_j, i_up, _ = parse_branch(branch)
-                j_upper = HalfInt(two_j2 + 2 * delta_j)
-                nu = pi_term_energy(j_upper, i_up, constants.pi) - lower
-                wavelength = wavenumber_to_wavelength_nm(nu)
-                if wavelength not in mu2_cache:
-                    mu2_cache[wavelength] = band_dipole_squared_au(
-                        constants.einstein_a, wavelength)
-                hl = honl_london(branch, j_lower, constants.pi.coupling)
-                lines.append(TransitionLine(
-                    band=constants.band,
-                    branch=branch,
-                    n_lower=n2,
-                    j_lower=j_lower,
-                    j_upper=j_upper,
-                    wavelength_nm=wavelength,
-                    strength_au=mu2_cache[wavelength] * hl,
-                    einstein_a=constants.einstein_a,
-                ))
-    return lines
-
-
-def write_line_catalog(lines, path, metadata: dict | None = None) -> None:
-    """Write lines to CSV with ``# key = value`` metadata comments."""
-    write_table(path, LINE_COLUMNS, (
-        [line.band, line.branch, line.n_lower,
-         line.j_lower.twice, line.j_upper.twice,
-         f"{line.wavelength_nm:.6f}",
-         "" if line.einstein_a is None else f"{line.einstein_a:.6g}",
-         "" if line.einstein_a is not None else f"{line.strength_au:.8e}"]
-        for line in sorted(lines, key=lambda l: l.wavelength_nm)
-    ), comments=[f"{key} = {value}" for key, value in (metadata or {}).items()])
-
-
 # ---------------------------------------------------------------------------
 # Shipped catalog
 # ---------------------------------------------------------------------------
@@ -359,16 +300,6 @@ def write_line_catalog(lines, path, metadata: dict | None = None) -> None:
 SHIPPED_LINES_FILE = "n2plus_meinel_2_0_lines.csv"
 SHIPPED_FAR_BANDS_FILE = "n2plus_far_bands.csv"
 
-# Constants behind the shipped line list (cm^-1); the band origin is an
-# effective value adjusted to reproduce the measured anchor-line positions.
-N2PLUS_SIGMA = SigmaConstants(b=1.922355, d=6.1e-6, gamma=9.18e-3)
-N2PLUS_PI = PiConstants(origin=12732.8342, b=1.697425, a=-74.62, d=5.9e-6)
-N2PLUS_BAND = BandConstants(
-    band="A(v'=2)-X(v''=0)",
-    sigma=N2PLUS_SIGMA,
-    pi=N2PLUS_PI,
-    einstein_a=1.14e4,
-)
 N2PLUS_CORE_POLARIZABILITY_AU = 7.23
 
 

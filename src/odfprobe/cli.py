@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -39,6 +40,8 @@ def _write_manifest(outdir: Path, command: str, config: RunConfig, extra=None):
 
 
 def _outdir(args) -> Path:
+    """The output directory, made once the command's work has succeeded, so
+    that a failed run leaves none behind."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir
@@ -118,8 +121,9 @@ def cmd_simulate(args, config: RunConfig) -> int:
     import numpy as np
 
     from .crystal import LatticeDrive, TwoIonCrystal
-    from .dynamics import (IntegrationError, SimulationConfig, linearized_prediction,
-                           mode_amplitude, simulate_odf, sweep_beat_frequency)
+    from .dynamics import (IntegrationError, SimulationConfig, integration_steps,
+                           linearized_prediction, mode_amplitude, simulate_odf, step_plan,
+                           sweep_beat_frequency)
     from .stark import atomic_stark_shift
 
     crystal = config.crystal()
@@ -138,17 +142,23 @@ def cmd_simulate(args, config: RunConfig) -> int:
     )
     print(f"drive: {drive.configuration}, beat {drive.beat_frequency_hz / 1e3:.2f} kHz, "
           f"shifts ({drive.shift1_hz:.1f}, {drive.shift2_hz:.1f}) Hz")
-    outdir = _outdir(args)
     sim_config = SimulationConfig(crystal, drive)
+    facts = {"f_ip_sp_hz": crystal.f_ip, "f_ip_op_hz": crystal_op.f_ip}
     try:
         if args.sweep:
-            rows = sweep_beat_frequency(sim_config, np.linspace(lo, hi, int(count)),
-                                        use_simulator=not args.linearized)
+            beats = np.linspace(lo, hi, int(count))
+            rows = sweep_beat_frequency(sim_config, beats, use_simulator=not args.linearized)
         else:
             trajectory = simulate_odf(sim_config)
     except IntegrationError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    if not (args.sweep and args.linearized):
+        points = ([replace(sim_config, drive=replace(drive, beat_frequency_hz=float(beat)))
+                   for beat in beats] if args.sweep else [sim_config])
+        facts["samples"] = step_plan(sim_config)[0]
+        facts["integration_steps"] = sum(map(integration_steps, points))
+    outdir = _outdir(args)
     if args.sweep:
         path = outdir / "beat_sweep.csv"
         write_table(path, ["beat_hz", "ip_amplitude_m"],
@@ -164,8 +174,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
         print(f"in-phase mode: n = {excitation.n_minus:.2f} "
               f"(linearized {linear.n_minus:.2f}), "
               f"out-of-phase n = {excitation.n_plus:.3f}")
-    _write_manifest(outdir, "simulate", config,
-                    {"f_ip_sp_hz": crystal.f_ip, "f_ip_op_hz": crystal_op.f_ip})
+    _write_manifest(outdir, "simulate", config, facts)
     return EXIT_OK
 
 
@@ -218,7 +227,6 @@ def cmd_identify(args, config: RunConfig) -> int:
     catalog = config.catalog()
     states = enumerate_states(args.nmax)
     measurements = read_measurements(args.measurements)
-    outdir = _outdir(args)
     reports = []
     for index, meas in enumerate(measurements, start=1):
         predictions = predict_catalog_shifts(
@@ -236,6 +244,7 @@ def cmd_identify(args, config: RunConfig) -> int:
         report["background_shift_hz"] = background
         reports.append(report)
         print(format_report_text(report))
+    outdir = _outdir(args)
     write_report_json({"reports": reports}, outdir / "identification.json")
     _write_manifest(outdir, "identify", config, {"measurements": len(measurements)})
     print(f"wrote {outdir / 'identification.json'}")

@@ -8,10 +8,16 @@ excursions (2 k q approaching 1), which is the regime that makes a
 simulation-based calibration necessary.
 
 One kernel integrates the motion: the 6th-order symplectic composition of
-Yoshida (1990) at a fixed step, in plain Python floats.  Its lattice-off
-energy error stays bounded instead of drifting, and the stored trajectory
-keeps a fixed number of samples per out-of-phase period whatever the beat.
-A drive deep enough for chaotic motion is checked again at half the step.
+Yoshida (1990) at a fixed step, in plain Python floats, split around the
+crystal's normal modes (the mixed-variable map of Wisdom & Holman 1991,
+Astron. J. 102, 1528).  Its drift is the exact flow of the linearized
+crystal, each normal mode turning by omega tau, and its kick applies only the
+lattice and the Coulomb force beyond its linearization.  So the step need
+not resolve the in-phase oscillation, and the kernel takes one step per
+stored sample near resonance.  Its lattice-off energy error stays bounded
+instead of drifting, and the stored trajectory keeps a fixed number of
+samples per out-of-phase period whatever the beat.  A drive deep enough for
+chaotic motion is checked again at half the step.
 """
 
 from __future__ import annotations
@@ -22,27 +28,35 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import write_table
-from .crystal import LatticeDrive, TwoIonCrystal
+from .crystal import LatticeDrive, TwoIonCrystal, normal_modes
 from .quantities import ATOMIC_MASS, COULOMB_PREFACTOR, HBAR, PLANCK
 
 # Integration steps per period of the faster of the in-phase mode and the
-# beat note.  Criterion 07b's lattice-off energy drift over 3 ms reads 7.6e-11
-# here; at 140 steps it reads 1.1e-9, above the criterion's 1e-9.
-_STEPS_PER_PERIOD = 220
+# beat note, at the least.  A run also takes at least one step per stored
+# sample (44.7 per in-phase period), so the beat sets the step only above
+# about the out-of-phase frequency.  At one step per sample criterion 07b's
+# lattice-off energy drift over 3 ms reads 9.2e-11, against the criterion's
+# 1e-9.
+_STEPS_PER_PERIOD = 25
 # The most steps one run may take: about ten times a 3 ms pulse at f_IP
-# (466 170 steps, 2 s in plain Python); a half-step check then takes twice as
+# (93 233 steps, 0.8 s in plain Python); a half-step check then takes twice as
 # many.  A beat far above f_IP sets the step, so the count grows as beat x pulse.
-_MAX_STEPS = 5_000_000
+_MAX_STEPS = 1_000_000
 # Stored samples per out-of-phase period; mode_amplitude needs 20.
 _SAMPLES_PER_PERIOD = 25
 # A lattice whose curvature 8 k^2 h |dE| reaches this fraction of the trap's
 # u0 can drag an ion across its sites, and the motion may turn chaotic: a
 # 3 ms resonant pulse at a 3 MHz molecular shift (0.92 of u0) ends at
-# n = 139, 242 and 152 at 220, 440 and 880 steps per period.  Such drives are
+# n = 352, 544 and 8.7 at 220, 440 and 880 steps per period.  Such drives are
 # run again at half the step; the end state may move by this fraction of the
-# largest excursion (it moves by 1e-9 to 1e-6 where the motion is regular).
+# largest excursion (it moves by 3e-10 to 2e-8 where the motion is regular).
 _DEEP_LATTICE = 0.1
 _STEP_TOLERANCE = 1e-4
+# Steps per period of the faster of the in-phase mode and the beat note for
+# a drive that deep.  The kick is then no small part of the force: at one
+# step per sample a +1 MHz molecular shift's |A-| is off by 5.9e-7, at this
+# step by 5e-11.
+_DEEP_STEPS_PER_PERIOD = 220
 
 
 @dataclass(frozen=True)
@@ -80,9 +94,11 @@ class Trajectory:
     config: SimulationConfig
 
     def export_csv(self, path) -> None:
+        # one %-format per row, split back into write_table's fields
+        columns = (self.t, self.q1, self.q2, self.v1, self.v2)
         write_table(path, ["t_s", "q1_m", "q2_m", "v1_m_s", "v2_m_s"],
-                    ([f"{x:.12e}" for x in row]
-                     for row in zip(self.t, self.q1, self.q2, self.v1, self.v2)))
+                    (("%.12e,%.12e,%.12e,%.12e,%.12e" % row).split(",")
+                     for row in zip(*(column.tolist() for column in columns))))
 
 
 @dataclass(frozen=True)
@@ -142,10 +158,11 @@ _YOSHIDA6 = (_W3, _W2, _W1, 1.0 - 2.0 * (_W1 + _W2 + _W3), _W1, _W2, _W3)
 
 def simulate_odf(config: SimulationConfig) -> Trajectory:
     """Integrate the driven two-ion motion with the 6th-order symplectic
-    composition at a fixed step.
+    composition at a fixed step, split around the normal modes.
 
-    The step is at most 1/_STEPS_PER_PERIOD of the period of the faster of
-    the in-phase mode and the beat note.  The stored samples, one per
+    The step is at most one stored sample, and at most 1/_STEPS_PER_PERIOD
+    of the period of the faster of the in-phase mode and the beat note
+    (step_plan).  The stored samples, one per
     1/_SAMPLES_PER_PERIOD of the out-of-phase period (the count rounded
     down), lie a whole number of steps apart, so their count follows the
     pulse length alone.  A drive deeper than _DEEP_LATTICE is run again at
@@ -154,10 +171,7 @@ def simulate_odf(config: SimulationConfig) -> Trajectory:
     """
     crystal, drive = config.crystal, config.drive
     duration = config.duration
-    samples = max(2, int(_SAMPLES_PER_PERIOD * crystal.omega_plus / (2.0 * math.pi)
-                         * duration))
-    fastest = max(crystal.f_ip, drive.beat_frequency_hz)
-    stride = math.ceil(_STEPS_PER_PERIOD * fastest * duration / samples)
+    samples, stride = step_plan(config)
     if stride * samples > _MAX_STEPS:
         raise ValueError(f"a {drive.beat_frequency_hz:g} Hz beat over a {duration * 1e3:g} ms "
                          f"pulse needs {stride * samples} integration steps, more than "
@@ -168,8 +182,7 @@ def simulate_odf(config: SimulationConfig) -> Trajectory:
     if not finite.all():
         raise IntegrationError(f"state not finite at t = {t[np.argmin(finite)]:.3e} s "
                                f"of {duration:.3e} s")
-    depth = (8.0 * drive.k ** 2 * PLANCK
-             * max(abs(drive.shift1_hz), abs(drive.shift2_hz)) / crystal.u0)
+    depth = _lattice_depth(config)
     if depth >= _DEEP_LATTICE:
         scale = np.array([1.0, 1.0, crystal.omega_minus, crystal.omega_minus])
         excursion = np.max(np.abs(states / scale))
@@ -184,58 +197,113 @@ def simulate_odf(config: SimulationConfig) -> Trajectory:
     return Trajectory(t, q1, q2, v1, v2, config)
 
 
+def step_plan(config: SimulationConfig) -> tuple[int, int]:
+    """(samples, stride): the stored samples of a run and the integration
+    steps between two of them."""
+    duration = config.duration
+    samples = max(2, int(_SAMPLES_PER_PERIOD * config.crystal.omega_plus / (2.0 * math.pi)
+                         * duration))
+    fastest = max(config.crystal.f_ip, config.drive.beat_frequency_hz)
+    per_period = (_DEEP_STEPS_PER_PERIOD if _lattice_depth(config) >= _DEEP_LATTICE
+                  else _STEPS_PER_PERIOD)
+    return samples, math.ceil(per_period * fastest * duration / samples)
+
+
+def integration_steps(config: SimulationConfig) -> int:
+    """Steps that simulate_odf takes for config, a deep drive's run at half
+    the step included."""
+    samples, stride = step_plan(config)
+    return samples * stride * (3 if _lattice_depth(config) >= _DEEP_LATTICE else 1)
+
+
+def _lattice_depth(config: SimulationConfig) -> float:
+    """The lattice's largest curvature 8 k^2 h |dE| as a fraction of u0."""
+    drive = config.drive
+    return (8.0 * drive.k ** 2 * PLANCK
+            * max(abs(drive.shift1_hz), abs(drive.shift2_hz)) / config.crystal.u0)
+
+
 def _integrate(config: SimulationConfig, samples: int, stride: int) -> np.ndarray:
     """States at samples + 1 equally spaced times, stride steps apart."""
     crystal, drive = config.crystal, config.drive
     dt = config.duration / (stride * samples)
     m1, m2 = crystal.m1_u * ATOMIC_MASS, crystal.m2_u * ATOMIC_MASS
-    d, half_d, two_k = crystal.d, crystal.d / 2.0, 2.0 * drive.k
-    u0, k_e = crystal.u0, COULOMB_PREFACTOR
+    d = crystal.d
+    two_kd, coulomb = 2.0 * drive.k * d, COULOMB_PREFACTOR / (d * d)
+    omega_m, omega_p, theta = normal_modes(crystal.m1_u, crystal.m2_u, crystal.u0)
+    s, c, rmu = math.sin(theta), math.cos(theta), math.sqrt(crystal.mu)
     omega_d = 2.0 * math.pi * drive.beat_frequency_hz
     # Lattice force amplitudes 4 k h dE_i^0 (dE in Hz -> J via h).
     amp1 = 4.0 * drive.k * PLANCK * drive.shift1_hz
     amp2 = 4.0 * drive.k * PLANCK * drive.shift2_hz
-    # Per stage: the kick over each ion's mass, the drive phases at the kick's
-    # time within the step, and the drift after it.  Adjacent half drifts are
-    # merged, across steps too, so each sample block starts and ends on a half
-    # drift.  Each time is the step index times dt plus the offset within the
+    # The state is held in normal-mode coordinates b (crystal.to_modes) and
+    # scaled velocities u = db/dt / omega, both in units of d, so the drift,
+    # the exact flow of the crystal linearized at d (its Coulomb stiffness
+    # 2 k_e / d^3 equals u0 there), turns each (b, u) pair by omega tau.  Per
+    # stage: the kick's force-to-u weights, the drive phases at the kick's
+    # time within the step, and the turns of the drift after it.  Adjacent
+    # half drifts are merged, across steps too, so the running state leads
+    # each stored one by a half drift, which is undone once on the stored
+    # array.  Each time is the step index times dt plus the offset within the
     # step: a running sum of steps would round into a drive-frequency error.
     half_drift = 0.5 * _YOSHIDA6[0] * dt
     stages, elapsed = [], 0.0
     for w, w_next in zip(_YOSHIDA6, _YOSHIDA6[1:] + _YOSHIDA6[:1]):
         advance = omega_d * (elapsed + 0.5 * w) * dt
-        stages.append((w * dt / m1, w * dt / m2, drive.phi1 - advance,
-                       drive.phi2 - advance, 0.5 * (w + w_next) * dt))
+        h, tau = w * dt, 0.5 * (w + w_next) * dt
+        stages.append((h * c / (rmu * m1 * omega_p * d), -h * s / (m2 * omega_p * d),
+                       h * s / (rmu * m1 * omega_m * d), h * c / (m2 * omega_m * d),
+                       drive.phi1 - advance, drive.phi2 - advance,
+                       math.cos(omega_p * tau), math.sin(omega_p * tau),
+                       math.cos(omega_m * tau), math.sin(omega_m * tau)))
         elapsed += w
 
     sin = math.sin
-    q1, q2, v1, v2 = map(float, config.initial_state)
-    states = [(q1, q2, v1, v2)]
+    rc, rs = rmu * c, rmu * s
+    q1, q2, v1, v2 = (float(value) / d for value in config.initial_state)
+    bp, bm = crystal.to_modes(q1, q2)
+    up, um = crystal.to_modes(v1, v2)
+    bp, up = _turn(bp, up / omega_p, omega_p * half_drift)
+    bm, um = _turn(bm, um / omega_m, omega_m * half_drift)
+    states = []
     for sample in range(samples):
-        q1 += half_drift * v1
-        q2 += half_drift * v2
         for step in range(sample * stride, (sample + 1) * stride):
             phase = omega_d * (step * dt)
-            for kick1, kick2, p1, p2, drift in stages:
-                r = d + q2 - q1
-                if r <= 0.0:
-                    raise IntegrationError(f"ions crossed (r = {r:.3e} m) at "
+            for kp1, kp2, km1, km2, p1, p2, cp, sp, cm, sm in stages:
+                q1 = rc * bp + rs * bm
+                q2 = c * bm - s * bp
+                x = q2 - q1
+                y = 1.0 + x
+                if y <= 0.0:
+                    raise IntegrationError(f"ions crossed (r = {y * d:.3e} m) at "
                                            f"t = {step * dt:.3e} s")
-                coulomb = k_e / (r * r)
-                f1 = u0 * (half_d - q1) - coulomb
-                f2 = coulomb - u0 * (q2 + half_d)
+                # The Coulomb force beyond its linearization at r = d (1 + x):
+                # (k_e / d^2) x^2 (3 + 2x) / (1 + x)^2.
+                f2 = coulomb * x * x * (3.0 + 2.0 * x) / (y * y)
+                f1 = -f2
                 if amp1:
-                    f1 += amp1 * sin(two_k * q1 + (p1 - phase))
+                    f1 += amp1 * sin(two_kd * q1 + (p1 - phase))
                 if amp2:
-                    f2 += amp2 * sin(two_k * q2 + (p2 - phase))
-                v1 += kick1 * f1
-                v2 += kick2 * f2
-                q1 += drift * v1
-                q2 += drift * v2
-        q1 -= half_drift * v1
-        q2 -= half_drift * v2
-        states.append((q1, q2, v1, v2))
-    return np.array(states)
+                    f2 += amp2 * sin(two_kd * q2 + (p2 - phase))
+                up += kp1 * f1 + kp2 * f2
+                um += km1 * f1 + km2 * f2
+                bp, up = cp * bp + sp * up, cp * up - sp * bp
+                bm, um = cm * bm + sm * um, cm * um - sm * bm
+        states.append((bp, up, bm, um))
+    bp, up, bm, um = np.array(states).T
+    bp, up = _turn(bp, up, -omega_p * half_drift)
+    bm, um = _turn(bm, um, -omega_m * half_drift)
+    result = np.empty((samples + 1, 4))
+    result[0] = config.initial_state
+    result[1:, 0], result[1:, 1] = crystal.from_modes(d * bp, d * bm)
+    result[1:, 2], result[1:, 3] = crystal.from_modes(d * omega_p * up, d * omega_m * um)
+    return result
+
+
+def _turn(b, u, angle):
+    """(b, u) of a harmonic mode after its phase advances by angle."""
+    c, s = math.cos(angle), math.sin(angle)
+    return c * b + s * u, c * u - s * b
 
 
 def mode_amplitude(trajectory: Trajectory) -> ModeExcitation:

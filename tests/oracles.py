@@ -3,14 +3,25 @@
 Everything here is deliberately written by a different route than the
 production code: plain-float Racah alternating sums for the Wigner symbols,
 the same sums in ``Fraction`` arithmetic as an exact reference, a numeric
-eigenvector construction for the intermediate-coupling line strengths, and
-textbook closed forms for two-level polarizabilities and driven oscillators.
+eigenvector construction for the intermediate-coupling line strengths,
+textbook closed forms for two-level polarizabilities and driven oscillators,
+and the laboratory-frame composition kernel for the ion motion.  It also
+holds the line model that generated the shipped line list (term energies,
+branches and the N2+ band constants), which no command runs: the package
+reads the list from its CSV.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from odfprobe.angular import HalfInt, PiCoupling, honl_london, parse_branch
+from odfprobe.catalog import (LINE_COLUMNS, TransitionLine, band_dipole_squared_au,
+                              write_table)
+from odfprobe.quantities import (ATOMIC_MASS, COULOMB_PREFACTOR, PLANCK,
+                                 wavenumber_to_wavelength_nm)
 
 _FACT = [math.factorial(n) for n in range(200)]
 
@@ -222,3 +233,229 @@ def resonant_oscillator_amplitude(force_n: float, mass_kg: float,
                                   omega_rad_s: float, duration_s: float) -> float:
     """Linear growth F t / (2 m Omega) of a resonantly driven oscillator."""
     return force_n * duration_s / (2.0 * mass_kg * omega_rad_s)
+
+
+# Composition coefficients of the 6th-order symplectic scheme (Yoshida 1990,
+# Phys. Lett. A 150, 262, solution A): a symmetric product of seven position
+# Verlet steps of sizes w_k dt.
+_W3, _W2, _W1 = 0.784513610477560, 0.235573213359357, -1.17767998417887
+_YOSHIDA6 = (_W3, _W2, _W1, 1.0 - 2.0 * (_W1 + _W2 + _W3), _W1, _W2, _W3)
+
+
+def composition_kernel(config, samples: int, stride: int) -> np.ndarray:
+    """The two-ion motion by the Yoshida-6 composition of position Verlet
+    steps on the full force, in the laboratory frame: the fast harmonic
+    oscillation is stepped through, not solved.  States at samples + 1
+    equally spaced times, stride steps apart, with the drive time of each
+    kick taken from the step index."""
+    crystal, drive = config.crystal, config.drive
+    dt = config.duration / (stride * samples)
+    m1, m2 = crystal.m1_u * ATOMIC_MASS, crystal.m2_u * ATOMIC_MASS
+    d, half_d, two_k = crystal.d, crystal.d / 2.0, 2.0 * drive.k
+    u0, k_e = crystal.u0, COULOMB_PREFACTOR
+    omega_d = 2.0 * math.pi * drive.beat_frequency_hz
+    amp1 = 4.0 * drive.k * PLANCK * drive.shift1_hz
+    amp2 = 4.0 * drive.k * PLANCK * drive.shift2_hz
+    half_drift = 0.5 * _YOSHIDA6[0] * dt
+    stages, elapsed = [], 0.0
+    for w, w_next in zip(_YOSHIDA6, _YOSHIDA6[1:] + _YOSHIDA6[:1]):
+        advance = omega_d * (elapsed + 0.5 * w) * dt
+        stages.append((w * dt / m1, w * dt / m2, drive.phi1 - advance,
+                       drive.phi2 - advance, 0.5 * (w + w_next) * dt))
+        elapsed += w
+
+    q1, q2, v1, v2 = map(float, config.initial_state)
+    states = [(q1, q2, v1, v2)]
+    for sample in range(samples):
+        q1 += half_drift * v1
+        q2 += half_drift * v2
+        for step in range(sample * stride, (sample + 1) * stride):
+            phase = omega_d * (step * dt)
+            for kick1, kick2, p1, p2, drift in stages:
+                coulomb = k_e / (d + q2 - q1) ** 2
+                f1 = u0 * (half_d - q1) - coulomb
+                f2 = coulomb - u0 * (q2 + half_d)
+                if amp1:
+                    f1 += amp1 * math.sin(two_k * q1 + (p1 - phase))
+                if amp2:
+                    f2 += amp2 * math.sin(two_k * q2 + (p2 - phase))
+                v1 += kick1 * f1
+                v2 += kick2 * f2
+                q1 += drift * v1
+                q2 += drift * v2
+        q1 -= half_drift * v1
+        q2 -= half_drift * v2
+        states.append((q1, q2, v1, v2))
+    return np.array(states)
+
+
+# ---------------------------------------------------------------------------
+# The line model behind the shipped line list
+# ---------------------------------------------------------------------------
+#
+# The ground doublet-Sigma state follows Hund's case (b); the excited
+# doublet-Pi state is treated in intermediate (a)/(b) coupling via the
+# two-level (Hill-Van Vleck) construction, the same 2x2 matrix whose
+# eigenvectors feed the line-strength factors in :mod:`odfprobe.angular`.
+# All energies are in cm^-1 relative to the ground state's rotationless origin.
+
+
+@dataclass(frozen=True)
+class SigmaConstants:
+    """Case-(b) constants of the lower doublet-Sigma vibronic level (cm^-1)."""
+
+    b: float                 # rotational constant
+    d: float = 0.0           # centrifugal distortion
+    gamma: float = 0.0       # spin-rotation coupling
+
+
+@dataclass(frozen=True)
+class PiConstants:
+    """Intermediate-coupling constants of the upper doublet-Pi vibronic level.
+
+    ``origin`` is the spin-free band origin relative to the lower state's
+    rotationless level (cm^-1); Lambda doubling is neglected.
+    """
+
+    origin: float
+    b: float
+    a: float                 # spin-orbit coupling; a < 0 for an inverted state
+    d: float = 0.0
+
+    @property
+    def coupling(self) -> PiCoupling:
+        return PiCoupling(spin_orbit_a=self.a, rotational_b=self.b)
+
+
+def sigma_term_energy(n: int, j, constants: SigmaConstants) -> float:
+    """Term value of the (N, J = N +- 1/2) level of the Sigma state.
+
+    B N(N+1) - D N^2(N+1)^2 + gamma N/2 for J = N + 1/2,
+    and -gamma (N+1)/2 for J = N - 1/2.
+    """
+    if n < 0:
+        raise ValueError(f"N must be >= 0, got {n}")
+    two_j = HalfInt.of(j).twice
+    if two_j not in (2 * n - 1, 2 * n + 1) or two_j < 1:
+        raise ValueError(f"J = {two_j / 2} is not N +- 1/2 for N = {n}")
+    x = n * (n + 1)
+    energy = constants.b * x - constants.d * x * x
+    if two_j == 2 * n + 1:
+        energy += constants.gamma * n / 2.0
+    else:
+        energy -= constants.gamma * (n + 1) / 2.0
+    return energy
+
+
+def pi_term_energy(j_upper, component: int, constants: PiConstants) -> float:
+    """Term value of the (J', F1|F2) level of the Pi state.
+
+    The two eigenvalues of the spin-orbit/rotation 2x2 matrix; F1 is the
+    lower one (it correlates with J' = N' + 1/2 as the coupling vanishes).
+    Centrifugal distortion is applied on the case-(b)-limit N'(N'+1) value of
+    each component, which keeps both eigenvalues continuous in J'.
+    """
+    two_j = HalfInt.of(j_upper).twice
+    if two_j < 1 or two_j % 2 == 0:
+        raise ValueError(f"J' must be a positive half-odd integer, got {two_j / 2}")
+    if component not in (1, 2):
+        raise ValueError(f"component must be 1 or 2, got {component}")
+    if two_j == 1 and component == 1:
+        raise ValueError("the F1 component does not exist at J' = 1/2")
+    x = (two_j + 1) / 2.0  # J' + 1/2
+    y = constants.a / constants.b
+    root = 0.5 * math.sqrt(4.0 * x * x + y * (y - 4.0))
+    if component == 1:
+        energy = constants.origin + constants.b * (x * x - 1.0 - root)
+        z = (x - 1.0) * x          # N'(N'+1) with N' = J' - 1/2
+    else:
+        energy = constants.origin + constants.b * (x * x - 1.0 + root)
+        z = x * (x + 1.0)          # N' = J' + 1/2
+    return energy - constants.d * z * z
+
+
+def allowed_branches(n_lower: int, j_comp: int) -> list[str]:
+    """Branch labels reachable from the lower level (N'', F_jcomp)."""
+    two_j2 = 2 * n_lower + 1 if j_comp == 1 else 2 * n_lower - 1
+    if two_j2 < 1:
+        return []
+    labels = []
+    for letter, dj in (("P", -1), ("Q", 0), ("R", 1)):
+        two_j1 = two_j2 + 2 * dj
+        if two_j1 < 1:
+            continue
+        for i_up in (1, 2):
+            if two_j1 == 1 and i_up == 1:
+                continue  # no F1 level at J' = 1/2
+            sub = str(i_up) if i_up == j_comp else f"{i_up}{j_comp}"
+            labels.append(f"{letter}{sub}")
+    return labels
+
+
+@dataclass(frozen=True)
+class BandConstants:
+    """Spectroscopic constants defining the resolved band of the catalog."""
+
+    band: str
+    sigma: SigmaConstants
+    pi: PiConstants
+    einstein_a: float
+
+
+def generate_lines(constants: BandConstants, n_max: int) -> list[TransitionLine]:
+    """All P/Q/R (+ spin sub-branch) lines from even N'' <= n_max."""
+    if n_max < 0 or n_max % 2 != 0:
+        raise ValueError(f"N_max must be even and >= 0, got {n_max}")
+    mu2_cache: dict[float, float] = {}
+    lines = []
+    for n2 in range(0, n_max + 1, 2):
+        for j_comp in (1, 2):
+            two_j2 = 2 * n2 + 1 if j_comp == 1 else 2 * n2 - 1
+            if two_j2 < 1:
+                continue
+            j_lower = HalfInt(two_j2)
+            lower = sigma_term_energy(n2, j_lower, constants.sigma)
+            for branch in allowed_branches(n2, j_comp):
+                delta_j, i_up, _ = parse_branch(branch)
+                j_upper = HalfInt(two_j2 + 2 * delta_j)
+                nu = pi_term_energy(j_upper, i_up, constants.pi) - lower
+                wavelength = wavenumber_to_wavelength_nm(nu)
+                if wavelength not in mu2_cache:
+                    mu2_cache[wavelength] = band_dipole_squared_au(
+                        constants.einstein_a, wavelength)
+                hl = honl_london(branch, j_lower, constants.pi.coupling)
+                lines.append(TransitionLine(
+                    band=constants.band,
+                    branch=branch,
+                    n_lower=n2,
+                    j_lower=j_lower,
+                    j_upper=j_upper,
+                    wavelength_nm=wavelength,
+                    strength_au=mu2_cache[wavelength] * hl,
+                    einstein_a=constants.einstein_a,
+                ))
+    return lines
+
+
+def write_line_catalog(lines, path, metadata: dict | None = None) -> None:
+    """Write lines to CSV with ``# key = value`` metadata comments."""
+    write_table(path, LINE_COLUMNS, (
+        [line.band, line.branch, line.n_lower,
+         line.j_lower.twice, line.j_upper.twice,
+         f"{line.wavelength_nm:.6f}",
+         "" if line.einstein_a is None else f"{line.einstein_a:.6g}",
+         "" if line.einstein_a is not None else f"{line.strength_au:.8e}"]
+        for line in sorted(lines, key=lambda l: l.wavelength_nm)
+    ), comments=[f"{key} = {value}" for key, value in (metadata or {}).items()])
+
+
+# Constants behind the shipped line list (cm^-1); the band origin is an
+# effective value adjusted to reproduce the measured anchor-line positions.
+N2PLUS_SIGMA = SigmaConstants(b=1.922355, d=6.1e-6, gamma=9.18e-3)
+N2PLUS_PI = PiConstants(origin=12732.8342, b=1.697425, a=-74.62, d=5.9e-6)
+N2PLUS_BAND = BandConstants(
+    band="A(v'=2)-X(v''=0)",
+    sigma=N2PLUS_SIGMA,
+    pi=N2PLUS_PI,
+    einstein_a=1.14e4,
+)

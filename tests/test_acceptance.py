@@ -10,8 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from odfprobe.angular import HalfInt, PiCoupling, allowed_branches, honl_london, \
-    wigner_3j, wigner_6j
+from odfprobe.angular import HalfInt, PiCoupling, honl_london, wigner_3j, wigner_6j
 from odfprobe.catalog import load_shipped_catalog
 from odfprobe.crystal import (LatticeDrive, TwoIonCrystal, combined_mode_shift,
                               extract_molecular_shift, infer_detuning_sign)
@@ -28,7 +27,7 @@ from odfprobe.readout import (ReadoutPipeline, build_calibration, extract_shift,
 from odfprobe.states import MolecularState, enumerate_states
 from odfprobe.stark import load_shipped_atomic_model, atomic_polarizability
 
-from oracles import racah_3j, racah_6j
+from oracles import allowed_branches, racah_3j, racah_6j
 
 
 def report(criterion: int, description: str, passed: bool, detail: str = ""):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odfprobe.angular import (HalfInt, PiCoupling, _wigner_3j_doubled,
-                              _wigner_6j_doubled, allowed_branches, honl_london,
-                              parse_branch, pi_mixing_weights, wigner_3j, wigner_6j)
+                              _wigner_6j_doubled, honl_london, parse_branch,
+                              pi_mixing_weights, wigner_3j, wigner_6j)
 
-from oracles import (exact_3j_doubled, exact_6j_doubled, honl_london_direct, racah_3j,
-                     racah_6j)
+from oracles import (allowed_branches, exact_3j_doubled, exact_6j_doubled,
+                     honl_london_direct, racah_3j, racah_6j)
 
 N2_COUPLING = PiCoupling(spin_orbit_a=-74.62, rotational_b=1.697425)
 

@@ -5,11 +5,11 @@ import pytest
 
 import odfprobe
 from odfprobe.angular import HalfInt
-from odfprobe.catalog import (N2PLUS_BAND, CatalogError, FarBand,
-                              TransitionLine, band_dipole_squared_au,
-                              generate_lines, load_line_catalog, write_line_catalog)
-from odfprobe.terms import (PiConstants, SigmaConstants, pi_term_energy,
-                            sigma_term_energy)
+from odfprobe.catalog import (CatalogError, FarBand, TransitionLine,
+                              band_dipole_squared_au, load_line_catalog)
+
+from oracles import (N2PLUS_BAND, PiConstants, SigmaConstants, generate_lines,
+                     pi_term_energy, sigma_term_energy, write_line_catalog)
 
 HEADER = "band,branch,N_lower,J_lower_x2,J_upper_x2,wavelength_nm,einstein_A,mu_squared_au\n"
 META = ("# core_polarizability_au = 7.23\n"

@@ -468,10 +468,47 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert f"error: a {beat} Hz beat over a 3 ms pulse needs " in captured.err
-        assert "integration steps, more than the 5000000 allowed" in captured.err
+        assert "integration steps, more than the 1000000 allowed" in captured.err
         assert "Traceback" not in captured.err
         assert not list(tmp_path.rglob("*.csv"))
+        assert not (tmp_path / "out").exists()
         assert elapsed < 10.0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--molecular-shift", "1e10"], "ions crossed"),
+        (["calibrate", "--noiseless"], "calibration failed: no convergence"),
+    ], ids=["simulate-ions-crossed", "calibrate-fit-failure"])
+    def test_numeric_failure_makes_no_output_directory(self, tmp_path, capsys, monkeypatch,
+                                                       argv, message):
+        # --out was once made before the work ran, so a failed run left it empty
+        def fail(*args, **kwargs):
+            raise readout.FitError("no convergence")
+
+        monkeypatch.setattr(readout, "build_calibration", fail)
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, per_sample", [
+        # one step per stored sample near f_IP
+        ([], 1),
+        (["--sweep", "690000", "700000", "2"], 2),
+        # a lattice this deep takes five steps per sample, and is run again
+        # at ten
+        (["--molecular-shift=-1e6"], 15),
+    ], ids=["pulse", "sweep", "deep-drive"])
+    def test_simulate_manifest_reports_the_kernel_work(self, tmp_path, argv, per_sample):
+        path = config_with(tmp_path, "lattice", "pulse_ms", "0.05")
+        assert main(["simulate", "--config", str(path), *argv,
+                     "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        crystal = load_config(path).crystal()
+        samples = int(25 * crystal.omega_plus / (2.0 * np.pi) * 0.05e-3)
+        assert manifest["samples"] == samples
+        assert manifest["integration_steps"] == per_sample * samples
 
     def test_identify_far_band_row_flags_all_states(self, tmp_path, capsys):
         # 1109.14 nm is the A(v'=0) far band itself.

@@ -12,13 +12,16 @@ import pytest
 
 import odfprobe
 from odfprobe import dynamics
+from odfprobe.catalog import write_table
+from odfprobe.config import load_config
 from odfprobe.crystal import LatticeDrive
 from odfprobe.dynamics import (IntegrationError, SimulationConfig, Trajectory,
                                linearized_prediction, mode_amplitude, simulate_odf,
                                sweep_beat_frequency, total_energy)
 from odfprobe.quantities import ATOMIC_MASS, COULOMB_PREFACTOR, PLANCK
+from odfprobe.stark import atomic_stark_shift
 
-from oracles import resonant_oscillator_amplitude
+from oracles import composition_kernel, resonant_oscillator_amplitude
 
 
 def make_config(crystal, shift1=-50.0, shift2=0.0, duration=None, beat=None,
@@ -107,6 +110,20 @@ class TestSimulateOdf:
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert set(data.dtype.names) == {"t_s", "q1_m", "q2_m", "v1_m_s", "v2_m_s"}
         assert len(data) == len(trajectory.t)
+
+
+    def test_export_csv_matches_per_field_formatting(self, crystal, tmp_path):
+        # one format per row writes the same bytes as a format per field
+        trajectory = simulate_odf(make_config(crystal, shift1=-50.0, duration=0.05e-3))
+        edge = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308, math.nan, math.inf])
+        columns = [np.concatenate([column, np.roll(edge, shift)]) for shift, column
+                   in enumerate((trajectory.t, trajectory.q1, trajectory.q2,
+                                 trajectory.v1, trajectory.v2))]
+        trajectory = Trajectory(*columns, trajectory.config)
+        trajectory.export_csv(tmp_path / "rows.csv")
+        write_table(tmp_path / "fields.csv", ["t_s", "q1_m", "q2_m", "v1_m_s", "v2_m_s"],
+                    ([f"{x:.12e}" for x in row] for row in zip(*columns)))
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "fields.csv").read_bytes()
 
 
 class TestModeAmplitude:
@@ -280,11 +297,13 @@ class TestKernel:
     def test_sixth_order_under_the_lattice_drive(self, crystal, monkeypatch):
         # Self-convergence of the end state as the step halves, with both
         # ions driven through the full lattice potential.  Two samples per
-        # run, so that the step alone sets the stride.
+        # run, so that the step alone sets the stride.  The harmonic part is
+        # exact, so the changes reach rounding (about 1e-20 m) beyond 32
+        # steps per in-phase period.
         monkeypatch.setattr(dynamics, "_SAMPLES_PER_PERIOD", 0)
         config = make_config(crystal, shift1=-1000.0, shift2=-300.0, duration=0.1e-3)
         ends = []
-        for steps in (15, 30, 60, 120):
+        for steps in (4, 8, 16, 32):
             monkeypatch.setattr(dynamics, "_STEPS_PER_PERIOD", steps)
             trajectory = simulate_odf(config)
             ends.append(np.array([trajectory.q1[-1], trajectory.q2[-1],
@@ -298,7 +317,8 @@ class TestKernel:
         # Restarting at mid-pulse, with the drive phases advanced by the
         # elapsed beat phase, reproduces the one-run end state.  Drive times
         # summed step by step instead drift by about 1e-19 s a step: over
-        # these 153 112 steps the two end states would part by 3e-9.
+        # these 17 400 steps the two end states would part by 3.8e-10 (they
+        # part by 1e-13).
         duration, beat = 1e-3, crystal.f_ip + 100.0
         config = make_config(crystal, shift1=-30.0, shift2=-20.0, duration=duration,
                              beat=beat)
@@ -313,6 +333,45 @@ class TestKernel:
         scale = np.array([1.0, 1.0, crystal.omega_minus, crystal.omega_minus])
         change = np.max(np.abs((second[-1] - whole[-1]) / scale))
         assert change < 3e-10 * np.max(np.abs(whole[-1] / scale))
+
+    @pytest.mark.parametrize("shift1, shift2, offset, duration", [
+        (-1000.0, "atomic", 0.0, 0.2e-3),   # the shape of a default simulate pulse
+        (-30.0, 0.0, 250.0, 0.05e-3),       # the benchmark fingerprint point
+    ], ids=["simulate-pulse", "fingerprint"])
+    def test_matches_the_laboratory_frame_composition(self, crystal, shift1, shift2,
+                                                      offset, duration):
+        # The same composition on the full force, stepped through the
+        # in-phase oscillation at 220 steps per period instead of solving it.
+        if shift2 == "atomic":
+            config = load_config("default")
+            shift2 = atomic_stark_shift(config.atomic_model(), config.wavelength_nm,
+                                        config.intensity_w_m2)
+        config = make_config(crystal, shift1=shift1, shift2=shift2, duration=duration,
+                             beat=crystal.f_ip + offset)
+        samples, stride = dynamics.step_plan(config)
+        assert stride == 1
+        reference = composition_kernel(
+            config, samples, math.ceil(220 * (crystal.f_ip + offset) * duration / samples))
+
+        def amplitude(state):
+            _, beta = crystal.to_modes(state[0], state[1])
+            _, betadot = crystal.to_modes(state[2], state[3])
+            return abs(complex(beta, betadot / crystal.omega_minus))
+
+        split = dynamics._integrate(config, samples, stride)
+        assert amplitude(split[-1]) == pytest.approx(amplitude(reference[-1]), rel=1e-9)
+
+    @pytest.mark.parametrize("duration", [0.05e-3, 0.1e-3, 0.2e-3, 3e-3])
+    def test_one_step_per_sample_near_resonance(self, crystal, duration):
+        # every beat within 10 kHz of f_IP, as criterion 07c's scan, the
+        # odf-sweep workload and the fingerprint point use
+        for offset in (-10e3, 0.0, 10e3):
+            config = make_config(crystal, duration=duration, beat=crystal.f_ip + offset)
+            assert dynamics.step_plan(config)[1] == 1
+        # a beat far above the modes sets the step
+        fast = make_config(crystal, duration=duration, beat=5e6)
+        samples, stride = dynamics.step_plan(fast)
+        assert stride > 1 and samples * stride >= 25 * 5e6 * duration
 
     def test_benchmark_fingerprint(self, crystal):
         # |A-| that the benchmark records for this point, at its tolerance
@@ -386,7 +445,7 @@ print(json.dumps([steps, code, "fractions" in sys.modules]))
 
 # What a command that runs nothing but the CLI and its config loads.
 CLI_MODULES = {"odfprobe.angular", "odfprobe.catalog", "odfprobe.cli", "odfprobe.config",
-               "odfprobe.quantities", "odfprobe.terms"}
+               "odfprobe.quantities"}
 
 
 def _fresh_python(code, *args):
