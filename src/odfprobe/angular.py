@@ -248,11 +248,6 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
 # Honl-London factors for a 2Pi (intermediate case a/b) <- 2Sigma (case b) band
 # ---------------------------------------------------------------------------
 
-BRANCH_LABELS = (
-    "P1", "Q1", "R1", "P2", "Q2", "R2",
-    "P12", "Q12", "R12", "P21", "Q21", "R21",
-)
-
 _DELTA_J = {"P": -1, "Q": 0, "R": 1}
 
 

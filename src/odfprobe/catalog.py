@@ -146,9 +146,9 @@ class LineCatalog:
 
     @cached_property
     def strength_tables(self) -> dict:
-        """Wavelength-independent (state x line) strength tables of this
-        catalog, keyed by state set; filled by
-        :func:`odfprobe.identify.predict_catalog_shifts`."""
+        """The :class:`odfprobe.stark.StarkTable` of each state set of this
+        catalog, keyed by the sorted states; filled by
+        :func:`odfprobe.stark.stark_table`."""
         return {}
 
 
@@ -299,8 +299,6 @@ def _pi_coupling(meta: dict) -> PiCoupling | None:
 
 SHIPPED_LINES_FILE = "n2plus_meinel_2_0_lines.csv"
 SHIPPED_FAR_BANDS_FILE = "n2plus_far_bands.csv"
-
-N2PLUS_CORE_POLARIZABILITY_AU = 7.23
 
 
 def shipped_data_path(name: str) -> Path:

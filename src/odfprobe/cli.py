@@ -26,6 +26,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
+# spectrum writes one row per state and wavelength: 1e5 wavelengths over the
+# 540 states is already 54 million rows.
+MAX_SPECTRUM_STEPS = 100_000
+
 
 def _write_manifest(outdir: Path, command: str, config: RunConfig, extra=None):
     manifest = {
@@ -63,8 +67,8 @@ def cmd_enumerate(args, config: RunConfig) -> int:
 
 
 def cmd_spectrum(args, config: RunConfig) -> int:
-    if args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_SPECTRUM_STEPS:
+        raise ValueError(f"--steps must be in [1, {MAX_SPECTRUM_STEPS}], got {args.steps}")
     for flag, value in (("--lambda-min", args.lambda_min),
                         ("--lambda-max", args.lambda_max)):
         if not (math.isfinite(value) and value > 0.0):
@@ -72,7 +76,7 @@ def cmd_spectrum(args, config: RunConfig) -> int:
         check_flag(flag, "wavelength_nm", value)
     import numpy as np
 
-    from .identify import predict_catalog_shifts
+    from .stark import stark_table
     from .states import NUCLEAR_SPIN_ISOMERS, enumerate_states
 
     catalog = config.catalog()
@@ -82,6 +86,10 @@ def cmd_spectrum(args, config: RunConfig) -> int:
         raise ValueError(f"no states selected (nmin {args.nmin}, nmax {args.nmax}, "
                          f"isomer {args.isomer})")
     wavelengths = np.linspace(args.lambda_min, args.lambda_max, args.steps)
+    table = stark_table(states, catalog)
+    fixed = [[str(v) for v in (s.n, s.j.twice, s.i_nuc,
+                               "" if s.f is None else s.f.twice, s.m.twice)]
+             for s in table.states]
     outdir = _outdir(args)
     path = outdir / "stark_spectrum.csv"
     skipped = 0
@@ -90,16 +98,14 @@ def cmd_spectrum(args, config: RunConfig) -> int:
         # one wavelength at a time: the sweep is never held whole
         nonlocal skipped
         for lam in wavelengths:
-            for pred in predict_catalog_shifts(
-                    lam, config.intensity_w_m2, states, catalog,
-                    guard_hz=config.resonance_guard_hz):
-                if pred.shift_hz is None:
+            shifts, reasons = table.shifts(lam, config.intensity_w_m2,
+                                           guard_hz=config.resonance_guard_hz)
+            lam_text = f"{lam:.5f}"
+            for columns, shift, reason in zip(fixed, shifts.tolist(), reasons):
+                if reason is None:
+                    yield [lam_text, *columns, f"{shift:.4f}"]
+                else:
                     skipped += 1
-                    continue
-                s = pred.state
-                yield [f"{lam:.5f}", s.n, s.j.twice, s.i_nuc,
-                       "" if s.f is None else s.f.twice, s.m.twice,
-                       f"{pred.shift_hz:.4f}"]
 
     write_table(path, ["wavelength_nm", "N", "J_x2", "I", "F_x2", "m_x2", "shift_hz"],
                 rows())

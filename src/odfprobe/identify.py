@@ -15,13 +15,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .catalog import LineCatalog, read_table
-from .quantities import (AU_DIPOLE_SQUARED, AU_POLARIZABILITY, polarizability_to_shift,
-                         wavelength_to_angular_frequency)
-from .stark import (DEFAULT_RESONANCE_GUARD_HZ, NearResonanceError, _detuning_hz,
-                    _far_band_au, _sum_coefficient, transition_strength)
+from .quantities import polarizability_to_shift
+from .stark import DEFAULT_RESONANCE_GUARD_HZ, stark_table, total_polarizability_au
 from .states import MolecularState
 
 # Fractional intensity (lattice power) uncertainty folded into measurement
@@ -83,91 +79,25 @@ class ShiftPrediction:
         return "red" if self.shift_hz < 0.0 else "blue"
 
 
-def _strength_table(states: tuple, catalog: LineCatalog) -> tuple[np.ndarray, np.ndarray]:
-    """The wavelength-independent part of the predictions for ``states``.
-
-    Row i belongs to ``states[i]``.  ``line_index`` holds the catalog indices
-    of ``catalog.lines_from(n, j)`` in that order, padded with
-    ``len(catalog.lines)`` (a slot never inside the guard, with coefficient
-    0); ``mu2_si`` holds ``transition_strength * AU_DIPOLE_SQUARED``, 0 on the
-    padding.
-    """
-    position = {line: k for k, line in enumerate(catalog.lines)}
-    rows = {level: [position[line] for line in catalog.lines_from(*level)]
-            for level in dict.fromkeys((s.n, s.j) for s in states)}
-    width = max(1, *map(len, rows.values()))   # at least the padding slot
-    line_index = np.full((len(states), width), len(catalog.lines), dtype=np.intp)
-    mu2_si = np.zeros((len(states), width))
-    for i, state in enumerate(states):
-        row = rows[(state.n, state.j)]
-        line_index[i, :len(row)] = row
-        mu2_si[i, :len(row)] = [
-            transition_strength(state, catalog.lines[k]) * AU_DIPOLE_SQUARED
-            for k in row]
-    return line_index, mu2_si
-
-
 def predict_catalog_shifts(wavelength_nm: float, intensity_w_m2: float,
                            states, catalog: LineCatalog,
                            guard_hz: float = DEFAULT_RESONANCE_GUARD_HZ,
                            ) -> list[ShiftPrediction]:
-    """Signed shift predictions for every state, in deterministic order.
-
-    This is the one place catalog states become shift predictions.  States
-    whose polarizability cannot be evaluated (a catalog line inside the
-    near-resonance guard) are flagged, not dropped.  The state-resolved line
-    strengths are tabulated once per (catalog, state set) and kept on the
-    catalog; each call evaluates one coefficient per line.  Every value
-    equals the per-state ``polarizability_breakdown`` ->
-    ``polarizability_to_shift`` path bit for bit.
-    """
-    key = tuple(sorted(states, key=MolecularState.sort_key))
-    if not key:
-        raise ValueError("no states supplied")
-    table = catalog.strength_tables.get(key)
-    if table is None:
-        table = catalog.strength_tables[key] = _strength_table(key, catalog)
-    line_index, mu2_si = table
-
-    omega = wavelength_to_angular_frequency(wavelength_nm)
-    omegas = [line.angular_frequency for line in catalog.lines]
-    detunings = [_detuning_hz(omega_k, omega) for omega_k in omegas]
-    inside = [abs(d) < guard_hz for d in detunings] + [False]
-    coefficients = [0.0 if hit else _sum_coefficient(omega_k, omega)
-                    for omega_k, hit in zip(omegas, inside)] + [0.0]
-    terms = np.array(coefficients)[line_index] * mu2_si / AU_POLARIZABILITY
-    resonant = np.zeros(len(key))
-    for column in terms.T:      # left to right, as the per-state loop adds
-        resonant += column
-
-    hits = np.array(inside)[line_index]
-    flagged = hits.any(axis=1)
-    first_hit = line_index[np.arange(len(key)), hits.argmax(axis=1)]
-    reasons = [None] * len(key)
-    for i in np.flatnonzero(flagged):
-        k = first_hit[i]
-        reasons[i] = str(NearResonanceError(catalog.lines[k], detunings[k], guard_hz))
-    shifts = np.zeros(len(key))
-    if not flagged.all():
-        try:
-            far = _far_band_au(omega, catalog, guard_hz)
-        except NearResonanceError as exc:
-            reasons = [reason or str(exc) for reason in reasons]
-        else:
-            alpha = resonant[~flagged] + far + catalog.core_polarizability_au
-            shifts[~flagged] = polarizability_to_shift(alpha, intensity_w_m2)
-    return [ShiftPrediction(state, None, flagged_line=reason) if reason is not None
-            else ShiftPrediction(state, shift)
-            for state, shift, reason in zip(key, shifts.tolist(), reasons)]
+    """Signed shift predictions for every state, in deterministic order: one
+    evaluation of the state set's :class:`~odfprobe.stark.StarkTable`.
+    States whose polarizability cannot be evaluated (a catalog line inside
+    the near-resonance guard) are flagged, not dropped."""
+    table = stark_table(states, catalog)
+    shifts, reasons = table.shifts(wavelength_nm, intensity_w_m2, guard_hz)
+    return [ShiftPrediction(state, None if reason else shift, reason)
+            for state, shift, reason in zip(table.states, shifts.tolist(), reasons)]
 
 
 def background_shift_hz(wavelength_nm: float, intensity_w_m2: float,
                         catalog: LineCatalog) -> float:
     """Shift magnitude a state far from every resolved line would show
     (far-band plus core polarizability only)."""
-    omega = wavelength_to_angular_frequency(wavelength_nm)
-    alpha = (_far_band_au(omega, catalog, DEFAULT_RESONANCE_GUARD_HZ)
-             + catalog.core_polarizability_au)
+    alpha = total_polarizability_au(0.0, wavelength_nm, catalog)
     return abs(polarizability_to_shift(alpha, intensity_w_m2))
 
 

@@ -133,6 +133,15 @@ def _far_band_au(omega: float, catalog: LineCatalog, guard_hz: float) -> float:
     return far
 
 
+def total_polarizability_au(resonant_au, wavelength_nm: float, catalog: LineCatalog,
+                            guard_hz: float = DEFAULT_RESONANCE_GUARD_HZ):
+    """``resonant_au`` (a float or an array) plus the far-band and core
+    polarizability (au), added in the order of :attr:`PolarizabilityBreakdown.total_au`.
+    Raises :class:`NearResonanceError` when a far band is inside the guard."""
+    far = _far_band_au(wavelength_to_angular_frequency(wavelength_nm), catalog, guard_hz)
+    return resonant_au + far + catalog.core_polarizability_au
+
+
 def polarizability_breakdown(state: MolecularState, wavelength_nm: float,
                              catalog: LineCatalog,
                              guard_hz: float = DEFAULT_RESONANCE_GUARD_HZ,
@@ -164,6 +173,77 @@ def molecular_stark_shift(state: MolecularState, wavelength_nm: float,
     """Single-beam ac-Stark shift (Hz, signed) of a molecular state."""
     alpha = dynamic_polarizability(state, wavelength_nm, catalog, guard_hz)
     return polarizability_to_shift(alpha, intensity)
+
+
+@dataclass(frozen=True, eq=False)
+class StarkTable:
+    """The wavelength-independent part of the shift predictions for a state set.
+
+    Row i belongs to ``states[i]``.  ``line_index`` holds the catalog indices
+    of ``catalog.lines_from(n, j)`` in that order, padded with
+    ``len(catalog.lines)`` (a slot never inside the guard, with coefficient
+    0); ``mu2_si`` holds ``transition_strength * AU_DIPOLE_SQUARED``, 0 on the
+    padding.  Get one from :func:`stark_table`.
+    """
+
+    states: tuple[MolecularState, ...]
+    catalog: LineCatalog
+    line_index: np.ndarray
+    mu2_si: np.ndarray
+
+    def shifts(self, wavelength_nm: float, intensity_w_m2: float,
+               guard_hz: float = DEFAULT_RESONANCE_GUARD_HZ,
+               ) -> tuple[np.ndarray, list[str | None]]:
+        """Each state's single-beam shift (Hz, signed), bit for bit that of the
+        per-state ``polarizability_breakdown`` path, and why each state inside
+        the guard is flagged (None for the others; a flagged shift is 0.0)."""
+        lines, count = self.catalog.lines, len(self.states)
+        omega = wavelength_to_angular_frequency(wavelength_nm)
+        omegas = [line.angular_frequency for line in lines]
+        detunings = [_detuning_hz(omega_k, omega) for omega_k in omegas]
+        inside = [abs(d) < guard_hz for d in detunings] + [False]
+        coefficients = [0.0 if hit else _sum_coefficient(omega_k, omega)
+                        for omega_k, hit in zip(omegas, inside)] + [0.0]
+        terms = np.array(coefficients)[self.line_index] * self.mu2_si / AU_POLARIZABILITY
+        resonant = np.zeros(count)
+        for column in terms.T:      # left to right, as the per-state loop adds
+            resonant += column
+
+        hits = np.array(inside)[self.line_index]
+        flagged = hits.any(axis=1)
+        first_hit = self.line_index[np.arange(count), hits.argmax(axis=1)]
+        reasons = [str(NearResonanceError(lines[k], detunings[k], guard_hz)) if hit else None
+                   for k, hit in zip(first_hit.tolist(), flagged.tolist())]
+        try:
+            alpha = total_polarizability_au(resonant, wavelength_nm, self.catalog, guard_hz)
+        except NearResonanceError as exc:     # a far band: every state is flagged
+            return np.zeros(count), [reason or str(exc) for reason in reasons]
+        return np.where(flagged, 0.0, polarizability_to_shift(alpha, intensity_w_m2)), reasons
+
+
+def stark_table(states, catalog: LineCatalog) -> StarkTable:
+    """The table of ``states``, sorted by :meth:`MolecularState.sort_key`;
+    built once per (catalog, state set) and kept on the catalog."""
+    states = tuple(sorted(states, key=MolecularState.sort_key))
+    if not states:
+        raise ValueError("no states supplied")
+    table = catalog.strength_tables.get(states)
+    if table is not None:
+        return table
+    position = {line: k for k, line in enumerate(catalog.lines)}
+    rows = {level: [position[line] for line in catalog.lines_from(*level)]
+            for level in dict.fromkeys((s.n, s.j) for s in states)}
+    width = max(1, *map(len, rows.values()))   # at least the padding slot
+    line_index = np.full((len(states), width), len(catalog.lines), dtype=np.intp)
+    mu2_si = np.zeros((len(states), width))
+    for i, state in enumerate(states):
+        row = rows[(state.n, state.j)]
+        line_index[i, :len(row)] = row
+        mu2_si[i, :len(row)] = [
+            transition_strength(state, catalog.lines[k]) * AU_DIPOLE_SQUARED
+            for k in row]
+    table = catalog.strength_tables[states] = StarkTable(states, catalog, line_index, mu2_si)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from odfprobe.catalog import SHIPPED_LINES_FILE, shipped_data_path
-from odfprobe.cli import main
+from odfprobe.cli import MAX_SPECTRUM_STEPS, main
 from odfprobe import readout
 from odfprobe.config import KNOWN_KEYS, ConfigError, RunConfig, load_config
 from odfprobe.quantities import polarizability_to_shift
@@ -585,6 +585,17 @@ class TestCli:
         assert "--steps" in captured.err
         assert "Traceback" not in captured.err
         assert not (tmp_path / "stark_spectrum.csv").exists()
+
+    @pytest.mark.parametrize("steps", [MAX_SPECTRUM_STEPS + 1, 10**12])
+    def test_spectrum_too_many_steps_is_validation_error(self, tmp_path, capsys, steps):
+        # refused before the wavelength grid (7 TiB at 10**12 steps) is
+        # allocated or the output directory is made
+        code = main(["spectrum", "--steps", str(steps), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"--steps must be in [1, {MAX_SPECTRUM_STEPS}], got {steps}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--lambda-min", "--lambda-max"])
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])

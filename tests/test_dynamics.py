@@ -316,10 +316,10 @@ class TestKernel:
     def test_drive_phase_follows_the_step_index(self, crystal):
         # Restarting at mid-pulse, with the drive phases advanced by the
         # elapsed beat phase, reproduces the one-run end state.  Drive times
-        # summed step by step instead drift by about 1e-19 s a step: over
-        # these 17 400 steps the two end states would part by 3.8e-10 (they
-        # part by 1e-13).
-        duration, beat = 1e-3, crystal.f_ip + 100.0
+        # summed step by step instead drift a little each step: over these
+        # 69 596 steps the two end states would part by 9.5e-9, 32 times the
+        # gate (they part by 2.1e-13).
+        duration, beat = 4e-3, crystal.f_ip + 100.0
         config = make_config(crystal, shift1=-30.0, shift2=-20.0, duration=duration,
                              beat=beat)
         stride = math.ceil(dynamics._STEPS_PER_PERIOD * beat * duration / 2.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odfprobe import identify, stark
+from odfprobe import stark
 from odfprobe.angular import HalfInt
 from odfprobe.catalog import load_shipped_catalog
 from odfprobe.identify import (Measurement, apply_partial_readout,
@@ -162,29 +162,30 @@ class TestStrengthTable:
         assert table_predictions(789.0, anchor_module, states, catalog_module) \
             == scalar_predictions(789.0, anchor_module, states, catalog_module)
 
-    def test_equals_table_on_exact_kernels(self, catalog_module, monkeypatch):
+    def test_equals_table_on_exact_kernels(self, monkeypatch):
         # all 540 states, tabulated once with the integer Wigner kernels and
-        # once with the Fraction reference of tests/oracles.py
-        states = tuple(sorted(enumerate_states(8), key=MolecularState.sort_key))
-        line_index, mu2_si = identify._strength_table(states, catalog_module)
+        # once with the Fraction reference of tests/oracles.py, each on a
+        # freshly loaded catalog so that neither is the other's cached table
+        states = enumerate_states(8)
+        table = stark.stark_table(states, load_shipped_catalog())
         monkeypatch.setattr(stark, "_wigner_3j_doubled", exact_3j_doubled)
         monkeypatch.setattr(stark, "_wigner_6j_doubled", exact_6j_doubled)
-        exact_index, exact_mu2 = identify._strength_table(states, catalog_module)
+        exact = stark.stark_table(states, load_shipped_catalog())
         assert len(states) == 540
-        assert np.array_equal(line_index, exact_index)
-        assert np.array_equal(mu2_si, exact_mu2)
+        assert np.array_equal(table.line_index, exact.line_index)
+        assert np.array_equal(table.mu2_si, exact.mu2_si)
 
     def test_built_once_per_state_set(self, anchor_module, monkeypatch):
         catalog = load_shipped_catalog()
         states = enumerate_states(8)
         calls = []
-        original = identify.transition_strength
+        original = stark.transition_strength
 
         def counting(state, line):
             calls.append(state)
             return original(state, line)
 
-        monkeypatch.setattr(identify, "transition_strength", counting)
+        monkeypatch.setattr(stark, "transition_strength", counting)
         predict_catalog_shifts(789.0, anchor_module, states, catalog)
         predict_catalog_shifts(789.71, anchor_module, states[::-1], catalog)
         assert len(calls) == sum(len(catalog.lines_from(s.n, s.j)) for s in states)
