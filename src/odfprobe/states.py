@@ -46,6 +46,17 @@ class MolecularState:
             m_max = self.f.twice
         if abs(self.m.twice) > m_max or (self.m.twice - m_max) % 2 != 0:
             raise ValueError(f"m = {self.m} invalid for J = {self.j}, F = {self.f}")
+        # the generated dataclass hash, taken once: state sets and the Stark
+        # table cache hash every state of a 540-state tuple per lookup
+        object.__setattr__(self, "_hash",
+                           hash((self.n, self.j, self.i_nuc, self.f, self.m, self.v)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: hash(None) differs between processes
+        return type(self), (self.n, self.j, self.i_nuc, self.f, self.m, self.v)
 
     @property
     def spin_component(self) -> int:

@@ -8,6 +8,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 import odfprobe.readout as readout
+from odfprobe.crystal import TwoIonCrystal
 from odfprobe.readout import (CalibrationSet, ConvergenceError,
                               MotionalDistribution, RabiSignal, ReadoutPipeline,
                               ShiftEstimate, build_calibration, extract_shift, fit_rabi,
@@ -493,10 +494,18 @@ class TestPartnerIteration:
             return fit(signal)
 
         monkeypatch.setattr(readout, "fit_rabi", counting)
+        # other tests may have built this calibration already
+        readout._noiseless_calibration.cache_clear()
         cal = build_calibration(np.linspace(800.0, 4600.0, 6), pipeline,
                                 true_partner_fraction=0.185)
         result = iterate_partner_correction(cal, pipeline.signal(0.185 * 5410.0), -5410.0)
         assert len(result.trace_hz) >= 3
+        assert len(fits) == len(cal.templates)
+        # a refresh with equal inputs reuses the calibration and its fits
+        again = build_calibration(np.linspace(800.0, 4600.0, 6), pipeline,
+                                  true_partner_fraction=0.185)
+        assert again is cal
+        iterate_partner_correction(again, pipeline.signal(0.185 * 5410.0), -5410.0)
         assert len(fits) == len(cal.templates)
 
     @pytest.mark.parametrize("r_true, length", [(0.0, 2), (0.05, 4), (0.185, 5),
@@ -513,6 +522,7 @@ class TestPartnerIteration:
         assert result.fraction == pytest.approx(trace[-1] / -5410.0, rel=1e-9)
 
     def test_one_extraction_and_one_interpolant(self, pipeline, monkeypatch):
+        readout._noiseless_calibration.cache_clear()
         cal = build_calibration(np.linspace(800.0, 4600.0, 6), pipeline,
                                 true_partner_fraction=0.185)
         extractions, builds = [], []
@@ -531,11 +541,80 @@ class TestPartnerIteration:
         result = iterate_partner_correction(cal, pipeline.signal(0.185 * 5410.0), -5410.0)
         assert len(result.trace_hz) == 5
         assert len(extractions) == len(builds) == 1
+        # a refresh with equal inputs extracts again but builds no interpolant
+        again = build_calibration(np.linspace(800.0, 4600.0, 6), pipeline,
+                                  true_partner_fraction=0.185)
+        assert again is cal
+        assert iterate_partner_correction(again, pipeline.signal(0.185 * 5410.0),
+                                          -5410.0) == result
+        assert (len(extractions), len(builds)) == (2, 1)
 
     def test_zero_atomic_shift_rejected(self, pipeline, six_shift_calibration):
         with pytest.raises(ValueError):
             iterate_partner_correction(six_shift_calibration,
                                        pipeline.signal(500.0), 0.0)
+
+
+class TestNoiselessCache:
+    SHIFTS = (800.0, 2000.0, 3500.0)
+
+    def test_equal_inputs_share_one_calibration(self, crystal, pipeline):
+        cal = build_calibration(self.SHIFTS, pipeline, true_partner_fraction=0.1)
+        fresh = ReadoutPipeline(crystal)
+        assert fresh is not pipeline
+        assert build_calibration(np.array(self.SHIFTS), fresh,
+                                 true_partner_fraction=0.1) is cal
+
+    def test_any_changed_input_builds_anew(self, crystal, pipeline):
+        base = build_calibration(self.SHIFTS, pipeline, true_partner_fraction=0.1)
+        other_crystal = TwoIonCrystal.from_lattice_periods(28, 40, 20, 789.0)
+        variants = [
+            build_calibration((800.0, 2000.0, 3600.0), pipeline, true_partner_fraction=0.1),
+            build_calibration(self.SHIFTS, pipeline, true_partner_fraction=0.2),
+            build_calibration(self.SHIFTS, replace(pipeline, eta=0.11),
+                              true_partner_fraction=0.1),
+            build_calibration(self.SHIFTS, replace(pipeline, decoherence_tau_s=1e-3),
+                              true_partner_fraction=0.1),
+            build_calibration(self.SHIFTS, replace(pipeline, probe_times_s=TIMES * 1.01),
+                              true_partner_fraction=0.1),
+            build_calibration(self.SHIFTS, replace(pipeline, crystal=other_crystal),
+                              true_partner_fraction=0.1),
+        ]
+        for cal in variants:
+            assert cal is not base
+            assert not all(np.array_equal(a.p, b.p)
+                           for a, b in zip(cal.templates, base.templates))
+
+    def test_noisy_builds_never_shared(self, pipeline):
+        first = build_calibration(self.SHIFTS, pipeline, shots=20)
+        second = build_calibration(self.SHIFTS, pipeline, shots=20)
+        assert first is not second
+        assert first.templates[0].p.flags.writeable
+
+    def test_shared_arrays_are_read_only(self, pipeline):
+        cal = build_calibration(self.SHIFTS, pipeline)
+        for array in (cal.templates[0].p, cal.templates[0].times_s,
+                      cal.template_frequencies_hz, pipeline.probe_times_s):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_refused_build_raises_on_every_call(self, pipeline):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="at least 3"):
+                build_calibration([800.0, 2000.0], pipeline)
+            with pytest.raises(ValueError, match="strictly increasing"):
+                build_calibration([800.0, 800.0, 2000.0], pipeline)
+
+    def test_pipeline_equality_and_hash_agree(self, crystal):
+        times = TIMES.copy()
+        a = ReadoutPipeline(TwoIonCrystal.from_lattice_periods(28, 40, 19, 789.0),
+                            probe_times_s=times)
+        b = ReadoutPipeline(crystal, probe_times_s=list(TIMES))
+        assert a == b and hash(a) == hash(b)
+        times[1] = 1e-7          # the pipeline holds its own copy
+        assert a == b and hash(a) == hash(b)
+        c = replace(b, carrier_rabi_hz=51e3)
+        assert a != c and {a, b, c} == {a, c}
 
 
 class TestPipeline:

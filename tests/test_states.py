@@ -1,5 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import odfprobe
 from odfprobe.angular import HalfInt
 from odfprobe.states import MolecularState, enumerate_states, spin_rotation_levels
 
@@ -81,3 +88,20 @@ class TestMolecularState:
             MolecularState(4, HalfInt(7), 2, HalfInt(11), HalfInt(13))
         with pytest.raises(ValueError):
             MolecularState(4, HalfInt(7), 0, None, HalfInt(4))  # parity mismatch
+
+    def test_stored_hash_is_the_field_tuple_hash(self):
+        # the generated dataclass hash, so sets of states keep their order
+        for s in enumerate_states(4):
+            assert hash(s) == hash((s.n, s.j, s.i_nuc, s.f, s.m, s.v))
+
+    def test_states_pickled_in_another_process_hash_here(self):
+        # hash(None) differs between processes, and every I = 0 state has F = None
+        src = str(Path(odfprobe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import pickle, sys; from odfprobe.states import enumerate_states; "
+                "sys.stdout.buffer.write(pickle.dumps(enumerate_states(2)))")
+        loaded = pickle.loads(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                             capture_output=True, timeout=120).stdout)
+        assert loaded == enumerate_states(2)
+        assert set(loaded) == set(enumerate_states(2))
