@@ -23,9 +23,8 @@ _EXPORTS = {
     "stark": ("transition_strength", "dynamic_polarizability", "atomic_polarizability",
               "molecular_stark_shift"),
     "crystal": ("TwoIonCrystal", "LatticeDrive", "equilibrium_distance",
-                "spring_from_distance", "normal_modes", "lattice_phase",
-                "combined_mode_shift", "extract_molecular_shift",
-                "infer_detuning_sign"),
+                "spring_from_distance", "normal_modes", "combined_mode_shift",
+                "extract_molecular_shift", "infer_detuning_sign"),
     "dynamics": ("SimulationConfig", "simulate_odf", "mode_amplitude",
                  "linearized_prediction"),
     "readout": ("MotionalDistribution", "RabiSignal", "synthesize_bsb_signal", "fit_rabi",

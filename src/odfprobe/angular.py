@@ -26,18 +26,11 @@ class HalfInt:
 
     @classmethod
     def of(cls, value) -> "HalfInt":
-        """Coerce an int, float multiple of 1/2, string like '7/2', or HalfInt."""
+        """Coerce an int, float multiple of 1/2, or HalfInt."""
         if isinstance(value, HalfInt):
             return value
         if isinstance(value, int):
             return cls(2 * value)
-        if isinstance(value, str):
-            if "/" in value:
-                num, den = value.split("/")
-                if int(den) != 2:
-                    raise ValueError(f"cannot parse half-integer {value!r}")
-                return cls(int(num))
-            return cls(2 * int(value))
         doubled = 2.0 * float(value)
         rounded = round(doubled)
         if abs(doubled - rounded) > 1e-9:
@@ -47,19 +40,6 @@ class HalfInt:
     @property
     def value(self) -> float:
         return self.twice / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.of(other).twice)
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.of(other).twice)
 
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.twice)
@@ -256,16 +236,12 @@ class PiCoupling:
     """Spin-orbit / rotation constants of the upper doublet-Pi state.
 
     ``spin_orbit_a`` and ``rotational_b`` are in cm^-1 (only their ratio
-    Y = A/B enters the line-strength factors).  A < 0 describes an inverted
+    A/B enters the line-strength factors).  A < 0 describes an inverted
     state whose F1 component correlates with Omega = 3/2.
     """
 
     spin_orbit_a: float
     rotational_b: float
-
-    @property
-    def y(self) -> float:
-        return self.spin_orbit_a / self.rotational_b
 
 
 def parse_branch(branch: str) -> tuple[int, int, int]:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -123,13 +122,14 @@ class FarBand:
         return wavelength_to_angular_frequency(self.wavelength_nm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineCatalog:
+    """Compared and hashed by identity, so caches key on the catalog object."""
+
     lines: tuple[TransitionLine, ...]
     far_bands: tuple[FarBand, ...] = ()
     core_polarizability_au: float = 0.0
     pi_coupling: PiCoupling | None = None
-    metadata: dict = field(default_factory=dict)
 
     def lines_from(self, n_lower: int, j_lower: HalfInt) -> list[TransitionLine]:
         return [
@@ -143,13 +143,6 @@ class LineCatalog:
     @property
     def max_n_lower(self) -> int:
         return max((line.n_lower for line in self.lines), default=-1)
-
-    @cached_property
-    def strength_tables(self) -> dict:
-        """The :class:`odfprobe.stark.StarkTable` of each state set of this
-        catalog, keyed by the sorted states; filled by
-        :func:`odfprobe.stark.stark_table`."""
-        return {}
 
 
 def read_table(path, columns) -> tuple[list[tuple[str, dict]], dict]:
@@ -281,7 +274,6 @@ def load_line_catalog(lines_path, far_bands_path=None) -> LineCatalog:
         far_bands=tuple(far_bands),
         core_polarizability_au=float(meta.get("core_polarizability_au", 0.0)),
         pi_coupling=_pi_coupling(meta),
-        metadata=meta,
     )
 
 

@@ -112,8 +112,8 @@ class RunConfig:
             self.molecule_mass_u, self.atom_mass_u, self.atomic_frequency_hz)
 
     def catalog(self) -> LineCatalog:
-        """The configured catalog, read once per config so that the strength
-        tables it caches are shared by every prediction."""
+        """The configured catalog, read once per config so that every
+        prediction shares the Stark tables cached for it."""
         return self._catalog
 
     @cached_property

@@ -100,10 +100,6 @@ class TwoIonCrystal:
         return equilibrium_distance(self.u0)
 
     @property
-    def omega2(self) -> float:
-        return math.sqrt(self.u0 / (self.m2_u * ATOMIC_MASS))
-
-    @property
     def theta(self) -> float:
         return mode_angle(self.mu)
 
@@ -210,15 +206,6 @@ def classify_phase(phi21: float) -> str:
     if abs(phase - math.pi) <= PHASE_TOLERANCE_RAD:
         return "OP"
     return "INTERMEDIATE"
-
-
-def lattice_phase(d: float, wavelength_nm: float) -> tuple[float, str]:
-    """Lattice phase difference phi21 = (4 pi d / lambda) mod 2 pi and its
-    SP/OP classification."""
-    if d <= 0.0 or wavelength_nm <= 0.0:
-        raise ValueError("distance and wavelength must be > 0")
-    phi21 = (4.0 * math.pi * d / (wavelength_nm * 1e-9)) % (2.0 * math.pi)
-    return phi21, classify_phase(phi21)
 
 
 def combined_mode_shift(shift1_hz: float, shift2_hz: float, phi21: float,

@@ -122,10 +122,6 @@ class ModeExcitation:
         return (self.mode_mass_kg * self.omega_plus
                 * abs(self.amplitude_plus) ** 2 / (2.0 * HBAR))
 
-    @property
-    def energy_minus_j(self) -> float:
-        return 0.5 * self.mode_mass_kg * self.omega_minus ** 2 * abs(self.amplitude_minus) ** 2
-
 
 def total_energy(trajectory: Trajectory) -> np.ndarray:
     """Trap + Coulomb + kinetic energy along the trajectory (J); the lattice

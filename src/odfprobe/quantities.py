@@ -42,30 +42,11 @@ def polarizability_au_to_si(alpha_au: float) -> float:
     return alpha_au * AU_POLARIZABILITY
 
 
-def polarizability_si_to_au(alpha_si: float) -> float:
-    """C^2 m^2 / J -> au."""
-    return alpha_si / AU_POLARIZABILITY
-
-
 def wavelength_to_angular_frequency(wavelength_nm: float) -> float:
     """Vacuum wavelength in nm -> angular frequency in rad/s."""
     if not math.isfinite(wavelength_nm) or wavelength_nm <= 0.0:
         raise ValueError(f"wavelength must be positive and finite, got {wavelength_nm}")
     return 2.0 * math.pi * SPEED_OF_LIGHT / (wavelength_nm * 1e-9)
-
-
-def wavenumber_to_wavelength_nm(nu_cm: float) -> float:
-    """Wavenumber in cm^-1 -> vacuum wavelength in nm."""
-    if nu_cm <= 0.0:
-        raise ValueError(f"wavenumber must be positive, got {nu_cm}")
-    return 1e7 / nu_cm
-
-
-def wavelength_nm_to_wavenumber(wavelength_nm: float) -> float:
-    """Vacuum wavelength in nm -> wavenumber in cm^-1."""
-    if wavelength_nm <= 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength_nm}")
-    return 1e7 / wavelength_nm
 
 
 def polarizability_to_shift(alpha_au, intensity: float):

@@ -126,10 +126,6 @@ class MotionalDistribution:
             p = np.exp(log_p)
         return cls(p)
 
-    @property
-    def n_mean(self) -> float:
-        return float(np.arange(len(self.p_n)) @ self.p_n)
-
 
 @dataclass(frozen=True)
 class RabiSignal:
@@ -150,13 +146,6 @@ class RabiSignal:
             raise ValueError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "times_s", t)
         object.__setattr__(self, "p", p)
-
-    @property
-    def sigma(self) -> np.ndarray:
-        """Per-point 1-sigma binomial uncertainties (zeros when noiseless)."""
-        if self.shots is None:
-            return np.zeros_like(self.p)
-        return np.sqrt(self.p * (1.0 - self.p) / self.shots)
 
     def export_rows(self):
         shots = "" if self.shots is None else self.shots
@@ -213,14 +202,6 @@ class RabiFit:
     offset: float
     decay_tau_s: float
     covariance: np.ndarray
-
-    @property
-    def frequency_sigma_hz(self) -> float:
-        return math.sqrt(max(self.covariance[1, 1], 0.0))
-
-    @property
-    def contrast_sigma(self) -> float:
-        return math.sqrt(max(self.covariance[2, 2], 0.0))
 
 
 def _rabi_model(t, y0, f, c, tau):

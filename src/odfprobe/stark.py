@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -223,13 +224,15 @@ class StarkTable:
 
 def stark_table(states, catalog: LineCatalog) -> StarkTable:
     """The table of ``states``, sorted by :meth:`MolecularState.sort_key`;
-    built once per (catalog, state set) and kept on the catalog."""
+    built once per (catalog object, state set) while among the last eight."""
     states = tuple(sorted(states, key=MolecularState.sort_key))
     if not states:
         raise ValueError("no states supplied")
-    table = catalog.strength_tables.get(states)
-    if table is not None:
-        return table
+    return _build_table(states, catalog)
+
+
+@lru_cache(maxsize=8)
+def _build_table(states: tuple[MolecularState, ...], catalog: LineCatalog) -> StarkTable:
     position = {line: k for k, line in enumerate(catalog.lines)}
     rows = {level: [position[line] for line in catalog.lines_from(*level)]
             for level in dict.fromkeys((s.n, s.j) for s in states)}
@@ -242,8 +245,10 @@ def stark_table(states, catalog: LineCatalog) -> StarkTable:
         mu2_si[i, :len(row)] = [
             transition_strength(state, catalog.lines[k]) * AU_DIPOLE_SQUARED
             for k in row]
-    table = catalog.strength_tables[states] = StarkTable(states, catalog, line_index, mu2_si)
-    return table
+    # every caller with the same catalog and states receives these arrays
+    line_index.flags.writeable = False
+    mu2_si.flags.writeable = False
+    return StarkTable(states, catalog, line_index, mu2_si)
 
 
 # ---------------------------------------------------------------------------

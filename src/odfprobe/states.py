@@ -58,11 +58,6 @@ class MolecularState:
         # rebuilt through __init__: hash(None) differs between processes
         return type(self), (self.n, self.j, self.i_nuc, self.f, self.m, self.v)
 
-    @property
-    def spin_component(self) -> int:
-        """1 for J = N + 1/2 (F1), 2 for J = N - 1/2 (F2)."""
-        return 1 if self.j.twice == 2 * self.n + 1 else 2
-
     def sort_key(self):
         two_f = self.f.twice if self.f is not None else -1
         return (self.n, self.j.twice, self.i_nuc, two_f, self.m.twice)

@@ -20,8 +20,7 @@ import numpy as np
 from odfprobe.angular import HalfInt, PiCoupling, honl_london, parse_branch
 from odfprobe.catalog import (LINE_COLUMNS, TransitionLine, band_dipole_squared_au,
                               write_table)
-from odfprobe.quantities import (ATOMIC_MASS, COULOMB_PREFACTOR, PLANCK,
-                                 wavenumber_to_wavelength_nm)
+from odfprobe.quantities import ATOMIC_MASS, COULOMB_PREFACTOR, PLANCK
 
 _FACT = [math.factorial(n) for n in range(200)]
 
@@ -419,7 +418,7 @@ def generate_lines(constants: BandConstants, n_max: int) -> list[TransitionLine]
                 delta_j, i_up, _ = parse_branch(branch)
                 j_upper = HalfInt(two_j2 + 2 * delta_j)
                 nu = pi_term_energy(j_upper, i_up, constants.pi) - lower
-                wavelength = wavenumber_to_wavelength_nm(nu)
+                wavelength = 1e7 / nu
                 if wavelength not in mu2_cache:
                     mu2_cache[wavelength] = band_dipole_squared_au(
                         constants.einstein_a, wavelength)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import tempfile
 import time
 from pathlib import Path
@@ -16,7 +17,7 @@ from odfprobe.catalog import SHIPPED_LINES_FILE, shipped_data_path
 from odfprobe.cli import MAX_SPECTRUM_STEPS, main
 from odfprobe import readout
 from odfprobe.config import KNOWN_KEYS, ConfigError, RunConfig, load_config
-from odfprobe.quantities import polarizability_to_shift
+from odfprobe.quantities import ATOMIC_MASS, polarizability_to_shift
 from odfprobe.stark import NearResonanceError, polarizability_breakdown
 from odfprobe.states import enumerate_states
 
@@ -83,8 +84,8 @@ class TestConfig:
                                   "atomic_frequency_hz = 646400.0")
         path = tmp_path / "freq.cfg"
         path.write_text(alt)
-        config = load_config(path)
-        assert config.crystal().omega2 == pytest.approx(
+        crystal = load_config(path).crystal()
+        assert math.sqrt(crystal.u0 / (crystal.m2_u * ATOMIC_MASS)) == pytest.approx(
             2.0 * 3.141592653589793 * 646400.0, rel=1e-12)
 
     def test_missing_file(self):

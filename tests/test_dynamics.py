@@ -18,7 +18,7 @@ from odfprobe.crystal import LatticeDrive
 from odfprobe.dynamics import (IntegrationError, SimulationConfig, Trajectory,
                                linearized_prediction, mode_amplitude, simulate_odf,
                                sweep_beat_frequency, total_energy)
-from odfprobe.quantities import ATOMIC_MASS, COULOMB_PREFACTOR, PLANCK
+from odfprobe.quantities import ATOMIC_MASS, COULOMB_PREFACTOR, HBAR, PLANCK
 from odfprobe.stark import atomic_stark_shift
 
 from oracles import composition_kernel, resonant_oscillator_amplitude
@@ -165,7 +165,8 @@ class TestModeAmplitude:
         excitation = mode_amplitude(simulate_odf(config))
         m2 = crystal.m2_u * ATOMIC_MASS
         energy = 0.5 * m2 * crystal.omega_minus**2 * abs(excitation.amplitude_minus)**2
-        assert excitation.energy_minus_j == pytest.approx(energy, rel=1e-9)
+        assert excitation.n_minus == pytest.approx(
+            energy / (HBAR * crystal.omega_minus), rel=1e-9)
         assert excitation.n_minus >= 0.0
 
 

@@ -190,6 +190,18 @@ class TestStrengthTable:
         predict_catalog_shifts(789.71, anchor_module, states[::-1], catalog)
         assert len(calls) == sum(len(catalog.lines_from(s.n, s.j)) for s in states)
 
+    def test_cached_in_stark_per_catalog_object(self, anchor_module):
+        catalog, other = load_shipped_catalog(), load_shipped_catalog()
+        states = enumerate_states(4)
+        before = dict(vars(catalog))
+        predict_catalog_shifts(789.0, anchor_module, states, catalog)
+        assert vars(catalog) == before
+        table = stark.stark_table(states[::-1], catalog)
+        assert stark.stark_table(states, catalog) is table
+        assert stark.stark_table(states, other) is not table
+        with pytest.raises(ValueError):
+            table.mu2_si[0, 0] = 1.0
+
 
 class TestMatching:
     def test_huge_sigma_keeps_all_sign_consistent(self, predictions):

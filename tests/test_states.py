@@ -57,7 +57,6 @@ class TestEnumeration:
 class TestMolecularState:
     def test_valid_state(self):
         s = MolecularState(6, HalfInt(11), 2, HalfInt(15), HalfInt(-11))
-        assert s.spin_component == 2
         assert s.v == 0
         assert "F=15/2" in s.label()
 
