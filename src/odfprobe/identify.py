@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
+
+import numpy as np
 
 from .catalog import LineCatalog, read_table
 from .quantities import polarizability_to_shift
-from .stark import DEFAULT_RESONANCE_GUARD_HZ, stark_table, total_polarizability_au
+from .stark import DEFAULT_RESONANCE_GUARD_HZ, StarkTable, stark_table, total_polarizability_au
 from .states import MolecularState
 
 # Fractional intensity (lattice power) uncertainty folded into measurement
@@ -60,7 +64,8 @@ class Measurement:
         if self.sign not in SIGNS:
             raise ValueError(f"sign must be one of {SIGNS}, got {self.sign!r}")
 
-    def sign_matches(self, predicted_shift_hz: float) -> bool:
+    def sign_matches(self, predicted_shift_hz):
+        """Whether a predicted shift (or each of an array) has the measured sign."""
         if self.sign == "indeterminate":
             return True
         return (predicted_shift_hz < 0.0) == (self.sign == "red")
@@ -79,18 +84,43 @@ class ShiftPrediction:
         return "red" if self.shift_hz < 0.0 else "blue"
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class ShiftPredictions(Sequence):
+    """Read-only sequence of :class:`ShiftPrediction`, each built when read, over one
+    ``StarkTable.shifts`` evaluation; its arrays (shifts 0.0 where flagged) are read-only."""
+
+    table: StarkTable
+    shifts: np.ndarray
+    reasons: tuple[str | None, ...]
+    flagged: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.reasons)
+
+    def __getitem__(self, index: int) -> ShiftPrediction:
+        i = range(len(self))[index]         # an int (negative too); a slice is refused
+        reason = self.reasons[i]
+        return ShiftPrediction(self.table.states[i],
+                               None if reason else float(self.shifts[i]), reason)
+
+    def matching(self, measurement: Measurement, k: float) -> list[int]:
+        """Indices of the states not flagged, of the measured sign and within k sigma."""
+        near = np.abs(np.abs(self.shifts) - measurement.shift_hz) <= k * measurement.sigma_hz
+        return np.flatnonzero(~self.flagged & measurement.sign_matches(self.shifts)
+                              & near).tolist()
+
+
 def predict_catalog_shifts(wavelength_nm: float, intensity_w_m2: float,
                            states, catalog: LineCatalog,
                            guard_hz: float = DEFAULT_RESONANCE_GUARD_HZ,
-                           ) -> list[ShiftPrediction]:
-    """Signed shift predictions for every state, in deterministic order: one
-    evaluation of the state set's :class:`~odfprobe.stark.StarkTable`.
-    States whose polarizability cannot be evaluated (a catalog line inside
-    the near-resonance guard) are flagged, not dropped."""
+                           ) -> ShiftPredictions:
+    """Signed shift of every state in ``sort_key`` order, one evaluation of its table;
+    states with a catalog line inside the guard are flagged, not dropped."""
     table = stark_table(states, catalog)
     shifts, reasons = table.shifts(wavelength_nm, intensity_w_m2, guard_hz)
-    return [ShiftPrediction(state, None if reason else shift, reason)
-            for state, shift, reason in zip(table.states, shifts.tolist(), reasons)]
+    flagged = np.fromiter(map(bool, reasons), bool, len(reasons))
+    shifts.flags.writeable = flagged.flags.writeable = False
+    return ShiftPredictions(table, shifts, tuple(reasons), flagged)
 
 
 def background_shift_hz(wavelength_nm: float, intensity_w_m2: float,
@@ -121,29 +151,16 @@ class CandidateSet:
         return self.excluded_states / self.total_states
 
 
-def match_candidates(measurement: Measurement, predictions, k: float = 1.0,
-                     ) -> CandidateSet:
+def match_candidates(measurement: Measurement, predictions: ShiftPredictions,
+                     k: float = 1.0) -> CandidateSet:
     """States whose predicted shift agrees with the measurement within
     k sigma and whose sign matches (indeterminate measurements match both)."""
-    predictions = list(predictions)
-    if not predictions:
+    if not len(predictions):
         raise ValueError("empty prediction table")
-    candidates, flagged = [], []
-    for pred in predictions:
-        if pred.shift_hz is None:
-            flagged.append(pred)
-            continue
-        if not measurement.sign_matches(pred.shift_hz):
-            continue
-        if abs(abs(pred.shift_hz) - measurement.shift_hz) <= k * measurement.sigma_hz:
-            candidates.append(pred)
-    return CandidateSet(
-        k=k,
-        measurement=measurement,
-        candidates=tuple(candidates),
-        flagged=tuple(flagged),
-        total_states=len(predictions),
-    )
+    pick = predictions.__getitem__
+    return CandidateSet(k, measurement, tuple(map(pick, predictions.matching(measurement, k))),
+                        tuple(map(pick, np.flatnonzero(predictions.flagged).tolist())),
+                        len(predictions))
 
 
 def exclusion_window(n_max_excl: int, catalog: LineCatalog) -> tuple[float, float]:
@@ -155,10 +172,8 @@ def exclusion_window(n_max_excl: int, catalog: LineCatalog) -> tuple[float, floa
     if n_max_excl < 0 or n_max_excl % 2 != 0:
         raise ValueError(f"N_max must be even and >= 0, got {n_max_excl}")
     if catalog.max_n_lower < n_max_excl:
-        raise ValueError(
-            f"catalog only covers N'' <= {catalog.max_n_lower}, "
-            f"cannot bound the N'' <= {n_max_excl} manifold"
-        )
+        raise ValueError(f"catalog only covers N'' <= {catalog.max_n_lower}, "
+                         f"cannot bound the N'' <= {n_max_excl} manifold")
     manifold = catalog.lines_up_to(n_max_excl)
     if not manifold:
         raise ValueError(f"no catalog lines with N'' <= {n_max_excl}")
@@ -222,55 +237,45 @@ def read_measurements(path) -> list[Measurement]:
     for where, row in read_table(path, MEASUREMENT_COLUMNS)[0]:
         try:
             measurements.append(Measurement(
-                wavelength_nm=float(row["wavelength_nm"]),
-                intensity_w_m2=float(row["intensity_W_m2"]),
-                shift_hz=float(row["shift_Hz"]),
-                sigma_hz=float(row["sigma_Hz"]),
-                sign=row["sign"].strip(),
-                f_ip_hz=float(row["f_ip_Hz"]),
-            ))
+                float(row["wavelength_nm"]), float(row["intensity_W_m2"]),
+                float(row["shift_Hz"]), float(row["sigma_Hz"]), row["sign"].strip(),
+                float(row["f_ip_Hz"])))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
     return measurements
 
 
-def _prediction_entry(pred: ShiftPrediction) -> dict:
-    state = pred.state
-    return {
-        "N": state.n,
-        "J": str(state.j),
-        "I": state.i_nuc,
-        "F": None if state.f is None else str(state.f),
-        "m": str(state.m),
-        "predicted_shift_hz": pred.shift_hz,
-    }
+@lru_cache(maxsize=8)
+def _entry_fields(table: StarkTable) -> tuple[dict, ...]:
+    """Each state's fixed report fields, formatted once per table."""
+    return tuple({"N": s.n, "J": str(s.j), "I": s.i_nuc,
+                  "F": None if s.f is None else str(s.f), "m": str(s.m)}
+                 for s in table.states)
 
 
-def identification_report(measurement: Measurement, predictions,
+def identification_report(measurement: Measurement, predictions: ShiftPredictions,
                           ks=(1.0, 2.0)) -> dict:
-    """Table-style identification document with one candidate tier per k."""
+    """Table-style identification document with one candidate tier per k,
+    labelled ``k={k:g}``; equal ks share a tier."""
+    labels = {f"k={k:g}": k for k in ks}
+    if not labels or len(labels) != len(set(ks)):
+        raise ValueError(f"sigma multipliers {tuple(ks)}: none, or two share a tier label")
+    fields, shifts = _entry_fields(predictions.table), predictions.shifts.tolist()
+    total, flagged = len(predictions), int(predictions.flagged.sum())
     tiers = {}
-    sets = {}
-    for k in ks:
-        candidate_set = match_candidates(measurement, predictions, k=k)
-        sets[k] = candidate_set
-        tiers[f"k={k:g}"] = {
-            "candidates": [_prediction_entry(p) for p in candidate_set.candidates],
-            "candidate_count": len(candidate_set.candidates),
-            "excluded_count": candidate_set.excluded_states,
-            "exclusion_fraction": candidate_set.exclusion_fraction,
+    for label, k in labels.items():
+        index = predictions.matching(measurement, k)
+        excluded = total - len(index) - flagged
+        tiers[label] = {
+            "candidates": [{**fields[i], "predicted_shift_hz": shifts[i]} for i in index],
+            "candidate_count": len(index),
+            "excluded_count": excluded,
+            "exclusion_fraction": excluded / total,
         }
     return {
-        "measurement": {
-            "wavelength_nm": measurement.wavelength_nm,
-            "intensity_w_m2": measurement.intensity_w_m2,
-            "shift_hz": measurement.shift_hz,
-            "sigma_hz": measurement.sigma_hz,
-            "sign": measurement.sign,
-            "f_ip_hz": measurement.f_ip_hz,
-        },
-        "total_states": sets[ks[0]].total_states,
-        "flagged_states": len(sets[ks[0]].flagged),
+        "measurement": asdict(measurement),
+        "total_states": total,
+        "flagged_states": flagged,
         "tiers": tiers,
     }
 
@@ -285,18 +290,13 @@ def format_report_text(report: dict) -> str:
         f"({report['flagged_states']} flagged near-resonant)",
     ]
     for tier, data in report["tiers"].items():
-        lines.append(
-            f"[{tier}] {data['candidate_count']} candidate(s), "
-            f"{data['excluded_count']} excluded "
-            f"({100.0 * data['exclusion_fraction']:.1f}%)"
-        )
+        lines.append(f"[{tier}] {data['candidate_count']} candidate(s), "
+                     f"{data['excluded_count']} excluded "
+                     f"({100.0 * data['exclusion_fraction']:.1f}%)")
         for entry in data["candidates"]:
-            shift = entry["predicted_shift_hz"]
             hf = "" if entry["F"] is None else f" F={entry['F']}"
-            lines.append(
-                f"    N={entry['N']} J={entry['J']} I={entry['I']}{hf} "
-                f"m={entry['m']}  predicted {shift:+.1f} Hz"
-            )
+            lines.append(f"    N={entry['N']} J={entry['J']} I={entry['I']}{hf} "
+                         f"m={entry['m']}  predicted {entry['predicted_shift_hz']:+.1f} Hz")
     return "\n".join(lines)
 
 

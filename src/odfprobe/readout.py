@@ -418,8 +418,24 @@ class CalibrationSet:
         return np.clip((1.0 - w) * aligned[0] + w * aligned[1], 0.0, 1.0)
 
     def interpolate(self, shift_hz: float) -> np.ndarray:
-        """Template curve at an arbitrary shift (one row of ``curves``)."""
-        return self.curves([shift_hz])[0]
+        """Template curve at one shift: ``curves([shift_hz])[0]`` bit for bit,
+        by the same arithmetic in the same order on scalars."""
+        s, f, pchip, edges, f_edge, df_edge, f_floor, slope, base, knot = self._alignment
+        x = float(shift_hz)
+        if s[0] <= x <= s[-1]:
+            f_target = pchip(x)
+        else:
+            side = int(x > s[-1])
+            f_target = max(f_edge[side] + df_edge[side] * (x - edges[side]), f_floor)
+        t = self.pipeline.probe_times_s
+        hi = min(max(int(np.searchsorted(s, x)), 1), len(s) - 1)
+        aligned = []
+        for k in (hi - 1, hi):
+            times = t * f_target / f[k]
+            m = np.searchsorted(t, times, side="right")
+            aligned.append(slope[k][m] * (times - knot[m]) + base[k][m])
+        w = (x - s[hi - 1]) / (s[hi] - s[hi - 1])
+        return ((1.0 - w) * aligned[0] + w * aligned[1]).clip(0.0, 1.0)
 
 
 def build_calibration(shifts_hz, pipeline: ReadoutPipeline,

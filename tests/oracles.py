@@ -5,7 +5,8 @@ production code: plain-float Racah alternating sums for the Wigner symbols,
 the same sums in ``Fraction`` arithmetic as an exact reference, a numeric
 eigenvector construction for the intermediate-coupling line strengths,
 textbook closed forms for two-level polarizabilities and driven oscillators,
-and the laboratory-frame composition kernel for the ion motion.  It also
+the laboratory-frame composition kernel for the ion motion, and the
+per-prediction candidate loop that the identification masks replaced.  It also
 holds the line model that generated the shipped line list (term energies,
 branches and the N2+ band constants), which no command runs: the package
 reads the list from its CSV.
@@ -20,6 +21,7 @@ import numpy as np
 from odfprobe.angular import HalfInt, PiCoupling, honl_london, parse_branch
 from odfprobe.catalog import (LINE_COLUMNS, TransitionLine, band_dipole_squared_au,
                               write_table)
+from odfprobe.identify import CandidateSet
 from odfprobe.quantities import ATOMIC_MASS, COULOMB_PREFACTOR, PLANCK
 
 _FACT = [math.factorial(n) for n in range(200)]
@@ -458,3 +460,73 @@ N2PLUS_BAND = BandConstants(
     pi=N2PLUS_PI,
     einstein_a=1.14e4,
 )
+
+
+# ---------------------------------------------------------------------------
+# Candidate matching, one prediction object at a time
+# ---------------------------------------------------------------------------
+
+def match_candidates_loop(measurement, predictions, k=1.0) -> CandidateSet:
+    """Reference for ``identify.match_candidates``: each ``ShiftPrediction`` is
+    tested in turn (flagged, then sign, then |predicted| within k sigma)."""
+    predictions = list(predictions)
+    if not predictions:
+        raise ValueError("empty prediction table")
+    candidates, flagged = [], []
+    for pred in predictions:
+        if pred.shift_hz is None:
+            flagged.append(pred)
+            continue
+        if not measurement.sign_matches(pred.shift_hz):
+            continue
+        if abs(abs(pred.shift_hz) - measurement.shift_hz) <= k * measurement.sigma_hz:
+            candidates.append(pred)
+    return CandidateSet(
+        k=k,
+        measurement=measurement,
+        candidates=tuple(candidates),
+        flagged=tuple(flagged),
+        total_states=len(predictions),
+    )
+
+
+def _prediction_entry(pred) -> dict:
+    state = pred.state
+    return {
+        "N": state.n,
+        "J": str(state.j),
+        "I": state.i_nuc,
+        "F": None if state.f is None else str(state.f),
+        "m": str(state.m),
+        "predicted_shift_hz": pred.shift_hz,
+    }
+
+
+def identification_report_loop(measurement, predictions, ks=(1.0, 2.0)) -> dict:
+    """Reference for ``identify.identification_report``: one
+    :func:`match_candidates_loop` per k, each candidate's fields formatted
+    from its state."""
+    tiers = {}
+    sets = {}
+    for k in ks:
+        candidate_set = match_candidates_loop(measurement, predictions, k=k)
+        sets[k] = candidate_set
+        tiers[f"k={k:g}"] = {
+            "candidates": [_prediction_entry(p) for p in candidate_set.candidates],
+            "candidate_count": len(candidate_set.candidates),
+            "excluded_count": candidate_set.excluded_states,
+            "exclusion_fraction": candidate_set.exclusion_fraction,
+        }
+    return {
+        "measurement": {
+            "wavelength_nm": measurement.wavelength_nm,
+            "intensity_w_m2": measurement.intensity_w_m2,
+            "shift_hz": measurement.shift_hz,
+            "sigma_hz": measurement.sigma_hz,
+            "sign": measurement.sign,
+            "f_ip_hz": measurement.f_ip_hz,
+        },
+        "total_states": sets[ks[0]].total_states,
+        "flagged_states": len(sets[ks[0]].flagged),
+        "tiers": tiers,
+    }

@@ -312,6 +312,25 @@ class TestCli:
         assert "12 flagged" in captured.out
         assert "Traceback" not in captured.err
 
+    def test_identify_tier_labels_must_differ(self, tmp_path, capsys):
+        # sigma_multiplier = 1.0000001 would print as a second "k=1" tier
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MEASUREMENTS)
+        path = config_with(tmp_path, "thresholds", "sigma_multiplier", "1.0000001")
+        code = main(["identify", "--config", str(path), "--measurements", str(meas),
+                     "--nmax", "4", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "(1.0, 1.0000001)" in captured.err and "tier label" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+        # an equal multiplier is one tier
+        path = config_with(tmp_path, "thresholds", "sigma_multiplier", "1")
+        assert main(["identify", "--config", str(path), "--measurements", str(meas),
+                     "--nmax", "4", "--out", str(tmp_path / "out")]) == 0
+        reports = json.loads((tmp_path / "out" / "identification.json").read_text())
+        assert [list(r["tiers"]) for r in reports["reports"]] == [["k=1"], ["k=1"]]
+
     def test_classify(self, tmp_path, capsys):
         meas = tmp_path / "meas.csv"
         meas.write_text(MEASUREMENTS)

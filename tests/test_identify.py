@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 
@@ -9,17 +11,18 @@ from hypothesis import strategies as st
 from odfprobe import stark
 from odfprobe.angular import HalfInt
 from odfprobe.catalog import load_shipped_catalog
-from odfprobe.identify import (Measurement, apply_partial_readout,
-                               background_shift_hz, classify_event, combined_sigma,
-                               exclusion_window, format_report_text,
-                               identification_report, match_candidates,
-                               predict_catalog_shifts, read_measurements,
-                               write_report_json)
+from odfprobe.identify import (SIGNS, Measurement, ShiftPrediction,
+                               apply_partial_readout, background_shift_hz,
+                               classify_event, combined_sigma, exclusion_window,
+                               format_report_text, identification_report,
+                               match_candidates, predict_catalog_shifts,
+                               read_measurements, write_report_json)
 from odfprobe.quantities import polarizability_to_shift
 from odfprobe.stark import NearResonanceError, polarizability_breakdown
 from odfprobe.states import MolecularState, enumerate_states
 
-from oracles import exact_3j_doubled, exact_6j_doubled
+from oracles import (exact_3j_doubled, exact_6j_doubled, identification_report_loop,
+                     match_candidates_loop)
 
 F_IP = 695.86e3
 
@@ -108,6 +111,110 @@ class TestPredictions:
     def test_empty_states_rejected(self, catalog_module, anchor_module):
         with pytest.raises(ValueError):
             predict_catalog_shifts(789.0, anchor_module, [], catalog_module)
+
+
+class TestPredictionView:
+    """``predict_catalog_shifts`` returns a read-only sequence over the table's
+    arrays that reads like the list of predictions it replaced."""
+
+    def test_sequence_contract(self, predictions):
+        listed = list(predictions)
+        assert len(predictions) == len(listed) == 540
+        assert all(type(p) is ShiftPrediction for p in listed)
+        assert list(predictions) == listed          # a second pass gives the same
+        assert predictions[-1] == predictions[539] == listed[-1]
+        assert predictions[-540] == predictions[0] == listed[0]
+        for index in (540, -541):
+            with pytest.raises(IndexError):
+                predictions[index]
+        with pytest.raises(TypeError):
+            predictions[1:3]
+        by_state = {p.state: p for p in predictions}
+        assert list(by_state) == [p.state for p in listed]
+        assert all(by_state[p.state] == p for p in listed)
+        assert [p.sign for p in listed] == ["red" if p.shift_hz < 0.0 else "blue"
+                                            for p in listed]
+        assert all(p.flagged_line is None for p in listed)
+
+    def test_flagged_elements(self, catalog_module, anchor_module):
+        near = predict_catalog_shifts(787.4755, anchor_module, enumerate_states(8),
+                                      catalog_module)
+        flagged = [p for p in near if p.shift_hz is None]
+        assert len(flagged) == 12 == int(near.flagged.sum())
+        assert all(p.sign == "indeterminate" and "R1(1/2)" in p.flagged_line
+                   and (p.state.n, p.state.j.twice) == (0, 1) for p in flagged)
+        assert [p.flagged_line for p in near] == list(near.reasons)
+
+    def test_arrays_are_read_only(self, catalog_module, anchor_module, predictions):
+        for array in (predictions.shifts, predictions.flagged):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert type(predictions.reasons) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            predictions.shifts = np.zeros(540)
+        # a second evaluation at the same wavelength holds arrays of its own
+        again = predict_catalog_shifts(789.0, anchor_module, enumerate_states(8),
+                                       catalog_module)
+        assert not np.shares_memory(again.shifts, predictions.shifts)
+        assert np.array_equal(again.shifts, predictions.shifts)
+
+
+class TestArrayIdentification:
+    """The tier masks and the once-formatted entry fields give what the
+    per-object loop of ``tests/oracles.py`` gives, byte for byte."""
+
+    @pytest.mark.parametrize("wavelength, flagged", [(789.0, 0), (789.71, 0),
+                                                     (787.4755, 12)])
+    def test_equals_the_loop(self, catalog_module, anchor_module, wavelength, flagged):
+        preds = predict_catalog_shifts(wavelength, anchor_module, enumerate_states(8),
+                                       catalog_module)
+        listed = list(preds)
+        magnitudes = [abs(p.shift_hz) for p in listed if p.shift_hz is not None]
+        rng = np.random.default_rng(2601)
+        for sign in SIGNS:
+            for trial in range(42):
+                # anywhere in the range, near some state's shift, or with that
+                # state exactly on the edge of the k = 1 tier
+                target = magnitudes[int(rng.integers(len(magnitudes)))]
+                sigma = float(rng.uniform(5.0, 300.0))
+                if trial % 3 == 0:
+                    shift = float(rng.uniform(0.0, 1.2 * max(magnitudes)))
+                elif trial % 3 == 1:
+                    shift = abs(target * float(rng.normal(1.0, 0.05)))
+                else:
+                    shift = abs(target + float(rng.choice([-1.0, 1.0])) * sigma)
+                    sigma = abs(target - shift)
+                meas = Measurement(wavelength, anchor_module, shift, sigma, sign, F_IP)
+                ks = (1.0, round(float(rng.uniform(0.5, 4.0)), 3))
+                report = identification_report(meas, preds, ks=ks)
+                assert json.dumps(report) == json.dumps(
+                    identification_report_loop(meas, listed, ks=ks))
+                assert report["flagged_states"] == flagged
+                for k in ks:
+                    result = match_candidates(meas, preds, k=k)
+                    expected = match_candidates_loop(meas, listed, k=k)
+                    assert result == expected
+                    assert (result.excluded_states, result.exclusion_fraction) \
+                        == (expected.excluded_states, expected.exclusion_fraction)
+
+
+class TestTierLabels:
+    """Each tier is keyed by ``k={k:g}``: distinct ks must not share a key."""
+
+    def test_colliding_labels_refused(self, predictions):
+        meas = make_measurement(600.0, "red", sigma=80.0)
+        with pytest.raises(ValueError, match=re.escape("(1.0, 1.0000001)")):
+            identification_report(meas, predictions, ks=(1.0, 1.0000001))
+
+    def test_empty_ks_refused(self, predictions):
+        with pytest.raises(ValueError, match=re.escape("sigma multipliers ()")):
+            identification_report(make_measurement(600.0, "red"), predictions, ks=())
+
+    def test_equal_ks_share_one_tier(self, predictions):
+        meas = make_measurement(600.0, "red", sigma=80.0)
+        report = identification_report(meas, predictions, ks=(1.0, 1))
+        assert list(report["tiers"]) == ["k=1"]
+        assert report == identification_report(meas, predictions, ks=(1.0,))
 
 
 def scalar_predictions(wavelength, intensity, states, catalog, guard_hz=1e9):

@@ -257,6 +257,24 @@ class TestTemplateFamily:
         cal.curves(np.linspace(0.0, 7000.0, 50))
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("partner", [None, 0.185], ids=["wide", "partner 0.185"])
+    def test_one_shift_path_equals_the_grid_path(self, pipeline, wide_calibration,
+                                                 partner):
+        # interpolate evaluates one shift on scalars, curves many at once;
+        # they must not drift apart anywhere extract_shift may ask, both
+        # extrapolation sides included
+        cal = wide_calibration if partner is None else build_calibration(
+            np.linspace(800.0, 4600.0, 6), pipeline, true_partner_fraction=partner)
+        top = cal.shifts_hz[-1]
+        rng = np.random.default_rng(2611)
+        shifts = [*rng.uniform(0.0, 1.5 * top, 5000), *cal.shifts_hz, 0.0, 1e-3,
+                  np.nextafter(top, np.inf), 1.5 * top, 3.0 * top,
+                  # and below the zero anchor: the partner calibration's
+                  # extrapolated frequency meets its floor below about -307 Hz
+                  -1e-3, -5.0, -310.0, -600.0, -20e3]
+        for shift in shifts:
+            assert np.array_equal(cal.interpolate(shift), cal.curves([shift])[0]), shift
+
 
 class TestExtraction:
     def test_template_fixed_point(self, six_shift_calibration):
