@@ -98,14 +98,14 @@ def cmd_spectrum(args, config: RunConfig) -> int:
         # one wavelength at a time: the sweep is never held whole
         nonlocal skipped
         for lam in wavelengths:
-            shifts, reasons = table.shifts(lam, config.intensity_w_m2,
-                                           guard_hz=config.resonance_guard_hz)
+            shifts, flagged, _ = table.shifts(lam, config.intensity_w_m2,
+                                              guard_hz=config.resonance_guard_hz)
             lam_text = f"{lam:.5f}"
-            for columns, shift, reason in zip(fixed, shifts.tolist(), reasons):
-                if reason is None:
-                    yield [lam_text, *columns, f"{shift:.4f}"]
-                else:
+            for columns, shift, hit in zip(fixed, shifts.tolist(), flagged.tolist()):
+                if hit:
                     skipped += 1
+                else:
+                    yield [lam_text, *columns, f"{shift:.4f}"]
 
     write_table(path, ["wavelength_nm", "N", "J_x2", "I", "F_x2", "m_x2", "shift_hz"],
                 rows())

@@ -117,8 +117,7 @@ def predict_catalog_shifts(wavelength_nm: float, intensity_w_m2: float,
     """Signed shift of every state in ``sort_key`` order, one evaluation of its table;
     states with a catalog line inside the guard are flagged, not dropped."""
     table = stark_table(states, catalog)
-    shifts, reasons = table.shifts(wavelength_nm, intensity_w_m2, guard_hz)
-    flagged = np.fromiter(map(bool, reasons), bool, len(reasons))
+    shifts, flagged, reasons = table.shifts(wavelength_nm, intensity_w_m2, guard_hz)
     shifts.flags.writeable = flagged.flags.writeable = False
     return ShiftPredictions(table, shifts, tuple(reasons), flagged)
 

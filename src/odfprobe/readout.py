@@ -11,6 +11,7 @@ template signals interpolated continuously in the shift.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
@@ -417,23 +418,44 @@ class CalibrationSet:
         w = ((x - s[hi - 1]) / (s[hi] - s[hi - 1]))[:, None]
         return np.clip((1.0 - w) * aligned[0] + w * aligned[1], 0.0, 1.0)
 
+    @cached_property
+    def _one_shift(self):
+        """``_alignment`` laid out for one shift at a time, built once per
+        instance: the nodes, the PCHIP's coefficients per interval (highest
+        power first) and the edge extrapolation as Python floats, then per
+        upper bracket node hi the frequencies of nodes hi - 1 and hi and
+        their rows' offsets into the flattened linear pieces, each a (2, 1)
+        column, and the probe times and pieces."""
+        s, f, pchip, edges, f_edge, df_edge, f_floor, slope, base, knot = self._alignment
+        width = slope.shape[1]
+        brackets = [None] + [(f[[hi - 1, hi], None], np.array([[hi - 1], [hi]]) * width)
+                             for hi in range(1, len(s))]
+        return (pchip.x.tolist(), pchip.c.T.tolist(), edges.tolist(), f_edge.tolist(),
+                df_edge.tolist(), float(f_floor), brackets, self.pipeline.probe_times_s,
+                slope, base, knot)
+
     def interpolate(self, shift_hz: float) -> np.ndarray:
         """Template curve at one shift: ``curves([shift_hz])[0]`` bit for bit,
-        by the same arithmetic in the same order on scalars."""
-        s, f, pchip, edges, f_edge, df_edge, f_floor, slope, base, knot = self._alignment
+        by the same arithmetic in the same order, the PCHIP on floats as
+        scipy's ``evaluate_poly1`` sums it and both aligned rows in one pass."""
+        s, coefficients, edges, f_edge, df_edge, f_floor, brackets, t, slope, base, knot \
+            = self._one_shift
         x = float(shift_hz)
         if s[0] <= x <= s[-1]:
-            f_target = pchip(x)
+            # the PPoly interval: half-open [s[i], s[i + 1]), the last one closed
+            i = len(s) - 2 if x == s[-1] else bisect_right(s, x) - 1
+            c0, c1, c2, c3 = coefficients[i]
+            d = x - s[i]
+            f_target = c3 + c2 * d + c1 * (d * d) + c0 * (d * d * d)
         else:
             side = int(x > s[-1])
             f_target = max(f_edge[side] + df_edge[side] * (x - edges[side]), f_floor)
-        t = self.pipeline.probe_times_s
-        hi = min(max(int(np.searchsorted(s, x)), 1), len(s) - 1)
-        aligned = []
-        for k in (hi - 1, hi):
-            times = t * f_target / f[k]
-            m = np.searchsorted(t, times, side="right")
-            aligned.append(slope[k][m] * (times - knot[m]) + base[k][m])
+        hi = min(max(bisect_left(s, x), 1), len(s) - 1)
+        frequencies, rows = brackets[hi]
+        times = t * f_target / frequencies
+        m = np.searchsorted(t, times, side="right")
+        piece = m + rows
+        aligned = slope.take(piece) * (times - knot.take(m)) + base.take(piece)
         w = (x - s[hi - 1]) / (s[hi] - s[hi - 1])
         return ((1.0 - w) * aligned[0] + w * aligned[1]).clip(0.0, 1.0)
 
@@ -477,6 +499,78 @@ def _noiseless_calibration(shifts: tuple[float, ...], pipeline: ReadoutPipeline,
     return CalibrationSet(shifts_hz=shifts, templates=templates, pipeline=pipeline)
 
 
+# R. P. Brent's bounded minimizer (*Algorithms for Minimization without
+# Derivatives*, 1973, ch. 5), transcribed from scipy 1.17.1's
+# ``_minimize_scalar_bounded`` statement for statement on Python floats, so
+# it visits the same points; only the result object and messages are left out.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _bounded_minimum(func, a: float, b: float, xatol: float, maxfun: int = 500):
+    """(x, func(x)) at the minimum Brent's search finds on [a, b], finite bounds
+    with a <= b, to within ``xatol`` or after ``maxfun`` evaluations."""
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:           # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    d = xm - xf     # the sign as np.sign gives it, with 1 for 0
+                    rat = tol1 * ((d > 0) - (d < 0) + (d == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN_MEAN * e
+        x = xf + ((rat > 0) - (rat < 0) + (rat == 0)) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 @dataclass(frozen=True)
 class ShiftEstimate:
     shift_hz: float
@@ -516,11 +610,8 @@ def extract_shift(signal: RabiSignal, cal: CalibrationSet) -> ShiftEstimate:
     i_best = int(np.argmin(values))
     bracket_lo = grid[max(i_best - 1, 0)]
     bracket_hi = grid[min(i_best + 1, len(grid) - 1)]
-    from scipy.optimize import minimize_scalar
-    result = minimize_scalar(sse, bounds=(bracket_lo, bracket_hi), method="bounded",
-                             options={"xatol": (hi - lo) * 1e-7})
-    best = float(result.x)
-    sse_best = sse(best)
+    best, sse_best = _bounded_minimum(sse, float(bracket_lo), float(bracket_hi),
+                                      (hi - lo) * 1e-7)
     dof = max(len(signal.p) - 1, 1)
     reduced_chi2 = 1.0
     if var is None:

@@ -194,13 +194,14 @@ class StarkTable:
 
     def shifts(self, wavelength_nm: float, intensity_w_m2: float,
                guard_hz: float = DEFAULT_RESONANCE_GUARD_HZ,
-               ) -> tuple[np.ndarray, list[str | None]]:
+               ) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
         """Each state's single-beam shift (Hz, signed), bit for bit that of the
-        per-state ``polarizability_breakdown`` path, and why each state inside
-        the guard is flagged (None for the others; a flagged shift is 0.0)."""
+        per-state ``polarizability_breakdown`` path, whether each state is
+        flagged (a line inside the guard; its shift is 0.0), and why (None
+        for the others)."""
         lines, count = self.catalog.lines, len(self.states)
         omega = wavelength_to_angular_frequency(wavelength_nm)
-        omegas = [line.angular_frequency for line in lines]
+        omegas = _line_angular_frequencies(self.catalog)
         detunings = [_detuning_hz(omega_k, omega) for omega_k in omegas]
         inside = [abs(d) < guard_hz for d in detunings] + [False]
         coefficients = [0.0 if hit else _sum_coefficient(omega_k, omega)
@@ -212,23 +213,47 @@ class StarkTable:
 
         hits = np.array(inside)[self.line_index]
         flagged = hits.any(axis=1)
-        first_hit = self.line_index[np.arange(count), hits.argmax(axis=1)]
-        reasons = [str(NearResonanceError(lines[k], detunings[k], guard_hz)) if hit else None
-                   for k, hit in zip(first_hit.tolist(), flagged.tolist())]
+        reasons = [None] * count
+        rows = np.flatnonzero(flagged)
+        first_hit = self.line_index[rows, hits[rows].argmax(axis=1)]
+        for i, k in zip(rows.tolist(), first_hit.tolist()):
+            reasons[i] = str(NearResonanceError(lines[k], detunings[k], guard_hz))
         try:
             alpha = total_polarizability_au(resonant, wavelength_nm, self.catalog, guard_hz)
         except NearResonanceError as exc:     # a far band: every state is flagged
-            return np.zeros(count), [reason or str(exc) for reason in reasons]
-        return np.where(flagged, 0.0, polarizability_to_shift(alpha, intensity_w_m2)), reasons
+            return (np.zeros(count), np.ones(count, dtype=bool),
+                    [reason or str(exc) for reason in reasons])
+        shifts = np.where(flagged, 0.0, polarizability_to_shift(alpha, intensity_w_m2))
+        return shifts, flagged, reasons
+
+
+@lru_cache(maxsize=8)
+def _line_angular_frequencies(catalog: LineCatalog) -> tuple[float, ...]:
+    return tuple(line.angular_frequency for line in catalog.lines)
+
+
+@lru_cache(maxsize=8)
+def _last_lookup(catalog: LineCatalog) -> list:
+    """One slot per catalog: ``[(the states last given, their table)]``."""
+    return [(None, None)]
 
 
 def stark_table(states, catalog: LineCatalog) -> StarkTable:
     """The table of ``states``, sorted by :meth:`MolecularState.sort_key`;
-    built once per (catalog object, state set) while among the last eight."""
-    states = tuple(sorted(states, key=MolecularState.sort_key))
-    if not states:
+    built once per (catalog object, state set) while among the last eight.
+    An input equal to the catalog's last one (compared element by element,
+    identity first) gets its table without being sorted again."""
+    given = tuple(states)
+    slot = _last_lookup(catalog)
+    last_given, last_table = slot[0]
+    if given == last_given:
+        return last_table
+    ordered = tuple(sorted(given, key=MolecularState.sort_key))
+    if not ordered:
         raise ValueError("no states supplied")
-    return _build_table(states, catalog)
+    table = _build_table(ordered, catalog)
+    slot[0] = (given, table)
+    return table
 
 
 @lru_cache(maxsize=8)

@@ -5,8 +5,9 @@ production code: plain-float Racah alternating sums for the Wigner symbols,
 the same sums in ``Fraction`` arithmetic as an exact reference, a numeric
 eigenvector construction for the intermediate-coupling line strengths,
 textbook closed forms for two-level polarizabilities and driven oscillators,
-the laboratory-frame composition kernel for the ion motion, and the
-per-prediction candidate loop that the identification masks replaced.  It also
+the laboratory-frame composition kernel for the ion motion, the
+per-prediction candidate loop that the identification masks replaced, and
+scipy's bounded minimizer, which the extraction's search transcribes.  It also
 holds the line model that generated the shipped line list (term energies,
 branches and the N2+ band constants), which no command runs: the package
 reads the list from its CSV.
@@ -530,3 +531,15 @@ def identification_report_loop(measurement, predictions, ks=(1.0, 2.0)) -> dict:
         "flagged_states": len(sets[ks[0]].flagged),
         "tiers": tiers,
     }
+
+
+# ---------------------------------------------------------------------------
+# Bounded scalar minimization
+# ---------------------------------------------------------------------------
+
+def scipy_bounded_minimum(func, a, b, xatol):
+    """Reference for ``readout._bounded_minimum``: scipy's bounded Brent search,
+    ``minimize_scalar(method="bounded")``, as the extraction called it before;
+    its result carries ``x``, ``fun`` and ``nfev``."""
+    from scipy.optimize import minimize_scalar
+    return minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol})

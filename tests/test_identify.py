@@ -310,6 +310,77 @@ class TestStrengthTable:
             table.mu2_si[0, 0] = 1.0
 
 
+def assert_table_of(table, states, catalog):
+    """``table`` is the table of ``states`` on ``catalog``, rows in sort_key order."""
+    assert table.catalog is catalog
+    assert table.states == tuple(sorted(states, key=MolecularState.sort_key))
+    fresh = stark._build_table.__wrapped__(table.states, catalog)
+    assert np.array_equal(table.line_index, fresh.line_index)
+    assert np.array_equal(table.mu2_si, fresh.mu2_si)
+
+
+class TestTableLookup:
+    """``stark_table`` returns the last table of a catalog without sorting
+    when its input repeats, and the table of its contents otherwise."""
+
+    def test_same_list_twice_is_one_object(self, catalog_module, monkeypatch):
+        states = enumerate_states(4)
+        table = stark.stark_table(states, catalog_module)
+        monkeypatch.setattr(stark, "sorted", lambda *args, **kwargs: pytest.fail("sorted"),
+                            raising=False)
+        assert stark.stark_table(states, catalog_module) is table
+        assert stark.stark_table(tuple(states), catalog_module) is table
+
+    def test_list_mutated_in_place(self, catalog_module, anchor_module):
+        states = enumerate_states(4)
+        original = list(states)
+        first = stark.stark_table(states, catalog_module)
+        removed = states.pop(7)
+        assert_table_of(stark.stark_table(states, catalog_module), states, catalog_module)
+        states[3] = removed             # same length, other contents
+        assert_table_of(stark.stark_table(states, catalog_module), states, catalog_module)
+        states.append(states[0])        # the same set of states, one twice
+        assert_table_of(stark.stark_table(states, catalog_module), states, catalog_module)
+        assert table_predictions(789.0, anchor_module, states, catalog_module) \
+            == scalar_predictions(789.0, anchor_module, states, catalog_module)
+        states[:] = original
+        assert stark.stark_table(states, catalog_module) is first
+
+    def test_permuted_list(self, catalog_module):
+        states = enumerate_states(4)
+        first = stark.stark_table(states, catalog_module)
+        shuffled = [states[i] for i in np.random.default_rng(27).permutation(len(states))]
+        table = stark.stark_table(shuffled, catalog_module)
+        assert_table_of(table, shuffled, catalog_module)
+        assert table.states == first.states
+        assert np.array_equal(table.mu2_si, first.mu2_si)
+
+    def test_equal_but_distinct_states(self, catalog_module):
+        states = enumerate_states(4)
+        first = stark.stark_table(states, catalog_module)
+        copies = [dataclasses.replace(s) for s in states]
+        assert all(c == s and c is not s for c, s in zip(copies, states))
+        table = stark.stark_table(copies, catalog_module)
+        assert table.states == first.states
+        assert np.array_equal(table.line_index, first.line_index)
+        assert np.array_equal(table.mu2_si, first.mu2_si)
+
+    def test_never_another_catalogs_table(self, catalog_module):
+        other = load_shipped_catalog()
+        states = enumerate_states(4)
+        first = stark.stark_table(states, catalog_module)
+        for _ in range(2):
+            table = stark.stark_table(states, other)
+            assert table is not first
+            assert_table_of(table, states, other)
+            assert stark.stark_table(states, catalog_module) is first
+
+    def test_empty_input_refused_every_time(self, catalog_module):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no states"):
+                stark.stark_table([], catalog_module)
+
+
 class TestMatching:
     def test_huge_sigma_keeps_all_sign_consistent(self, predictions):
         meas = make_measurement(1000.0, "red", sigma=1e9)

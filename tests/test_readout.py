@@ -15,6 +15,8 @@ from odfprobe.readout import (CalibrationSet, ConvergenceError,
                               iterate_partner_correction, sideband_rabi_frequencies,
                               synthesize_bsb_signal)
 
+from oracles import scipy_bounded_minimum
+
 TIMES = np.linspace(0.0, 120e-6, 61)
 OMEGA0 = 2.0 * math.pi * 50e3
 ETA = 0.1
@@ -446,6 +448,90 @@ class TestCachedGrid:
                 assert (est.extrapolated, est.uninformative) \
                     == (base.extrapolated, base.uninformative)
         assert extract_shift(pipeline.signal(6500.0), six_shift_calibration).extrapolated
+
+
+def assert_same_search(func, a, b, xatol):
+    """``readout._bounded_minimum`` evaluates ``func`` at the points scipy's
+    bounded search evaluates, in order, and ends on the same x and value."""
+    ours, theirs = [], []
+    x, fx = readout._bounded_minimum(lambda v: ours.append(v) or func(v), a, b, xatol)
+    result = scipy_bounded_minimum(lambda v: theirs.append(v) or func(v), a, b, xatol)
+    assert ours == theirs
+    assert (x, len(ours)) == (result.x, result.nfev)
+    assert fx == result.fun or (math.isnan(fx) and math.isnan(result.fun))
+
+
+class TestBoundedSearch:
+    """The extraction's in-module Brent search against scipy's."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_smooth_functions(self, seed):
+        rng = np.random.default_rng(2700 + seed)
+        a = float(rng.uniform(-1e4, 1e4))
+        b = a + float(10.0 ** rng.uniform(-3.0, 4.0))
+        centre, width = float(rng.uniform(a - 0.2 * (b - a), b + 0.2 * (b - a))), b - a
+        functions = [
+            lambda x: (x - centre) ** 2,
+            lambda x: 3.0 - math.cos(3.0 * (x - centre) / width),
+            lambda x: ((x - centre) / width) ** 4 + 0.1 * (x - a) / width,
+            lambda x: math.exp((x - centre) / width) - 2.0 * (x - centre) / width,
+        ]
+        for func in functions:
+            for xatol in (1e-7 * width, 1e-3 * width, float(rng.uniform(1e-9, 1e-1)) * width):
+                assert_same_search(func, a, b, xatol)
+
+    @pytest.mark.parametrize("func", [lambda x: x, lambda x: -x,
+                                      lambda x: (x - 40.0) ** 2, lambda x: (x + 3.0) ** 2],
+                             ids=["rising", "falling", "beyond upper", "beyond lower"])
+    def test_minimum_at_a_bound(self, func):
+        assert_same_search(func, 0.0, 25.0, 1e-5)
+        assert_same_search(func, -3.0, 7.5e-3, 7.8e-4)
+
+    def test_step_functions(self):
+        # piecewise-constant: evaluations tie, and the search keeps or swaps
+        # its points on <= exactly as scipy's does
+        for seed in range(200):
+            rng = np.random.default_rng(2800 + seed)
+            a = float(rng.uniform(-10.0, 10.0))
+            b = a + float(rng.uniform(0.1, 10.0))
+            centre = float(rng.uniform(a - 1.0, b + 1.0))
+            step = (b - a) * float(rng.uniform(0.02, 0.4))
+            xatol = float(10.0 ** rng.uniform(-8.0, -1.0))
+            assert_same_search(lambda x: math.floor(abs(x - centre) / step), a, b, xatol)
+            assert_same_search(lambda x: math.floor(((x - centre) / step) ** 2), a, b, xatol)
+
+    def test_constant_function(self):
+        assert_same_search(lambda x: 3.0, 1.0, 2.0, 1e-5)
+        assert_same_search(lambda x: 0.0, -5.0, 5.0, 1e-9)
+
+    def test_function_returning_nan(self):
+        assert_same_search(lambda x: math.nan, 1.0, 2.0, 1e-5)
+        # NaN over the upper part of the bracket only
+        assert_same_search(lambda x: math.nan if x > 1.3 else (x - 1.2) ** 2, 1.0, 2.0, 1e-5)
+
+    def test_empty_bracket(self):
+        assert_same_search(lambda x: x * x, 2.0, 2.0, 1e-5)
+
+    @pytest.mark.parametrize("partner", [None, 0.185], ids=["wide", "partner 0.185"])
+    def test_chi2_of_seeded_signals(self, pipeline, wide_calibration, partner):
+        # the two calibrations of the readout-identify workload, each with the
+        # bracket and tolerance extract_shift gives the search
+        cal = wide_calibration if partner is None else build_calibration(
+            np.linspace(800.0, 4600.0, 6), pipeline, true_partner_fraction=partner)
+        lo, hi, grid, curves = cal._chi2_grid
+        rng = np.random.default_rng(2711)
+        for seed in range(200):
+            truth = float(rng.uniform(100.0, 1.4 * cal.shifts_hz[-1]))
+            p = pipeline.signal(truth, shots=20, seed=seed).p
+
+            def sse(shift):
+                residual = p - cal.interpolate(shift)
+                return float(residual @ residual)
+
+            residuals = p - curves
+            i_best = int(np.argmin(np.einsum("ij,ij->i", residuals, residuals)))
+            assert_same_search(sse, float(grid[max(i_best - 1, 0)]),
+                               float(grid[min(i_best + 1, len(grid) - 1)]), (hi - lo) * 1e-7)
 
 
 def reextracted_partner_trace(cal, measured, atomic_shift_hz):
