@@ -332,14 +332,16 @@ class CalibrationSet:
             raise ValueError("a calibration needs at least 3 distinct shifts")
         if len(self.shifts_hz) != len(self.templates):
             raise ValueError("one template per shift required")
+        for k, (s, tpl) in enumerate(zip(self.shifts_hz, self.templates)):
+            if not math.isfinite(s):
+                raise ValueError(f"calibration shift {k} ({s:g} Hz) is not finite")
+            if not np.array_equal(tpl.times_s, self.pipeline.probe_times_s):
+                raise ValueError(f"template {k} ({s:g} Hz) is not sampled on the "
+                                 "pipeline's probe times")
         if self.shifts_hz[0] <= 0.0:
             raise ValueError("calibration shifts must be positive magnitudes")
         if any(b <= a for a, b in zip(self.shifts_hz, self.shifts_hz[1:])):
             raise ValueError("calibration shifts must be strictly increasing")
-        for k, (s, tpl) in enumerate(zip(self.shifts_hz, self.templates)):
-            if not np.array_equal(tpl.times_s, self.pipeline.probe_times_s):
-                raise ValueError(f"template {k} ({s:g} Hz) is not sampled on the "
-                                 "pipeline's probe times")
 
     @cached_property
     def template_frequencies_hz(self) -> np.ndarray:
@@ -349,97 +351,55 @@ class CalibrationSet:
         frequencies.flags.writeable = False
         return frequencies
 
-    def _family(self):
-        """(shifts, frequencies, curves), the zero anchor first."""
+    @cached_property
+    def _layout(self):
+        """The template family as ``interpolate`` reads it, built once per
+        instance: the nodes (the zero anchor first), the frequency PCHIP's
+        coefficients per interval (highest power first), its value and slope
+        at the two edge nodes and the floor of extrapolated frequencies, as
+        floats; per upper bracket node hi, the frequencies of nodes hi - 1 and
+        hi and their rows' offsets into the pieces, as (2, 1) columns; and the
+        probe times t and the curves as linear pieces: a curve at time x is
+        slope[m] * (x - knot[m]) + base[m] with m = searchsorted(t, x, "right"),
+        flat beyond both ends of t, as ``np.interp`` clamps."""
         pipeline = self.pipeline
         zero_frequency = pipeline.carrier_rabi_hz * pipeline.eta
         s = np.concatenate(([0.0], self.shifts_hz))
         f = np.concatenate(([zero_frequency], self.template_frequencies_hz))
         curves = np.vstack([pipeline.signal(0.0).p] + [tpl.p for tpl in self.templates])
-        return s, f, curves
-
-    @cached_property
-    def _alignment(self):
-        """The family and its frequency interpolant, built once per instance.
-
-        Returns the nodes, the frequency PCHIP, its value and slope at the two
-        edge nodes (for linear extrapolation), the floor of extrapolated
-        frequencies, and the curves as linear pieces: with the sample index
-        m = searchsorted(t, x, "right"), a curve at time x is
-        slope[m] * (x - knot[m]) + base[m], flat beyond both ends of t, the
-        same arithmetic and end clamps as ``np.interp``.
-        """
-        s, f, curves = self._family()
         pchip = PchipInterpolator(s, f, extrapolate=False)
         edges = s[[0, -1]]
-        t = self.pipeline.probe_times_s
+        t = pipeline.probe_times_s
         flat = np.zeros((len(curves), 1))
         slope = np.hstack([flat, np.diff(curves, axis=1) / np.diff(t), flat])
         base = np.hstack([curves[:, :1], curves])
         knot = np.concatenate([t[:1], t])
-        return (s, f, pchip, edges, pchip(edges), pchip.derivative()(edges),
-                0.02 * f[f > 0.0].min(), slope, base, knot)
+        brackets = [None] + [(f[[hi - 1, hi], None], np.array([[hi - 1], [hi]]) * len(knot))
+                             for hi in range(1, len(s))]
+        return (s.tolist(), pchip.c.T.tolist(), edges.tolist(), pchip(edges).tolist(),
+                pchip.derivative()(edges).tolist(), float(0.02 * f[f > 0.0].min()),
+                brackets, t, slope, base, knot)
 
     @cached_property
     def _chi2_grid(self):
         """(lo, hi, grid, curves): the 600 shifts ``extract_shift`` scores a
-        signal against first, and their template curves, built once per
-        instance."""
+        signal against first and their template curves, built once per instance."""
         lo, hi = 0.0, 1.5 * self.shifts_hz[-1]
         grid = np.linspace(lo, hi, 600)
-        return lo, hi, grid, self.curves(grid)
-
-    def curves(self, shifts_hz) -> np.ndarray:
-        """Template curves at many shifts, one row per shift.
-
-        The signal family is oscillatory with a flopping frequency that grows
-        with the shift, so curves are blended after rescaling time to align
-        their fitted frequencies; pointwise blending of dephased curves would
-        wash the oscillation out.  Beyond the anchored range the alignment
-        extrapolates linearly (the extraction flags that case).
-        """
-        s, f, pchip, edges, f_edge, df_edge, f_floor, slope, base, knot = self._alignment
-        x = np.asarray(shifts_hz, dtype=float)
-        f_target = pchip(np.clip(x, s[0], s[-1]))
-        outside = (x < s[0]) | (x > s[-1])
-        if outside.any():
-            side = (x > s[-1]).astype(int)
-            linear = f_edge[side] + df_edge[side] * (x - edges[side])
-            f_target = np.where(outside, np.maximum(linear, f_floor), f_target)
-        t = self.pipeline.probe_times_s
-        hi = np.clip(np.searchsorted(s, x), 1, len(s) - 1)
-        aligned = []
-        for k in (hi - 1, hi):
-            # curve k[i] sampled at times t * f_target[i] / f[k[i]]
-            times = t * f_target[:, None] / f[k][:, None]
-            m = np.searchsorted(t, times, side="right")
-            piece = m + (k * slope.shape[1])[:, None]
-            aligned.append(slope.take(piece) * (times - knot[m]) + base.take(piece))
-        w = ((x - s[hi - 1]) / (s[hi] - s[hi - 1]))[:, None]
-        return np.clip((1.0 - w) * aligned[0] + w * aligned[1], 0.0, 1.0)
-
-    @cached_property
-    def _one_shift(self):
-        """``_alignment`` laid out for one shift at a time, built once per
-        instance: the nodes, the PCHIP's coefficients per interval (highest
-        power first) and the edge extrapolation as Python floats, then per
-        upper bracket node hi the frequencies of nodes hi - 1 and hi and
-        their rows' offsets into the flattened linear pieces, each a (2, 1)
-        column, and the probe times and pieces."""
-        s, f, pchip, edges, f_edge, df_edge, f_floor, slope, base, knot = self._alignment
-        width = slope.shape[1]
-        brackets = [None] + [(f[[hi - 1, hi], None], np.array([[hi - 1], [hi]]) * width)
-                             for hi in range(1, len(s))]
-        return (pchip.x.tolist(), pchip.c.T.tolist(), edges.tolist(), f_edge.tolist(),
-                df_edge.tolist(), float(f_floor), brackets, self.pipeline.probe_times_s,
-                slope, base, knot)
+        return lo, hi, grid, np.array([self.interpolate(x) for x in grid])
 
     def interpolate(self, shift_hz: float) -> np.ndarray:
-        """Template curve at one shift: ``curves([shift_hz])[0]`` bit for bit,
-        by the same arithmetic in the same order, the PCHIP on floats as
-        scipy's ``evaluate_poly1`` sums it and both aligned rows in one pass."""
+        """Template curve at one shift.
+
+        The family oscillates with a flopping frequency that grows with the
+        shift, so the two bracketing curves are blended after rescaling time
+        to align their fitted frequencies: pointwise blending of dephased
+        curves would wash the oscillation out.  Beyond the anchored range the
+        alignment extrapolates linearly (the extraction flags that case).  The
+        PCHIP is summed on floats as scipy's ``evaluate_poly1`` sums it.
+        """
         s, coefficients, edges, f_edge, df_edge, f_floor, brackets, t, slope, base, knot \
-            = self._one_shift
+            = self._layout
         x = float(shift_hz)
         if s[0] <= x <= s[-1]:
             # the PPoly interval: half-open [s[i], s[i + 1]), the last one closed

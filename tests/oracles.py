@@ -6,8 +6,9 @@ the same sums in ``Fraction`` arithmetic as an exact reference, a numeric
 eigenvector construction for the intermediate-coupling line strengths,
 textbook closed forms for two-level polarizabilities and driven oscillators,
 the laboratory-frame composition kernel for the ion motion, the
-per-prediction candidate loop that the identification masks replaced, and
-scipy's bounded minimizer, which the extraction's search transcribes.  It also
+per-prediction candidate loop that the identification masks replaced, the
+many-shift template-curve path that built the extraction's chi-square grid,
+and scipy's bounded minimizer, which the extraction's search transcribes.  It also
 holds the line model that generated the shipped line list (term energies,
 branches and the N2+ band constants), which no command runs: the package
 reads the list from its CSV.
@@ -543,3 +544,46 @@ def scipy_bounded_minimum(func, a, b, xatol):
     its result carries ``x``, ``fun`` and ``nfev``."""
     from scipy.optimize import minimize_scalar
     return minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol})
+
+
+# ---------------------------------------------------------------------------
+# Template curves, many shifts at once
+# ---------------------------------------------------------------------------
+
+def template_curves(cal, shifts_hz) -> np.ndarray:
+    """Reference for ``CalibrationSet.interpolate``: template curves at many
+    shifts, one row per shift, on arrays throughout, as the calibration built
+    its chi-square grid before each row went through ``interpolate``.  The
+    frequency PCHIP is built afresh on every call."""
+    from scipy.interpolate import PchipInterpolator
+    pipeline = cal.pipeline
+    zero_frequency = pipeline.carrier_rabi_hz * pipeline.eta
+    s = np.concatenate(([0.0], cal.shifts_hz))
+    f = np.concatenate(([zero_frequency], cal.template_frequencies_hz))
+    curves = np.vstack([pipeline.signal(0.0).p] + [tpl.p for tpl in cal.templates])
+    pchip = PchipInterpolator(s, f, extrapolate=False)
+    edges = s[[0, -1]]
+    t = pipeline.probe_times_s
+    flat = np.zeros((len(curves), 1))
+    slope = np.hstack([flat, np.diff(curves, axis=1) / np.diff(t), flat])
+    base = np.hstack([curves[:, :1], curves])
+    knot = np.concatenate([t[:1], t])
+    f_edge, df_edge = pchip(edges), pchip.derivative()(edges)
+    f_floor = 0.02 * f[f > 0.0].min()
+    x = np.asarray(shifts_hz, dtype=float)
+    f_target = pchip(np.clip(x, s[0], s[-1]))
+    outside = (x < s[0]) | (x > s[-1])
+    if outside.any():
+        side = (x > s[-1]).astype(int)
+        linear = f_edge[side] + df_edge[side] * (x - edges[side])
+        f_target = np.where(outside, np.maximum(linear, f_floor), f_target)
+    hi = np.clip(np.searchsorted(s, x), 1, len(s) - 1)
+    aligned = []
+    for k in (hi - 1, hi):
+        # curve k[i] sampled at times t * f_target[i] / f[k[i]]
+        times = t * f_target[:, None] / f[k][:, None]
+        m = np.searchsorted(t, times, side="right")
+        piece = m + (k * slope.shape[1])[:, None]
+        aligned.append(slope.take(piece) * (times - knot[m]) + base.take(piece))
+    w = ((x - s[hi - 1]) / (s[hi] - s[hi - 1]))[:, None]
+    return np.clip((1.0 - w) * aligned[0] + w * aligned[1], 0.0, 1.0)

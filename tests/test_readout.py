@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from odfprobe.readout import (CalibrationSet, ConvergenceError,
                               iterate_partner_correction, sideband_rabi_frequencies,
                               synthesize_bsb_signal)
 
-from oracles import scipy_bounded_minimum
+from oracles import scipy_bounded_minimum, template_curves
 
 TIMES = np.linspace(0.0, 120e-6, 61)
 OMEGA0 = 2.0 * math.pi * 50e3
@@ -184,6 +185,17 @@ class TestCalibration:
         with pytest.raises(ValueError, match=r"template 0 \(800 Hz\)"):
             CalibrationSet(shifts, templates, pipeline)
 
+    @pytest.mark.parametrize("index, value", [(0, math.nan), (1, math.nan), (2, math.nan),
+                                              (2, math.inf), (0, -math.inf)])
+    def test_non_finite_shifts_rejected(self, pipeline, index, value):
+        # they once constructed, and the first extraction failed inside scipy
+        shifts = [800.0, 2000.0, 3500.0]
+        templates = tuple(pipeline.signal(s) for s in shifts)
+        shifts[index] = value
+        with pytest.raises(ValueError,
+                           match=rf"calibration shift {index} \({value:g} Hz\) is not finite"):
+            CalibrationSet(tuple(shifts), templates, pipeline)
+
 
 def scaled(cal, factor):
     """The calibration's templates attributed to shifts scaled by ``factor``,
@@ -222,7 +234,7 @@ class TestTemplateFamily:
         anchored = scaled(six_shift_calibration, 1.1)
         nodes = list(anchored.shifts_hz)
         shifts = [0.0, 350.0] + nodes + [1234.5, 3999.0, 5200.0, 6900.0, 9000.0]
-        batch = anchored.curves(shifts)
+        batch = template_curves(anchored, shifts)
         assert batch.shape == (len(shifts), len(anchored.pipeline.probe_times_s))
         for row, shift in zip(batch, shifts):
             assert np.max(np.abs(row - reference_curve(anchored, shift))) <= 1e-12
@@ -232,7 +244,7 @@ class TestTemplateFamily:
         cal = six_shift_calibration
         # -20 kHz extrapolates below the frequency floor
         shifts = [-20e3, -1000.0, -5.0, 0.0, 5.0, 650.0, 800.0, 4600.0, 5500.0]
-        for row, shift in zip(cal.curves(shifts), shifts):
+        for row, shift in zip(map(cal.interpolate, shifts), shifts):
             assert np.max(np.abs(row - reference_curve(cal, shift))) <= 1e-12
 
     def test_time_grid_not_starting_at_zero(self, pipeline):
@@ -241,7 +253,7 @@ class TestTemplateFamily:
         late = replace(pipeline, probe_times_s=np.linspace(10e-6, 120e-6, 45))
         cal = build_calibration([800.0, 2000.0, 3500.0, 4600.0], late)
         shifts = [100.0, 900.0, 2700.0, 4600.0, 6000.0]
-        for row, shift in zip(cal.curves(shifts), shifts):
+        for row, shift in zip(map(cal.interpolate, shifts), shifts):
             assert np.max(np.abs(row - reference_curve(cal, shift))) <= 1e-12
 
     def test_interpolant_built_once_per_instance(self, six_shift_calibration,
@@ -256,15 +268,16 @@ class TestTemplateFamily:
         cal = scaled(six_shift_calibration, 1.05)
         for shift in (900.0, 2500.0, 7000.0):
             cal.interpolate(shift)
-        cal.curves(np.linspace(0.0, 7000.0, 50))
+        # the 600-shift grid goes through interpolate and the same interpolant
+        cal._chi2_grid
         assert len(builds) == 1
 
     @pytest.mark.parametrize("partner", [None, 0.185], ids=["wide", "partner 0.185"])
     def test_one_shift_path_equals_the_grid_path(self, pipeline, wide_calibration,
                                                  partner):
-        # interpolate evaluates one shift on scalars, curves many at once;
-        # they must not drift apart anywhere extract_shift may ask, both
-        # extrapolation sides included
+        # interpolate evaluates one shift on scalars, the reference many at
+        # once on arrays; they must not drift apart anywhere extract_shift
+        # may ask, both extrapolation sides included
         cal = wide_calibration if partner is None else build_calibration(
             np.linspace(800.0, 4600.0, 6), pipeline, true_partner_fraction=partner)
         top = cal.shifts_hz[-1]
@@ -274,8 +287,8 @@ class TestTemplateFamily:
                   # and below the zero anchor: the partner calibration's
                   # extrapolated frequency meets its floor below about -307 Hz
                   -1e-3, -5.0, -310.0, -600.0, -20e3]
-        for shift in shifts:
-            assert np.array_equal(cal.interpolate(shift), cal.curves([shift])[0]), shift
+        for shift, row in zip(shifts, template_curves(cal, shifts)):
+            assert np.array_equal(cal.interpolate(shift), row), shift
 
 
 class TestExtraction:
@@ -375,7 +388,7 @@ def rebuilt_grid_extraction(signal, cal):
     lo = 0.0
     hi = 1.5 * s_model[-1]
     grid = np.linspace(lo, hi, 600)
-    residuals = signal.p - cal.curves(grid)
+    residuals = signal.p - template_curves(cal, grid)
     values = np.einsum("ij,ij->i", residuals, residuals)
     i_best = int(np.argmin(values))
     result = minimize_scalar(sse, bounds=(grid[max(i_best - 1, 0)],
@@ -405,18 +418,36 @@ class TestCachedGrid:
     def test_grid_built_once_per_instance(self, pipeline, six_shift_calibration,
                                           monkeypatch):
         grids = []
-        curves = CalibrationSet.curves
+        build = CalibrationSet._chi2_grid.func
 
-        def counting(cal, shifts_hz):
-            if len(shifts_hz) == 600:
-                grids.append(cal)
-            return curves(cal, shifts_hz)
+        def counting(cal):
+            grids.append(cal)
+            return build(cal)
 
-        monkeypatch.setattr(CalibrationSet, "curves", counting)
+        counted = cached_property(counting)
+        counted.__set_name__(CalibrationSet, "_chi2_grid")
+        monkeypatch.setattr(CalibrationSet, "_chi2_grid", counted)
         cal = scaled(six_shift_calibration, 1.0)
+        seen = []
         for truth in (1200.0, 2500.0, 4000.0):
             extract_shift(pipeline.signal(truth, shots=20, seed=3), cal)
+            seen.append(cal._chi2_grid)
         assert grids == [cal]
+        assert seen[0] is seen[1] is seen[2]
+
+    @pytest.mark.parametrize("shifts, times, options", [
+        (np.geomspace(150.0, 5200.0, 12), TIMES, {}),
+        (np.linspace(800.0, 4600.0, 6), TIMES, {"true_partner_fraction": 0.185}),
+        (np.linspace(800.0, 4600.0, 6), TIMES, {}),
+        ([800.0, 2000.0, 3500.0, 4600.0], np.linspace(10e-6, 120e-6, 45), {}),
+        (np.linspace(800.0, 4600.0, 6), TIMES, {"shots": 200, "seed": 42}),
+    ], ids=["wide", "partner 0.185", "six shifts", "late time grid", "200 shots"])
+    def test_grid_equals_the_many_shift_reference(self, pipeline, shifts, times, options):
+        cal = build_calibration(shifts, replace(pipeline, probe_times_s=times), **options)
+        lo, hi, grid, curves = cal._chi2_grid
+        assert (lo, hi) == (0.0, 1.5 * cal.shifts_hz[-1])
+        assert np.array_equal(grid, np.linspace(lo, hi, 600))
+        assert np.array_equal(curves, template_curves(cal, grid))
 
     @pytest.mark.parametrize("factor", [pytest.param(1.0, id="wide"),
                                         pytest.param(0.7, id="partner -0.3"),
