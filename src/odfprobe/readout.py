@@ -29,13 +29,12 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-# scipy costs about 0.4 s and 25 MB or more to import, and building
-# calibration templates needs none of it: the fits and the interpolant import
-# it on use.
-def PchipInterpolator(*args, **kwargs):
-    """``scipy.interpolate.PchipInterpolator``, imported on the first call."""
-    from scipy.interpolate import PchipInterpolator as pchip
-    return pchip(*args, **kwargs)
+# Building calibration templates fits nothing: the fits and the interpolant
+# import ``fitting`` on use, so a process that only synthesizes never compiles it.
+def PchipInterpolator(x, y):
+    """``fitting.PchipInterpolator``, imported on the first call."""
+    from .fitting import PchipInterpolator as pchip
+    return pchip(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +228,13 @@ def fit_rabi(signal: RabiSignal) -> RabiFit:
     sigma = None
     if signal.shots is not None:
         sigma = np.sqrt(np.maximum(p * (1.0 - p), 0.25 / signal.shots) / signal.shots)
-    from scipy.optimize import curve_fit
+    from .fitting import curve_fit
     try:
         popt, pcov = curve_fit(
             _rabi_model, t, p, p0=p0, sigma=sigma, absolute_sigma=sigma is not None,
             bounds=([-0.25, 0.0, 0.0, span / 100.0],
                     [1.0, 0.75 * (len(t) - 1) / span, 1.5, np.inf]),
-            maxfev=20000,
+            max_nfev=20000,
         )
     except RuntimeError as exc:
         residual = float(np.sqrt(np.mean((p - _rabi_model(t, *p0)) ** 2)))
@@ -367,7 +366,7 @@ class CalibrationSet:
         s = np.concatenate(([0.0], self.shifts_hz))
         f = np.concatenate(([zero_frequency], self.template_frequencies_hz))
         curves = np.vstack([pipeline.signal(0.0).p] + [tpl.p for tpl in self.templates])
-        pchip = PchipInterpolator(s, f, extrapolate=False)
+        pchip = PchipInterpolator(s, f)
         edges = s[[0, -1]]
         t = pipeline.probe_times_s
         flat = np.zeros((len(curves), 1))

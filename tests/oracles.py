@@ -8,7 +8,9 @@ textbook closed forms for two-level polarizabilities and driven oscillators,
 the laboratory-frame composition kernel for the ion motion, the
 per-prediction candidate loop that the identification masks replaced, the
 many-shift template-curve path that built the extraction's chi-square grid,
-and scipy's bounded minimizer, which the extraction's search transcribes.  It also
+and the scipy routines the package transcribes: the bounded minimizer of the
+extraction's search, and ``curve_fit`` and ``PchipInterpolator`` for the Rabi
+fit and the frequency interpolant.  It also
 holds the line model that generated the shipped line list (term energies,
 branches and the N2+ band constants), which no command runs: the package
 reads the list from its CSV.
@@ -535,7 +537,7 @@ def identification_report_loop(measurement, predictions, ks=(1.0, 2.0)) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Bounded scalar minimization
+# scipy routines the package transcribes
 # ---------------------------------------------------------------------------
 
 def scipy_bounded_minimum(func, a, b, xatol):
@@ -544,6 +546,21 @@ def scipy_bounded_minimum(func, a, b, xatol):
     its result carries ``x``, ``fun`` and ``nfev``."""
     from scipy.optimize import minimize_scalar
     return minimize_scalar(func, bounds=(a, b), method="bounded", options={"xatol": xatol})
+
+
+def scipy_curve_fit(*args, **kwargs):
+    """Reference for ``fitting.curve_fit``: scipy's, which ``fit_rabi`` called
+    with the same arguments before (``max_nfev`` passes through to
+    ``least_squares``)."""
+    from scipy.optimize import curve_fit
+    return curve_fit(*args, **kwargs)
+
+
+def scipy_pchip(x, y):
+    """Reference for ``fitting.PchipInterpolator``: scipy's, as the
+    calibration built it before."""
+    from scipy.interpolate import PchipInterpolator
+    return PchipInterpolator(x, y, extrapolate=False)
 
 
 # ---------------------------------------------------------------------------

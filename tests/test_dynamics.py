@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import math
@@ -463,8 +464,7 @@ class TestColdStart:
         # Each step: its exit code (for a library call, 0 when the result is
         # right), then whether scipy, scipy.special, scipy.optimize and
         # scipy.interpolate are loaded.  No command, calibrating included,
-        # loads any of scipy; the Rabi fit loads the optimizer (and with it
-        # the special functions), and the shift extraction the interpolant.
+        # and neither the Rabi fit nor the shift extraction loads any of scipy.
         steps = json.loads(_fresh_python(COLD_START, str(tmp_path)))
         assert steps == [
             ["import odfprobe", 0, False, False, False, False],
@@ -474,9 +474,24 @@ class TestColdStart:
             ["simulate", 0, False, False, False, False],
             ["calibrate", 0, False, False, False, False],
             ["build_calibration", 0, False, False, False, False],
-            ["fit_rabi", 0, True, True, True, False],
-            ["extract_shift", 0, True, True, True, True],
+            ["fit_rabi", 0, False, False, False, False],
+            ["extract_shift", 0, False, False, False, False],
         ]
+
+    def test_no_module_imports_scipy(self):
+        # the fit and the interpolant are transcribed in fitting; scipy is a
+        # test dependency only
+        package = Path(odfprobe.__file__).parent
+
+        def imports_scipy(path):
+            return any(
+                isinstance(node, ast.Import)
+                and any(alias.name.partition(".")[0] == "scipy" for alias in node.names)
+                or isinstance(node, ast.ImportFrom)
+                and (node.module or "").partition(".")[0] == "scipy"
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+        assert [p.name for p in sorted(package.glob("*.py")) if imports_scipy(p)] == []
 
     def test_readout_names_load_on_first_use(self):
         assert _fresh_python(READOUT_NAMES) == "[] True"

@@ -9,14 +9,15 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
 import odfprobe.readout as readout
+from odfprobe import fitting
 from odfprobe.crystal import TwoIonCrystal
-from odfprobe.readout import (CalibrationSet, ConvergenceError,
+from odfprobe.readout import (CalibrationSet, ConvergenceError, FitError,
                               MotionalDistribution, RabiSignal, ReadoutPipeline,
                               ShiftEstimate, build_calibration, extract_shift, fit_rabi,
                               iterate_partner_correction, sideband_rabi_frequencies,
                               synthesize_bsb_signal)
 
-from oracles import scipy_bounded_minimum, template_curves
+from oracles import scipy_bounded_minimum, scipy_curve_fit, scipy_pchip, template_curves
 
 TIMES = np.linspace(0.0, 120e-6, 61)
 OMEGA0 = 2.0 * math.pi * 50e3
@@ -155,6 +156,174 @@ class TestFitRabi:
             RabiSignal(times, np.full(len(TIMES), 0.5))
 
 
+def recorded_fits(monkeypatch, signals):
+    """(args, kwargs, result) of each ``fitting.curve_fit`` call that
+    ``fit_rabi`` makes for ``signals``."""
+    calls = []
+    transcription = fitting.curve_fit
+
+    def recording(*args, **kwargs):
+        result = transcription(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(fitting, "curve_fit", recording)
+    for signal in signals:
+        fit_rabi(signal)
+    return calls
+
+
+class TestFitTranscription:
+    """``fitting.curve_fit`` gives scipy's popt and pcov, bit for bit, on the
+    fits ``fit_rabi`` makes."""
+
+    @staticmethod
+    def assert_equal_to_scipy(calls):
+        for args, kwargs, (popt, pcov) in calls:
+            expected_popt, expected_pcov = scipy_curve_fit(*args, **kwargs)
+            assert np.array_equal(popt, expected_popt)
+            assert np.array_equal(pcov, expected_pcov)
+
+    @pytest.mark.parametrize("shifts, partner", [
+        (np.geomspace(150.0, 5200.0, 12), 0.0),
+        (np.linspace(800.0, 4600.0, 6), 0.0),
+        (np.linspace(800.0, 4600.0, 6), 0.185),
+        ([800.0, 2700.0, 4600.0], 0.0),
+    ], ids=["geomspace 12", "linspace 6", "linspace 6 partner 0.185", "three shifts"])
+    def test_calibration_templates(self, pipeline, monkeypatch, shifts, partner):
+        templates = [pipeline.signal(s * (1.0 + partner)) for s in shifts]
+        calls = recorded_fits(monkeypatch, templates)
+        assert len(calls) == len(templates)
+        self.assert_equal_to_scipy(calls)
+
+    @pytest.mark.parametrize("shots", [20, 400])
+    def test_noisy_signals(self, pipeline, monkeypatch, shots):
+        rng = np.random.default_rng(29)
+        signals = [pipeline.signal(float(rng.uniform(0.0, 6000.0)), shots=shots, seed=seed)
+                   for seed in range(40)]
+        self.assert_equal_to_scipy(recorded_fits(monkeypatch, signals))
+
+    def test_flat_signal(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        p = np.clip(0.02 + 0.01 * rng.standard_normal(len(TIMES)), 0.0, 1.0)
+        self.assert_equal_to_scipy(recorded_fits(monkeypatch, [RabiSignal(TIMES, p, shots=400)]))
+
+    def test_evaluation_limit_raises_fit_error(self, pipeline, monkeypatch):
+        # stopped after 3 evaluations, the fit has not converged: the
+        # transcription raises what scipy raises, and fit_rabi a FitError
+        transcription = fitting.curve_fit
+        messages = []
+
+        def limited(*args, **kwargs):
+            kwargs["max_nfev"] = 3
+            for fit in (scipy_curve_fit, transcription):
+                with pytest.raises(RuntimeError) as stopped:
+                    fit(*args, **kwargs)
+                messages.append(str(stopped.value))
+            raise stopped.value
+
+        monkeypatch.setattr(fitting, "curve_fit", limited)
+        with pytest.raises(FitError, match="did not converge"):
+            fit_rabi(pipeline.signal(2700.0))
+        assert messages == ["Optimal parameters not found: The maximum number of "
+                            "function evaluations is exceeded."] * 2
+
+    @staticmethod
+    def cubic(t, a, b, c, d):
+        return a + b * t + c * t**2 + d * t**3
+
+    def test_start_on_a_bound(self):
+        # the start is first moved strictly inside the bounds, as scipy moves it
+        x = np.linspace(0.0, 3.0, 7)
+        y = np.array([0.1, 0.7, 0.4, 0.9, 0.3, 0.8, 1.2])
+        bounds = ([0.0, -10.0, -10.0, -10.0], [10.0] * 4)
+        popt, pcov = fitting.curve_fit(self.cubic, x, y, p0=np.zeros(4), bounds=bounds,
+                                       max_nfev=400)
+        expected_popt, expected_pcov = scipy_curve_fit(self.cubic, x, y, p0=np.zeros(4),
+                                                       bounds=bounds, max_nfev=400)
+        assert np.array_equal(popt, expected_popt)
+        assert np.array_equal(pcov, expected_pcov)
+
+    def test_unestimable_covariance_warns(self):
+        # as many points as parameters leave no residual to scale pcov by
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        y = np.array([0.1, 0.7, 0.4, 0.9])
+        cubic = self.cubic
+        bounds = ([-10.0] * 4, [10.0] * 4)
+        with pytest.warns(UserWarning, match="^Covariance of the parameters could not "
+                                             "be estimated$") as theirs:
+            expected_popt, expected_pcov = scipy_curve_fit(cubic, x, y, p0=np.zeros(4),
+                                                           bounds=bounds, max_nfev=400)
+        with pytest.warns(fitting.OptimizeWarning, match=str(theirs[0].message)):
+            popt, pcov = fitting.curve_fit(cubic, x, y, p0=np.zeros(4), bounds=bounds,
+                                           max_nfev=400)
+        assert np.array_equal(popt, expected_popt)
+        assert np.array_equal(pcov, expected_pcov)
+        assert np.isinf(pcov).all()
+
+
+def frequency_nodes(cal):
+    """The (shift, frequency) nodes of the calibration's frequency PCHIP."""
+    pipeline = cal.pipeline
+    return (np.concatenate(([0.0], cal.shifts_hz)),
+            np.concatenate(([pipeline.carrier_rabi_hz * pipeline.eta],
+                            cal.template_frequencies_hz)))
+
+
+class TestPchipTranscription:
+    """``fitting.PchipInterpolator`` gives scipy's coefficients, edge values
+    and edge slopes, bit for bit."""
+
+    @staticmethod
+    def assert_equal_to_scipy(x, y):
+        ours, theirs = readout.PchipInterpolator(x, y), scipy_pchip(x, y)
+        edges = np.asarray(x, dtype=float)[[0, -1]]
+        assert np.array_equal(ours.c, theirs.c)
+        assert np.array_equal(ours(edges), theirs(edges))
+        assert np.array_equal(ours.derivative()(edges), theirs.derivative()(edges))
+        return ours, theirs
+
+    @pytest.mark.parametrize("shifts, partner", [
+        (np.geomspace(150.0, 5200.0, 12), 0.0),
+        (np.linspace(800.0, 4600.0, 6), 0.185),
+    ], ids=["geomspace 12", "linspace 6 partner 0.185"])
+    def test_benchmark_calibrations(self, pipeline, shifts, partner):
+        cal = build_calibration(shifts, pipeline, true_partner_fraction=partner)
+        s, f = frequency_nodes(cal)
+        _, theirs = self.assert_equal_to_scipy(s, f)
+        # the layout interpolate reads holds scipy's numbers
+        layout = cal._layout
+        assert layout[1] == theirs.c.T.tolist()
+        assert layout[3] == theirs(s[[0, -1]]).tolist()
+        assert layout[4] == theirs.derivative()(s[[0, -1]]).tolist()
+
+    @pytest.mark.parametrize("x, y, start_slope", [
+        ([0.0, 2.0], [1.0, -3.0], -2.0),
+        ([0.0, 1.0, 2.5, 3.0], [0.0, 1.0, 2.5, 2.6], None),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0], None),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0], None),
+        ([0.0, 1.0, 2.0], [0.0, 0.1, 3.0], 0.0),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, -4.0], 3.0),
+        ([0.0, 1.0, 3.0], [0.0, 1.0, 0.5], 4.25 / 3.0),
+    ], ids=["two nodes", "harmonic mean", "flat interval", "sign changes",
+            "end slope against its secant", "end slope limited to 3 m", "end slope at a turn"])
+    def test_slope_branches(self, x, y, start_slope):
+        ours, _ = self.assert_equal_to_scipy(x, y)
+        if start_slope is not None:
+            assert ours.derivative()([x[0]])[0] == pytest.approx(start_slope, rel=1e-15)
+
+    def test_seeded_node_sets(self):
+        rng = np.random.default_rng(2029)
+        for k in range(300):
+            n = int(rng.integers(2, 10))
+            x = np.cumsum(rng.uniform(0.1, 3.0, n)) * rng.choice([1.0, 1e3])
+            y = [rng.normal(size=n), np.cumsum(rng.uniform(0.0, 1.0, n)),
+                 rng.integers(-2, 3, n).astype(float)][k % 3]
+            ours, theirs = self.assert_equal_to_scipy(x, y)
+            points = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 8)])
+            assert np.array_equal(ours(points), theirs(points), equal_nan=True)
+
+
 class TestCalibration:
     def test_default_six_shifts(self, six_shift_calibration):
         assert len(six_shift_calibration.shifts_hz) == 6
@@ -259,10 +428,11 @@ class TestTemplateFamily:
     def test_interpolant_built_once_per_instance(self, six_shift_calibration,
                                                  monkeypatch):
         builds = []
+        pchip = readout.PchipInterpolator
 
         def counting(*args, **kwargs):
             builds.append(args)
-            return PchipInterpolator(*args, **kwargs)
+            return pchip(*args, **kwargs)
 
         monkeypatch.setattr(readout, "PchipInterpolator", counting)
         cal = scaled(six_shift_calibration, 1.05)
