@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -272,7 +272,10 @@ def identification_report(measurement: Measurement, predictions: ShiftPrediction
             "exclusion_fraction": excluded / total,
         }
     return {
-        "measurement": asdict(measurement),
+        "measurement": {"wavelength_nm": measurement.wavelength_nm,
+                        "intensity_w_m2": measurement.intensity_w_m2,
+                        "shift_hz": measurement.shift_hz, "sigma_hz": measurement.sigma_hz,
+                        "sign": measurement.sign, "f_ip_hz": measurement.f_ip_hz},
         "total_states": total,
         "flagged_states": flagged,
         "tiers": tiers,

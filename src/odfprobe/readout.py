@@ -163,6 +163,31 @@ def sideband_rabi_frequencies(n_levels: int, eta: float, omega0: float) -> np.nd
     return omega0 * eta * np.sqrt(n + 1.0)
 
 
+_RABI_SINES: dict = {}
+
+
+def _rabi_sines(times: np.ndarray, eta: float, omega0: float, n_levels: int) -> np.ndarray:
+    """sin^2(Omega_{n,n+1} t / 2) over the flattened times (rows) and at least
+    n = 0..n_levels-1 (columns): one read-only table per (times, eta, omega0),
+    at most eight tables per process, each rebuilt at exactly the width a
+    call needs when it is too narrow.  Each element is computed as
+    ``np.sin(0.5 * np.outer(times, rates)) ** 2`` computes it."""
+    key = (times.tobytes(), eta, omega0)
+    table = _RABI_SINES.get(key)    # read once, so a concurrent regrow is harmless
+    if table is None or table.shape[1] < n_levels:
+        # a key is only stored once these rates passed their validation
+        rates = sideband_rabi_frequencies(n_levels, eta, omega0)
+        table = np.multiply.outer(times.ravel(), rates)
+        table *= 0.5
+        np.sin(table, out=table)
+        np.square(table, out=table)
+        table.flags.writeable = False
+        if key not in _RABI_SINES and len(_RABI_SINES) >= 8:
+            _RABI_SINES.pop(next(iter(_RABI_SINES)), None)
+        _RABI_SINES[key] = table
+    return table
+
+
 def synthesize_bsb_signal(dist: MotionalDistribution, eta: float, omega0: float,
                           times_s, decoherence_tau_s: float = math.inf,
                           shots: int | None = None, seed: int | None = None) -> RabiSignal:
@@ -173,9 +198,8 @@ def synthesize_bsb_signal(dist: MotionalDistribution, eta: float, omega0: float,
     for reproducibility); otherwise the analytic curve is returned.
     """
     times = np.asarray(times_s, dtype=float)
-    rates = sideband_rabi_frequencies(len(dist.p_n), eta, omega0)
-    phases = 0.5 * np.outer(times, rates)
-    coherent_part = np.sin(phases) ** 2 @ dist.p_n
+    n_levels = len(dist.p_n)
+    coherent_part = _rabi_sines(times, eta, omega0, n_levels)[:, :n_levels] @ dist.p_n
     if math.isinf(decoherence_tau_s):
         p = coherent_part
     else:
@@ -274,18 +298,19 @@ class ReadoutPipeline:
             raise ValueError("probe times must be a finite, strictly increasing 1-D grid")
         t.flags.writeable = False
         object.__setattr__(self, "probe_times_s", t)
-
-    def _key(self) -> tuple:
-        return tuple(tuple(value.tolist()) if isinstance(value, np.ndarray) else value
-                     for value in (getattr(self, f.name) for f in fields(self)))
+        # the instance is frozen and its times read-only: its key never changes
+        key = tuple(tuple(value.tolist()) if isinstance(value, np.ndarray) else value
+                    for value in (getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def mode_n_mean(self, mode_shift_hz: float) -> float:
         """Mean phonon number after a resonant pulse with the given effective

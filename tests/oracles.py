@@ -8,7 +8,8 @@ textbook closed forms for two-level polarizabilities and driven oscillators,
 the laboratory-frame composition kernel for the ion motion, the
 per-prediction candidate loop that the identification masks replaced, the
 many-shift template-curve path that built the extraction's chi-square grid,
-and the scipy routines the package transcribes: the bounded minimizer of the
+the per-call sine matrix of the sideband Rabi signal that one shared table
+replaced, and the scipy routines the package transcribes: the bounded minimizer of the
 extraction's search, and ``curve_fit`` and ``PchipInterpolator`` for the Rabi
 fit and the frequency interpolant.  It also
 holds the line model that generated the shipped line list (term energies,
@@ -604,3 +605,21 @@ def template_curves(cal, shifts_hz) -> np.ndarray:
         aligned.append(slope.take(piece) * (times - knot[m]) + base.take(piece))
     w = ((x - s[hi - 1]) / (s[hi] - s[hi - 1]))[:, None]
     return np.clip((1.0 - w) * aligned[0] + w * aligned[1], 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Sideband Rabi signal, one call at a time
+# ---------------------------------------------------------------------------
+
+def bsb_signal(dist, eta, omega0, times_s, decoherence_tau_s=math.inf):
+    """Reference for ``readout.synthesize_bsb_signal``'s noiseless curve: the
+    sine matrix built afresh for this call's times and Fock levels, as the
+    synthesis built it before each (times, eta, omega0) shared one table."""
+    from odfprobe.readout import sideband_rabi_frequencies
+    t = np.asarray(times_s, dtype=float)
+    rates = sideband_rabi_frequencies(len(dist.p_n), eta, omega0)
+    p = np.sin(0.5 * np.outer(t, rates)) ** 2 @ dist.p_n
+    if not math.isinf(decoherence_tau_s):
+        damping = np.exp(-t / decoherence_tau_s)
+        p = p * damping + 0.5 * (1.0 - damping)
+    return np.clip(p, 0.0, 1.0)

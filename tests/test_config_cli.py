@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from odfprobe.catalog import SHIPPED_LINES_FILE, shipped_data_path
 from odfprobe.cli import MAX_SPECTRUM_STEPS, main
-from odfprobe import readout
+from odfprobe import readout, stark
 from odfprobe.config import KNOWN_KEYS, ConfigError, RunConfig, load_config
 from odfprobe.quantities import ATOMIC_MASS, polarizability_to_shift
 from odfprobe.stark import NearResonanceError, polarizability_breakdown
@@ -597,6 +597,32 @@ class TestCli:
         assert expected_skipped == 24
         assert skipped == expected_skipped
         assert rows == expected_rows
+
+    def test_outputs_equal_without_the_stark_memo(self, tmp_path, capsys, monkeypatch):
+        # each identify run evaluates 789.71 nm once for its three rows
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MEASUREMENTS + "787.4755,1.1508e7,1200.0,150.0,blue,694920.0\n"
+                        + "1109.14,1.1508e7,900.0,95.0,red,694920.0\n"
+                        + "789.71,2.3e7,2459.8,260.0,red,694920.0\n")
+        commands = [(["spectrum", "--lambda-min", "787.47", "--lambda-max", "787.48",
+                      "--steps", "5"], "stark_spectrum.csv"),
+                    (["identify", "--measurements", str(meas)], "identification.json")]
+        runs = {}
+        for memo in (False, True):
+            with monkeypatch.context() as patch:
+                if memo:
+                    hits = stark._evaluation.cache_info().hits
+                else:
+                    for name in ("_evaluation", "_far_band_au"):
+                        patch.setattr(stark, name, getattr(stark, name).__wrapped__)
+                for argv, name in commands:
+                    out = tmp_path / f"{argv[0]}-{memo}"
+                    assert main(argv + ["--out", str(out)]) == 0
+                    runs.setdefault(argv[0], []).append(
+                        (capsys.readouterr().out.replace(str(out), "OUT"),
+                         (out / name).read_bytes()))
+        assert stark._evaluation.cache_info().hits - hits == 2
+        assert all(cold == warm for cold, warm in runs.values())
 
     def test_spectrum_zero_steps_is_validation_error(self, tmp_path, capsys):
         code = main(["spectrum", "--steps", "0", "--out", str(tmp_path)])

@@ -17,7 +17,7 @@ from odfprobe.identify import (SIGNS, Measurement, ShiftPrediction,
                                format_report_text, identification_report,
                                match_candidates, predict_catalog_shifts,
                                read_measurements, write_report_json)
-from odfprobe.quantities import polarizability_to_shift
+from odfprobe.quantities import polarizability_to_shift, wavelength_to_angular_frequency
 from odfprobe.stark import NearResonanceError, polarizability_breakdown
 from odfprobe.states import MolecularState, enumerate_states
 
@@ -196,6 +196,12 @@ class TestArrayIdentification:
                     assert result == expected
                     assert (result.excluded_states, result.exclusion_fraction) \
                         == (expected.excluded_states, expected.exclusion_fraction)
+
+    def test_measurement_as_asdict_gave_it(self, predictions):
+        meas = Measurement(789.0, 1.1508e7, np.float64(1229.9), 130.0, "red", F_IP)
+        report = identification_report(meas, predictions)
+        assert json.dumps(report["measurement"]) == json.dumps(dataclasses.asdict(meas))
+        assert list(report) == ["measurement", "total_states", "flagged_states", "tiers"]
 
 
 class TestTierLabels:
@@ -379,6 +385,71 @@ class TestTableLookup:
         for _ in range(2):
             with pytest.raises(ValueError, match="no states"):
                 stark.stark_table([], catalog_module)
+
+
+class TestEvaluationMemo:
+    """``StarkTable.shifts`` evaluates each (table, wavelength, guard) once and
+    scales it by each call's intensity, bit for bit as a cold evaluation."""
+
+    @staticmethod
+    def clear():
+        stark._evaluation.cache_clear()
+        stark._far_band_au.cache_clear()
+
+    @pytest.mark.parametrize("wavelength, flagged", [(789.0, 0), (789.71, 0),
+                                                     (787.4755, 12)])
+    def test_repeat_equals_cold_and_scalar_path(self, catalog_module, anchor_module,
+                                                wavelength, flagged):
+        states = enumerate_states(8)
+        table = stark.stark_table(states, catalog_module)
+        intensities = (anchor_module, 0.37 * anchor_module)
+        self.clear()
+        warm = [table.shifts(wavelength, intensity) for intensity in intensities]
+        assert stark._evaluation.cache_info()[:2] == (1, 1)     # one hit, one miss
+        for intensity, (shifts, hits, reasons) in zip(intensities, warm):
+            self.clear()
+            cold = table.shifts(wavelength, intensity)
+            assert np.array_equal(shifts, cold[0]) and np.array_equal(hits, cold[1])
+            assert reasons == cold[2] and int(hits.sum()) == flagged
+            assert table_predictions(wavelength, intensity, states, catalog_module) \
+                == scalar_predictions(wavelength, intensity, states, catalog_module)
+
+    def test_each_call_owns_its_output(self, catalog_module, anchor_module):
+        table = stark.stark_table(enumerate_states(8), catalog_module)
+        shifts, hits, reasons = table.shifts(787.4755, anchor_module)
+        expected = (shifts.copy(), hits.copy(), list(reasons))
+        shifts[:], hits[:], reasons[:] = 1.0, ~hits, ["x"] * len(reasons)
+        again = table.shifts(787.4755, anchor_module)
+        assert np.array_equal(again[0], expected[0])
+        assert np.array_equal(again[1], expected[1]) and again[2] == expected[2]
+
+    def test_far_band_flags_every_state_on_each_call(self, catalog_module, anchor_module):
+        # 1109.14 nm is the A(v'=0) far band itself
+        states = enumerate_states(8)
+        self.clear()
+        expected = scalar_predictions(1109.14, anchor_module, states, catalog_module)
+        assert all(shift is None and "far band A(v'=0)" in reason
+                   for _, shift, reason in expected)
+        for _ in range(2):
+            predictions = predict_catalog_shifts(1109.14, anchor_module, states,
+                                                 catalog_module)
+            assert int(predictions.flagged.sum()) == 540
+            assert not predictions.shifts.any()
+            assert table_predictions(1109.14, anchor_module, states, catalog_module) \
+                == expected
+            with pytest.raises(NearResonanceError, match="far band A"):
+                background_shift_hz(1109.14, anchor_module, catalog_module)
+
+    def test_background_reuses_the_far_band_term(self, catalog_module, anchor_module):
+        self.clear()
+        predict_catalog_shifts(789.0, anchor_module, enumerate_states(8), catalog_module)
+        hits = stark._far_band_au.cache_info().hits
+        background = background_shift_hz(789.0, anchor_module, catalog_module)
+        assert stark._far_band_au.cache_info().hits == hits + 1
+        far = stark._far_band_au.__wrapped__(wavelength_to_angular_frequency(789.0),
+                                             catalog_module, 1e9)
+        alpha = 0.0 + far + catalog_module.core_polarizability_au
+        assert background == abs(polarizability_to_shift(alpha, anchor_module))
 
 
 class TestMatching:

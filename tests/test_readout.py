@@ -17,7 +17,8 @@ from odfprobe.readout import (CalibrationSet, ConvergenceError, FitError,
                               iterate_partner_correction, sideband_rabi_frequencies,
                               synthesize_bsb_signal)
 
-from oracles import scipy_bounded_minimum, scipy_curve_fit, scipy_pchip, template_curves
+from oracles import (bsb_signal, scipy_bounded_minimum, scipy_curve_fit, scipy_pchip,
+                     template_curves)
 
 TIMES = np.linspace(0.0, 120e-6, 61)
 OMEGA0 = 2.0 * math.pi * 50e3
@@ -105,11 +106,81 @@ class TestSynthesis:
         dist = MotionalDistribution.coherent(5.0)
         sig = synthesize_bsb_signal(dist, ETA, OMEGA0, TIMES)
         assert sig.shots is None
+        assert np.array_equal(sig.p, bsb_signal(dist, ETA, OMEGA0, TIMES))
 
     def test_eta_validation(self):
         dist = MotionalDistribution.coherent(1.0)
         with pytest.raises(ValueError):
             synthesize_bsb_signal(dist, 0.8, OMEGA0, TIMES)
+
+
+class TestSineTable:
+    """The synthesis reads sin^2(Omega_n t / 2) from one table per (times, eta,
+    omega0) and gives the per-call sine matrix of ``tests/oracles.py`` bit for
+    bit, however the table grew."""
+
+    @pytest.fixture(autouse=True)
+    def empty_tables(self, monkeypatch):
+        monkeypatch.setattr(readout, "_RABI_SINES", {})
+
+    @staticmethod
+    def assert_signals_match(pipeline, shifts, seed=None):
+        omega0 = 2.0 * math.pi * pipeline.carrier_rabi_hz
+        for k, shift in enumerate(shifts):
+            dist = pipeline.distribution(shift)
+            expected = bsb_signal(dist, pipeline.eta, omega0, pipeline.probe_times_s,
+                                  pipeline.decoherence_tau_s)
+            assert np.array_equal(pipeline.signal(shift).p, expected), shift
+            if seed is not None:
+                noisy = pipeline.signal(shift, shots=20, seed=seed + k)
+                counts = np.random.default_rng(seed + k).binomial(20, expected)
+                assert np.array_equal(noisy.p, counts / 20), shift
+
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "random"])
+    def test_seeded_shifts_in_any_order(self, pipeline, order):
+        shifts = np.random.default_rng(3001).uniform(0.0, 9300.0, 150)
+        shifts = {"increasing": np.sort(shifts), "decreasing": np.sort(shifts)[::-1],
+                  "random": shifts}[order]
+        self.assert_signals_match(pipeline, [0.0, *shifts, 9300.0], seed=30)
+        (table,) = readout._RABI_SINES.values()
+        # exactly as wide as the largest cutoff asked, and never written again
+        assert table.shape == (61, readout.MAX_FOCK + 1)
+        assert not table.flags.writeable
+
+    def test_grows_to_exactly_the_widest_call(self, pipeline):
+        widths = []
+        for shift in (300.0, 1500.0, 1000.0, 4000.0):
+            self.assert_signals_match(pipeline, [shift])
+            (table,) = readout._RABI_SINES.values()
+            widths.append(table.shape[1])
+        cut = [len(pipeline.distribution(s).p_n) for s in (300.0, 1500.0, 4000.0)]
+        assert widths == [cut[0], cut[1], cut[1], cut[2]]
+
+    def test_grids_and_etas_keep_their_own_tables(self, pipeline):
+        pipelines = [pipeline, replace(pipeline, eta=0.12),
+                     replace(pipeline, probe_times_s=np.linspace(5e-6, 150e-6, 40)),
+                     replace(pipeline, eta=0.12, probe_times_s=TIMES * 1.01)]
+        shifts = np.random.default_rng(3002).uniform(0.0, 6000.0, 20)
+        for shift in shifts:
+            for p in pipelines:
+                self.assert_signals_match(p, [shift])
+        assert len(readout._RABI_SINES) == 4
+
+    def test_at_most_eight_tables(self, pipeline):
+        pipelines = [replace(pipeline, eta=0.1 + 0.01 * k) for k in range(10)]
+        for p in pipelines + pipelines[::-1]:
+            self.assert_signals_match(p, [2500.0])
+            assert len(readout._RABI_SINES) <= 8
+
+    def test_invalid_eta_refused_with_a_warm_table(self):
+        dist = MotionalDistribution.coherent(40.0)
+        synthesize_bsb_signal(dist, ETA, OMEGA0, TIMES)
+        for eta in (0.8, 0.0, math.nan):
+            with pytest.raises(ValueError, match="Lamb-Dicke"):
+                synthesize_bsb_signal(dist, eta, OMEGA0, TIMES)
+        with pytest.raises(ValueError, match="carrier"):
+            synthesize_bsb_signal(dist, ETA, -OMEGA0, TIMES)
+        assert len(readout._RABI_SINES) == 1
 
 
 class TestFitRabi:
@@ -918,6 +989,20 @@ class TestNoiselessCache:
         assert a == b and hash(a) == hash(b)
         c = replace(b, carrier_rabi_hz=51e3)
         assert a != c and {a, b, c} == {a, c}
+
+    def test_key_made_once_per_pipeline(self, crystal, monkeypatch):
+        a = ReadoutPipeline(crystal, probe_times_s=np.linspace(0.0, 120e-6, 61))
+        b = ReadoutPipeline(crystal, probe_times_s=np.linspace(0.0, 120e-6, 61))
+        moved = np.linspace(0.0, 120e-6, 61)
+        moved[30] = np.nextafter(moved[30], 1.0)
+        c = ReadoutPipeline(crystal, probe_times_s=moved)
+        # comparing and hashing read the key made at construction
+        monkeypatch.setattr(readout, "fields", lambda _: pytest.fail("key rebuilt"))
+        assert a.probe_times_s is not b.probe_times_s
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != c and b != c and len({a, b, c}) == 2
+        assert build_calibration(TestNoiselessCache.SHIFTS, a) \
+            is build_calibration(TestNoiselessCache.SHIFTS, b)
 
 
 class TestPipeline:
