@@ -127,9 +127,9 @@ def cmd_simulate(args, config: RunConfig) -> int:
     import numpy as np
 
     from .crystal import LatticeDrive, TwoIonCrystal
-    from .dynamics import (IntegrationError, SimulationConfig, integration_steps,
-                           linearized_prediction, mode_amplitude, simulate_odf, step_plan,
-                           sweep_beat_frequency)
+    from .dynamics import (IntegrationError, SimulationConfig, end_state_plan,
+                           integration_steps, linearized_prediction, mode_amplitude,
+                           simulate_odf, step_plan, sweep_beat_frequency)
     from .stark import atomic_stark_shift
 
     crystal = config.crystal()
@@ -160,10 +160,13 @@ def cmd_simulate(args, config: RunConfig) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if not (args.sweep and args.linearized):
+        # a sweep point stores the samples of its end-state run
         points = ([replace(sim_config, drive=replace(drive, beat_frequency_hz=float(beat)))
                    for beat in beats] if args.sweep else [sim_config])
-        facts["samples"] = step_plan(sim_config)[0]
-        facts["integration_steps"] = sum(map(integration_steps, points))
+        plan = end_state_plan if args.sweep else step_plan
+        facts["samples"] = plan(sim_config)[0]
+        facts["integration_steps"] = sum(integration_steps(point, *plan(point))
+                                         for point in points)
     outdir = _outdir(args)
     if args.sweep:
         path = outdir / "beat_sweep.csv"

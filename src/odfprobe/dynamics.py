@@ -18,6 +18,10 @@ stored sample near resonance.  Its lattice-off energy error stays bounded
 instead of drifting, and the stored trajectory keeps a fixed number of
 samples per out-of-phase period whatever the beat.  A drive deep enough for
 chaotic motion is checked again at half the step.
+
+A beat-frequency sweep reads only each point's end state, so each point runs
+to the end of the pulse and stores that one state, at a step that follows
+the beat and the drive (end_state_plan).
 """
 
 from __future__ import annotations
@@ -57,6 +61,15 @@ _STEP_TOLERANCE = 1e-4
 # step per sample a +1 MHz molecular shift's |A-| is off by 5.9e-7, at this
 # step by 5e-11.
 _DEEP_STEPS_PER_PERIOD = 220
+# Steps per period of the faster of the in-phase mode and the beat for a run
+# that keeps only its end state, where the drive's depth times the in-phase
+# half periods of the pulse, pi depth f_IP T, stays below _END_WEAK_DRIVE:
+# criterion 07c's 3 ms points (0.06) then read |A-| within 4e-11 of a
+# 256-step reference, as they do at one step per sample.
+_END_STEPS_PER_PERIOD = 16
+_END_WEAK_DRIVE = 0.1
+# Rows formatted at a time when a trajectory is written.
+_EXPORT_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -94,11 +107,14 @@ class Trajectory:
     config: SimulationConfig
 
     def export_csv(self, path) -> None:
-        # one %-format per row, split back into write_table's fields
+        # one %-format per row, split back into write_table's fields, with
+        # _EXPORT_ROWS rows at a time held as floats
         columns = (self.t, self.q1, self.q2, self.v1, self.v2)
         write_table(path, ["t_s", "q1_m", "q2_m", "v1_m_s", "v2_m_s"],
                     (("%.12e,%.12e,%.12e,%.12e,%.12e" % row).split(",")
-                     for row in zip(*(column.tolist() for column in columns))))
+                     for start in range(0, len(self.t), _EXPORT_ROWS)
+                     for row in zip(*(column[start:start + _EXPORT_ROWS].tolist()
+                                      for column in columns))))
 
 
 @dataclass(frozen=True)
@@ -161,19 +177,34 @@ def simulate_odf(config: SimulationConfig) -> Trajectory:
     half the step, and an end state that moves raises IntegrationError.  A
     run that would take more than _MAX_STEPS steps raises ValueError.
     """
+    samples, stride = step_plan(config)
+    q1, q2, v1, v2 = _run(config, samples, stride).T
+    return Trajectory(np.linspace(0.0, config.duration, samples + 1), q1, q2, v1, v2, config)
+
+
+def end_state_excitation(config: SimulationConfig) -> ModeExcitation:
+    """The mode excitation at the end of the pulse, from a run of
+    end_state_plan that stores no trajectory on the way, with simulate_odf's
+    checks."""
+    samples, stride = end_state_plan(config)
+    return _excitation(config.crystal, *_run(config, samples, stride)[-1])
+
+
+def _run(config: SimulationConfig, samples: int, stride: int) -> np.ndarray:
+    """_integrate's states, checked: a run of more than _MAX_STEPS steps
+    raises ValueError, and a state that is not finite, or a deep drive's end
+    state that moves when the step is halved, raises IntegrationError."""
     crystal, drive = config.crystal, config.drive
     duration = config.duration
-    samples, stride = step_plan(config)
     if stride * samples > _MAX_STEPS:
         raise ValueError(f"a {drive.beat_frequency_hz:g} Hz beat over a {duration * 1e3:g} ms "
                          f"pulse needs {stride * samples} integration steps, more than "
                          f"the {_MAX_STEPS} allowed")
     states = _integrate(config, samples, stride)
-    t = np.linspace(0.0, duration, samples + 1)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
-        raise IntegrationError(f"state not finite at t = {t[np.argmin(finite)]:.3e} s "
-                               f"of {duration:.3e} s")
+        t = np.linspace(0.0, duration, samples + 1)[np.argmin(finite)]
+        raise IntegrationError(f"state not finite at t = {t:.3e} s of {duration:.3e} s")
     depth = _lattice_depth(config)
     if depth >= _DEEP_LATTICE:
         scale = np.array([1.0, 1.0, crystal.omega_minus, crystal.omega_minus])
@@ -185,8 +216,7 @@ def simulate_odf(config: SimulationConfig) -> Trajectory:
                 f"end state depends on the step: halving it moves the end state by "
                 f"{change / excursion:.1e} of the largest excursion; the lattice "
                 f"curvature is {depth:.3g} of the trap's, deep enough for chaotic motion")
-    q1, q2, v1, v2 = states.T
-    return Trajectory(t, q1, q2, v1, v2, config)
+    return states
 
 
 def step_plan(config: SimulationConfig) -> tuple[int, int]:
@@ -201,10 +231,36 @@ def step_plan(config: SimulationConfig) -> tuple[int, int]:
     return samples, math.ceil(per_period * fastest * duration / samples)
 
 
-def integration_steps(config: SimulationConfig) -> int:
-    """Steps that simulate_odf takes for config, a deep drive's run at half
-    the step included."""
+def end_state_plan(config: SimulationConfig) -> tuple[int, int]:
+    """(samples, stride) of end_state_excitation's run: step_plan's for a
+    drive deeper than _DEEP_LATTICE, so that its half-step check compares
+    the same samples, or one that leaves the in-phase mode undriven; else one
+    sample, taking _END_STEPS_PER_PERIOD steps per period of the faster of
+    f_IP and the beat, more as the drive deepens or the response falls below
+    its resonant value, and never more than step_plan's.
+    """
     samples, stride = step_plan(config)
+    depth = _lattice_depth(config)
+    linear = abs(linearized_prediction(config).amplitude_minus)
+    if depth >= _DEEP_LATTICE or not linear > 0.0:
+        return samples, stride
+    f_ip, beat, duration = config.crystal.f_ip, config.drive.beat_frequency_hz, config.duration
+    resonant = abs(linearized_prediction(replace(
+        config, drive=replace(config.drive, beat_frequency_hz=f_ip))).amplitude_minus)
+    # The step's error falls as its sixth power.  A beat 0.7 / T off f_IP
+    # puts |A-| off by about 3e-8 (pi depth f_IP T)^2 at 16 steps per period
+    # (depths 3e-4 to 2e-2, pulses 0.1 to 3 ms).  The error follows the
+    # resonant response, so relative to |A-| it grows as the linear model's
+    # |A-| falls off resonance.
+    weight = math.pi * depth * f_ip * duration / _END_WEAK_DRIVE
+    per_period = (_END_STEPS_PER_PERIOD * max(1.0, weight) ** (1.0 / 3.0)
+                  * max(1.0, resonant / linear) ** (1.0 / 6.0))
+    return 1, min(samples * stride, math.ceil(per_period * max(f_ip, beat) * duration))
+
+
+def integration_steps(config: SimulationConfig, samples: int, stride: int) -> int:
+    """Steps that a run of (samples, stride) takes for config, a deep
+    drive's run at half the step included."""
     return samples * stride * (3 if _lattice_depth(config) >= _DEEP_LATTICE else 1)
 
 
@@ -257,7 +313,8 @@ def _integrate(config: SimulationConfig, samples: int, stride: int) -> np.ndarra
     up, um = crystal.to_modes(v1, v2)
     bp, up = _turn(bp, up / omega_p, omega_p * half_drift)
     bm, um = _turn(bm, um / omega_m, omega_m * half_drift)
-    states = []
+    states = np.empty((samples, 4))
+    store = memoryview(states.reshape(-1))
     for sample in range(samples):
         for step in range(sample * stride, (sample + 1) * stride):
             phase = omega_d * (step * dt)
@@ -281,8 +338,9 @@ def _integrate(config: SimulationConfig, samples: int, stride: int) -> np.ndarra
                 um += km1 * f1 + km2 * f2
                 bp, up = cp * bp + sp * up, cp * up - sp * bp
                 bm, um = cm * bm + sm * um, cm * um - sm * bm
-        states.append((bp, up, bm, um))
-    bp, up, bm, um = np.array(states).T
+        k = 4 * sample
+        store[k], store[k + 1], store[k + 2], store[k + 3] = bp, up, bm, um
+    bp, up, bm, um = states.T
     bp, up = _turn(bp, up, -omega_p * half_drift)
     bm, um = _turn(bm, um, -omega_m * half_drift)
     result = np.empty((samples + 1, 4))
@@ -311,8 +369,14 @@ def mode_amplitude(trajectory: Trajectory) -> ModeExcitation:
             f"trajectory undersampled: step {np.max(dt):.3e} s exceeds 1/20 of the "
             f"out-of-phase period {min_period:.3e} s"
         )
-    beta_plus, beta_minus = crystal.to_modes(trajectory.q1[-1], trajectory.q2[-1])
-    betadot_plus, betadot_minus = crystal.to_modes(trajectory.v1[-1], trajectory.v2[-1])
+    return _excitation(crystal, trajectory.q1[-1], trajectory.q2[-1],
+                       trajectory.v1[-1], trajectory.v2[-1])
+
+
+def _excitation(crystal: TwoIonCrystal, q1, q2, v1, v2) -> ModeExcitation:
+    """Complex mode amplitudes of the state (q1, q2, v1, v2)."""
+    beta_plus, beta_minus = crystal.to_modes(q1, q2)
+    betadot_plus, betadot_minus = crystal.to_modes(v1, v2)
     om, op = crystal.omega_minus, crystal.omega_plus
     return ModeExcitation(
         amplitude_minus=complex(beta_minus, betadot_minus / om),
@@ -368,11 +432,13 @@ def linearized_prediction(config: SimulationConfig) -> ModeExcitation:
 
 def sweep_beat_frequency(config: SimulationConfig, frequencies_hz,
                          use_simulator: bool = True) -> list[tuple[float, float]]:
-    """(beat frequency, |in-phase amplitude|) pairs over a frequency sweep."""
+    """(beat frequency, |in-phase amplitude|) pairs over a frequency sweep:
+    each point's end state from end_state_excitation, or the linearized
+    model's."""
     rows = []
     for frequency in map(float, frequencies_hz):
         cfg = replace(config, drive=replace(config.drive, beat_frequency_hz=frequency))
-        excitation = (mode_amplitude(simulate_odf(cfg)) if use_simulator
+        excitation = (end_state_excitation(cfg) if use_simulator
                       else linearized_prediction(cfg))
         rows.append((frequency, abs(excitation.amplitude_minus)))
     return rows

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from odfprobe.catalog import SHIPPED_LINES_FILE, shipped_data_path
 from odfprobe.cli import MAX_SPECTRUM_STEPS, main
-from odfprobe import readout, stark
+from odfprobe import dynamics, readout, stark
 from odfprobe.config import KNOWN_KEYS, ConfigError, RunConfig, load_config
 from odfprobe.quantities import ATOMIC_MASS, polarizability_to_shift
 from odfprobe.stark import NearResonanceError, polarizability_breakdown
@@ -515,20 +515,39 @@ class TestCli:
     @pytest.mark.parametrize("argv, per_sample", [
         # one step per stored sample near f_IP
         ([], 1),
-        (["--sweep", "690000", "700000", "2"], 2),
+        # each sweep point stores only its end state: one sample, after 16
+        # to 18 steps per in-phase period near f_IP
+        (["--sweep", "690000", "700000", "2"], None),
         # a lattice this deep takes five steps per sample, and is run again
         # at ten
         (["--molecular-shift=-1e6"], 15),
     ], ids=["pulse", "sweep", "deep-drive"])
-    def test_simulate_manifest_reports_the_kernel_work(self, tmp_path, argv, per_sample):
+    def test_simulate_manifest_reports_the_kernel_work(self, tmp_path, monkeypatch, argv,
+                                                       per_sample):
+        taken = []
+        integrate = dynamics._integrate
+
+        def counting(config, samples, stride):
+            taken.append((config.drive.beat_frequency_hz, samples * stride))
+            return integrate(config, samples, stride)
+
+        monkeypatch.setattr(dynamics, "_integrate", counting)
         path = config_with(tmp_path, "lattice", "pulse_ms", "0.05")
         assert main(["simulate", "--config", str(path), *argv,
                      "--out", str(tmp_path / "out")]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["integration_steps"] == sum(steps for _, steps in taken)
         crystal = load_config(path).crystal()
         samples = int(25 * crystal.omega_plus / (2.0 * np.pi) * 0.05e-3)
-        assert manifest["samples"] == samples
-        assert manifest["integration_steps"] == per_sample * samples
+        if per_sample is None:
+            assert manifest["samples"] == 1
+            assert [beat for beat, _ in taken] == [690000.0, 700000.0]
+            for beat, steps in taken:
+                periods = max(beat, crystal.f_ip) * 0.05e-3
+                assert 16 * periods <= steps <= 18 * periods
+        else:
+            assert manifest["samples"] == samples
+            assert manifest["integration_steps"] == per_sample * samples
 
     def test_identify_far_band_row_flags_all_states(self, tmp_path, capsys):
         # 1109.14 nm is the A(v'=0) far band itself.

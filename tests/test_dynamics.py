@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from odfprobe.catalog import write_table
 from odfprobe.config import load_config
 from odfprobe.crystal import LatticeDrive
 from odfprobe.dynamics import (IntegrationError, SimulationConfig, Trajectory,
-                               linearized_prediction, mode_amplitude, simulate_odf,
-                               sweep_beat_frequency, total_energy)
+                               end_state_excitation, linearized_prediction, mode_amplitude,
+                               simulate_odf, sweep_beat_frequency, total_energy)
 from odfprobe.quantities import ATOMIC_MASS, COULOMB_PREFACTOR, HBAR, PLANCK
 from odfprobe.stark import atomic_stark_shift
 
@@ -289,10 +290,114 @@ class TestSweep:
         config = make_config(crystal, shift1=-30.0, duration=0.05e-3)
         freqs = crystal.f_ip + np.array([-2000.0, 250.0, 3000.0])
         expected = [
-            (f, abs(mode_amplitude(simulate_odf(replace(
-                config, drive=replace(config.drive, beat_frequency_hz=f)))).amplitude_minus))
+            (f, abs(end_state_excitation(replace(
+                config, drive=replace(config.drive, beat_frequency_hz=f))).amplitude_minus))
             for f in freqs]
         assert sweep_beat_frequency(config, freqs) == expected
+
+
+# A beat above the out-of-phase mode (1243 kHz for this crystal).
+ABOVE_F_OP = 1.5e6
+
+# Shapes that sweeps run: (molecular shift Hz, atomic shift Hz or "atomic"
+# for default.cfg's, pulse s, beat offset from f_IP Hz or None for
+# ABOVE_F_OP), with |A-| from two runs of the same kernel.  The first is a
+# converged reference, 256 steps per period of the faster of f_IP and the
+# beat with one stored sample, dynamics._integrate(config, 1,
+# ceil(256 f T)); it takes seconds per 3 ms point, so it is recorded.  The
+# second is mode_amplitude(simulate_odf(config)), one step per stored
+# sample near f_IP.
+END_STATE_RECORDED = {
+    # criterion 07c's scan
+    "07c-300": ((-30.0, 0.0, 3e-3, -163.0), 1.4634322264411222e-09, 1.4634322264167623e-09),
+    "07c-200": ((-30.0, 0.0, 3e-3, -63.0), 2.1198717362924474e-09, 2.119871736254597e-09),
+    "07c-100": ((-30.0, 0.0, 3e-3, 37.0), 2.2043660290501963e-09, 2.2043660291329776e-09),
+    "07c+0": ((-30.0, 0.0, 3e-3, 137.0), 1.674866726441752e-09, 1.6748667264583546e-09),
+    "07c+100": ((-30.0, 0.0, 3e-3, 237.0), 7.938651262525255e-10, 7.93865126253264e-10),
+    "07c+200": ((-30.0, 0.0, 3e-3, 337.0), 2.4419918505957758e-11, 2.441991850634218e-11),
+    "07c+300": ((-30.0, 0.0, 3e-3, 437.0), 4.5288443764555557e-10, 4.528844376300003e-10),
+    # the benchmark's odf_amplitude_m fingerprint
+    "fingerprint": ((-30.0, 0.0, 5e-5, 250.0), 3.754291838023477e-11, 3.754291838021567e-11),
+    # the benchmark's odf-sweep shape, linear and saturated
+    "linear-7k": ((-30.0, 0.0, 1e-4, -7e3), 2.745957195659446e-11, 2.7459571956583273e-11),
+    "linear+7k": ((-30.0, 0.0, 1e-4, 7e3), 2.757381858035556e-11, 2.757381858035437e-11),
+    "linear-above-f_OP": ((-30.0, 0.0, 1e-4, None), 3.9092243148256226e-13,
+                          3.9092243148809756e-13),
+    "saturated-7k": ((-6e4, 0.0, 1e-4, -7e3), 4.574100550457265e-08, 4.574100545392273e-08),
+    "saturated+7k": ((-6e4, 0.0, 1e-4, 7e3), 4.6511907378265155e-08, 4.651190742986365e-08),
+    "saturated-above-f_OP": ((-6e4, 0.0, 1e-4, None), 7.847998665335292e-10,
+                             7.847998664882525e-10),
+    # simulate --molecular-shift +-3000 on default.cfg
+    "molecular+3000": ((3000.0, "atomic", 3e-3, 0.0), 1.6467935590321615e-07,
+                       1.646793559006798e-07),
+    "molecular-3000": ((-3000.0, "atomic", 3e-3, 0.0), 2.0202822549987746e-07,
+                       2.0202822549705842e-07),
+}
+
+
+def default_atomic_shift():
+    config = load_config("default")
+    return atomic_stark_shift(config.atomic_model(), config.wavelength_nm,
+                              config.intensity_w_m2)
+
+
+class TestEndState:
+    @pytest.mark.parametrize("name", END_STATE_RECORDED)
+    def test_no_further_from_converged_than_simulate_odf(self, crystal, name):
+        (shift1, shift2, duration, offset), reference, stored = END_STATE_RECORDED[name]
+        if shift2 == "atomic":
+            shift2 = default_atomic_shift()
+        beat = ABOVE_F_OP if offset is None else crystal.f_ip + offset
+        config = make_config(crystal, shift1=shift1, shift2=shift2, duration=duration,
+                             beat=beat)
+        amplitude = abs(end_state_excitation(config).amplitude_minus)
+        assert abs(amplitude - reference) <= max(abs(stored - reference), 1e-9 * reference)
+
+    def test_steps_follow_the_beat_and_the_drive(self, crystal):
+        def steps(plan, **kwargs):
+            samples, stride = plan(make_config(crystal, **kwargs))
+            return samples * stride
+
+        near = steps(dynamics.end_state_plan, shift1=-30.0, beat=crystal.f_ip + 137.0)
+        assert dynamics.end_state_plan(make_config(crystal, shift1=-30.0))[0] == 1
+        assert near < 0.45 * steps(dynamics.step_plan, shift1=-30.0)
+        assert near < steps(dynamics.end_state_plan, shift1=-30.0, beat=crystal.f_ip + 2.5e3)
+        assert near < steps(dynamics.end_state_plan, shift1=-300.0, beat=crystal.f_ip + 137.0)
+        # never more than a stored trajectory takes, as much where the
+        # in-phase mode is not driven
+        for shift1, beat in ((-6e4, crystal.f_ip), (-30.0, 2e7), (0.0, crystal.f_ip)):
+            assert (steps(dynamics.end_state_plan, shift1=shift1, beat=beat)
+                    == steps(dynamics.step_plan, shift1=shift1, beat=beat))
+
+    @pytest.mark.parametrize("shift1, duration", [(-6e4, 0.1e-3), (-1e6, 0.05e-3)],
+                             ids=["saturated", "deep"])
+    def test_at_simulate_odf_steps_the_end_state_is_simulate_odf(self, crystal, shift1,
+                                                                 duration):
+        # the odf-sweep workload's saturated drive reaches simulate_odf's
+        # steps; a deep one keeps its plan, samples and half-step check
+        config = make_config(crystal, shift1=shift1, duration=duration)
+        samples, stride = dynamics.end_state_plan(config)
+        assert samples * stride == math.prod(dynamics.step_plan(config))
+        assert (samples > 1) == (shift1 == -1e6)
+        assert end_state_excitation(config) == mode_amplitude(simulate_odf(config))
+
+    def test_deep_drive_sweep_keeps_the_half_step_check(self, crystal):
+        config = make_config(crystal, shift1=-1e7, duration=0.2e-3)
+        with pytest.raises(IntegrationError, match="end state depends on the step"):
+            sweep_beat_frequency(config, [crystal.f_ip])
+
+    def test_sweep_point_stores_no_trajectory(self, crystal):
+        # A point once held every sample as a tuple: a 2.7 MB peak at 0.3 ms
+        # and 26 MB at 3 ms.  tracemalloc slows the kernel about a hundred
+        # times (28 s for a 3 ms point), so the pulse is short.
+        config = make_config(crystal, shift1=-30.0, duration=0.3e-3)
+        tracemalloc.start()
+        try:
+            sweep_beat_frequency(config, [crystal.f_ip])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestKernel:
