@@ -9,7 +9,6 @@ magnitude pairs into the molecular shift, and the detuning-sign inference.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .quantities import ATOMIC_MASS, COULOMB_PREFACTOR
@@ -228,38 +227,22 @@ class MolecularShiftEstimate:
 
     shift_hz: float              # |dE_m0|, magnitude of the molecular shift
     atomic_component_hz: float   # inferred |cos(theta) dE_2^0|
-    dominance_warning: bool = False
 
 
 def extract_molecular_shift(mag_sp_hz: float, mag_op_hz: float, mu: float,
-                            theta: float,
-                            atomic_shift_bound_hz: float | None = None,
-                            ) -> MolecularShiftEstimate:
-    """|dE_m0| = (|SP| + |OP|) / (2 sqrt(mu) sin(theta)).
+                            theta: float) -> MolecularShiftEstimate:
+    """|dE_m0| = (|SP| + |OP|) / (2 sqrt(mu) sin(theta)), with the atomic
+    component |SP - OP| / 2.
 
     Valid under the dominance assumption |sqrt(mu) sin(theta) dE1| >
-    |cos(theta) dE2|.  When a bound on the atomic single-beam shift is
-    supplied, the inferred atomic component |SP - OP| / 2 is checked against
-    cos(theta) * bound and a warning is attached on violation.
+    |cos(theta) dE2|.
     """
     if mag_sp_hz < 0.0 or mag_op_hz < 0.0:
         raise ValueError("SP/OP magnitudes must be >= 0")
     weight = 2.0 * math.sqrt(mu) * math.sin(theta)
     shift = (mag_sp_hz + mag_op_hz) / weight
     atomic = abs(mag_sp_hz - mag_op_hz) / 2.0
-    warn = False
-    if atomic_shift_bound_hz is not None:
-        bound = math.cos(theta) * abs(atomic_shift_bound_hz)
-        if atomic > bound * (1.0 + 1e-9):
-            warn = True
-            warnings.warn(
-                f"inferred atomic mode component {atomic:.3g} Hz exceeds "
-                f"cos(theta) x bound = {bound:.3g} Hz; dominance assumption "
-                "violated",
-                stacklevel=2,
-            )
-    return MolecularShiftEstimate(shift_hz=shift, atomic_component_hz=atomic,
-                                  dominance_warning=warn)
+    return MolecularShiftEstimate(shift_hz=shift, atomic_component_hz=atomic)
 
 
 def infer_detuning_sign(mag_sp_hz: float, mag_op_hz: float, sigma_hz: float,

@@ -1,17 +1,18 @@
-"""Bounded nonlinear least squares and the PCHIP interpolant, on numpy alone.
+"""Bounded nonlinear least squares and the PCHIP coefficients, on numpy alone.
 
 ``curve_fit`` is scipy 1.17.1's ``curve_fit`` (method "trf", finite bounds,
 no sigma or a 1-D sigma) over ``least_squares`` with its defaults (x_scale 1,
 linear loss, exact trust-region solver, ftol = xtol = gtol = 1e-8) and
 '2-point' finite differences: the trust-region reflective method of M. A.
 Branch, T. F. Coleman and Y. Li (SIAM J. Sci. Comput. 21, 1, 1999).
-``PchipInterpolator`` is scipy's interpolant of the same name, its slopes
-those of F. N. Fritsch and J. Butland (SIAM J. Sci. Stat. Comput. 5, 300,
-1984).  Both are transcribed statement for statement, so they give scipy's
-results bit for bit; the branches ``readout`` cannot reach (other methods,
-losses and solvers, callbacks, sparse Jacobians, input checks its callers
-already make) are left out, and a factor that is exactly 1 under these
-options is dropped.  scipy's SVD is LAPACK's gesdd, as numpy's is; scipy
+``pchip_coefficients`` is the ``c`` of scipy's ``PchipInterpolator``, its
+slopes those of F. N. Fritsch and J. Butland (SIAM J. Sci. Stat. Comput. 5,
+300, 1984); ``readout`` sums the cubic itself.  Both are transcribed
+statement for statement, so they give scipy's results bit for bit; the
+branches ``readout`` cannot reach (other methods, losses and solvers,
+callbacks, sparse Jacobians, evaluation, input checks its callers already
+make) are left out, and a factor that is exactly 1 under these options is
+dropped.  scipy's SVD is LAPACK's gesdd, as numpy's is; scipy
 returns U and V^T in Fortran order, and the products below take a different
 BLAS path (and round differently) unless they are given that order too.
 """
@@ -19,8 +20,6 @@ BLAS path (and round differently) unless they are given that order too.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
-from copy import copy
 from math import copysign
 
 import numpy as np
@@ -467,80 +466,53 @@ def _check_termination(dF, F, dx_norm, x_norm, ratio, ftol, xtol):
 
 
 # ---------------------------------------------------------------------------
-# PchipInterpolator (scipy/interpolate/_cubic.py, _interpolate.py, _ppoly.pyx)
+# PchipInterpolator's coefficients (scipy/interpolate/_cubic.py)
 # ---------------------------------------------------------------------------
 
-class PchipInterpolator:
-    """Piecewise cubic Hermite interpolant of (x, y), x strictly increasing,
-    with shape-preserving slopes; it evaluates within [x[0], x[-1]] only
-    (scipy's ``extrapolate=False``) and gives NaN outside."""
+def pchip_coefficients(x, y) -> np.ndarray:
+    """scipy's ``PchipInterpolator(x, y).c`` for x strictly increasing: the
+    piecewise cubic Hermite interpolant with shape-preserving slopes, as
+    (4, len(x) - 1) coefficients per interval, highest power first, in
+    powers of the distance from the interval's left node."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = np.diff(x)
+    dydx = _find_derivatives(x, y)
+    # CubicHermiteSpline
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
 
-    def __init__(self, x, y):
-        self.x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dx = np.diff(self.x)
-        dydx = self._find_derivatives(self.x, y)
-        # CubicHermiteSpline: coefficients per interval, highest power first
-        slope = np.diff(y) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        self.c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
 
-    @staticmethod
-    def _edge_case(h0, h1, m0, m1):
-        # one-sided three-point estimate of the end slope
-        d = ((2*h0 + h1)*m0 - h0*m1) / (h0 + h1)
-        # try to preserve shape
-        if np.sign(d) != np.sign(m0):
-            return 0.
-        if np.sign(m0) != np.sign(m1) and np.abs(d) > 3.*np.abs(m0):
-            return 3.*m0
-        return d
+def _edge_case(h0, h1, m0, m1):
+    # one-sided three-point estimate of the end slope
+    d = ((2*h0 + h1)*m0 - h0*m1) / (h0 + h1)
+    # try to preserve shape
+    if np.sign(d) != np.sign(m0):
+        return 0.
+    if np.sign(m0) != np.sign(m1) and np.abs(d) > 3.*np.abs(m0):
+        return 3.*m0
+    return d
 
-    @staticmethod
-    def _find_derivatives(x, y):
-        # the slope at x_k is 0 where the neighbouring secants m_{k-1}, m_k
-        # differ in sign or either is 0, else their weighted harmonic mean
-        hk = x[1:] - x[:-1]
-        mk = (y[1:] - y[:-1]) / hk
-        if y.shape[0] == 2:
-            # two points: linear interpolation
-            return np.array([mk[0], mk[0]])
-        smk = np.sign(mk)
-        condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-        w1 = 2*hk[1:] + hk[:-1]
-        w2 = hk[1:] + 2*hk[:-1]
-        # the division by zero happens only where ``condition`` holds
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1/mk[:-1] + w2/mk[1:]) / (w1 + w2)
-        dk = np.zeros_like(y)
-        dk[1:-1][~condition] = 1.0 / whmean[~condition]
-        # end slopes as in C. Moler, Numerical Computing with MATLAB, ch. 3.6
-        dk[0] = PchipInterpolator._edge_case(hk[0], hk[1], mk[0], mk[1])
-        dk[-1] = PchipInterpolator._edge_case(hk[-1], hk[-2], mk[-1], mk[-2])
-        return dk
 
-    def derivative(self) -> "PchipInterpolator":
-        """The first derivative, a piecewise quadratic."""
-        derivative = copy(self)
-        derivative.c = self.c[:-1] * np.array([[3.], [2.], [1.]])
-        return derivative
-
-    def __call__(self, points) -> np.ndarray:
-        """Values at ``points``, summed on floats as scipy's ``evaluate_poly1``
-        sums them; intervals are half-open, the last one closed."""
-        x = self.x.tolist()
-        coefficients = self.c.T.tolist()
-        values = []
-        for point in np.atleast_1d(np.asarray(points, dtype=float)).tolist():
-            if not x[0] <= point <= x[-1]:
-                values.append(np.nan)
-                continue
-            i = len(x) - 2 if point == x[-1] else bisect_right(x, point) - 1
-            d = point - x[i]
-            value, z = 0.0, 1.0
-            for k, coefficient in enumerate(reversed(coefficients[i])):
-                value = value + coefficient * z
-                if k < len(coefficients[i]) - 1:
-                    z *= d
-            values.append(value)
-        return np.array(values)
+def _find_derivatives(x, y):
+    # the slope at x_k is 0 where the neighbouring secants m_{k-1}, m_k
+    # differ in sign or either is 0, else their weighted harmonic mean
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    if y.shape[0] == 2:
+        # two points: linear interpolation
+        return np.array([mk[0], mk[0]])
+    smk = np.sign(mk)
+    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2*hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2*hk[:-1]
+    # the division by zero happens only where ``condition`` holds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1/mk[:-1] + w2/mk[1:]) / (w1 + w2)
+    dk = np.zeros_like(y)
+    dk[1:-1][~condition] = 1.0 / whmean[~condition]
+    # end slopes as in C. Moler, Numerical Computing with MATLAB, ch. 3.6
+    dk[0] = _edge_case(hk[0], hk[1], mk[0], mk[1])
+    dk[-1] = _edge_case(hk[-1], hk[-2], mk[-1], mk[-2])
+    return dk

@@ -32,9 +32,31 @@ class ConvergenceError(RuntimeError):
 # Building calibration templates fits nothing: the fits and the interpolant
 # import ``fitting`` on use, so a process that only synthesizes never compiles it.
 def PchipInterpolator(x, y):
-    """``fitting.PchipInterpolator``, imported on the first call."""
-    from .fitting import PchipInterpolator as pchip
-    return pchip(x, y)
+    """``fitting.pchip_coefficients``, imported on the first call: scipy's
+    ``PchipInterpolator(x, y).c``, the cubic's coefficients per interval,
+    highest power first, which ``_pchip`` sums."""
+    from .fitting import pchip_coefficients
+    return pchip_coefficients(x, y)
+
+
+def _pchip(s, coefficients, x):
+    """The PCHIP on nodes ``s`` (a list) with per-interval ``coefficients``
+    (lists, highest power first) at x in [s[0], s[-1]], summed on floats as
+    scipy's ``evaluate_poly1`` sums it.  The intervals are PPoly's: half-open
+    [s[i], s[i + 1]), the last one closed."""
+    i = len(s) - 2 if x == s[-1] else bisect_right(s, x) - 1
+    c0, c1, c2, c3 = coefficients[i]
+    d = x - s[i]
+    return c3 + c2 * d + c1 * (d * d) + c0 * (d * d * d)
+
+
+def _pchip_edges(s, coefficients):
+    """([value, value], [slope, slope]) of the PCHIP at s[0] and s[-1]; the
+    slopes are its derivative's PPoly, (3 c0, 2 c1, c2), summed as scipy sums it."""
+    c0, c1, c2, _ = coefficients[-1]
+    d = s[-1] - s[-2]
+    return ([_pchip(s, coefficients, s[0]), _pchip(s, coefficients, s[-1])],
+            [coefficients[0][2], c2 + (2.0 * c1) * d + (3.0 * c0) * (d * d)])
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +267,7 @@ def fit_rabi(signal: RabiSignal) -> RabiFit:
     detrended = p - p.mean()
     spectrum = np.abs(np.fft.rfft(detrended))
     freqs = np.fft.rfftfreq(len(t), d=span / (len(t) - 1))
-    f0 = freqs[np.argmax(spectrum[1:]) + 1] if len(spectrum) > 1 else 1.0 / span
+    f0 = freqs[np.argmax(spectrum[1:]) + 1]
     f0 = max(f0, 0.25 / span)
     p0 = (float(p.min()), float(f0), float(np.clip(p.max() - p.min(), 0.05, 1.0)),
           span * 2.0)
@@ -391,8 +413,7 @@ class CalibrationSet:
         s = np.concatenate(([0.0], self.shifts_hz))
         f = np.concatenate(([zero_frequency], self.template_frequencies_hz))
         curves = np.vstack([pipeline.signal(0.0).p] + [tpl.p for tpl in self.templates])
-        pchip = PchipInterpolator(s, f)
-        edges = s[[0, -1]]
+        nodes, coefficients = s.tolist(), PchipInterpolator(s, f).T.tolist()
         t = pipeline.probe_times_s
         flat = np.zeros((len(curves), 1))
         slope = np.hstack([flat, np.diff(curves, axis=1) / np.diff(t), flat])
@@ -400,9 +421,8 @@ class CalibrationSet:
         knot = np.concatenate([t[:1], t])
         brackets = [None] + [(f[[hi - 1, hi], None], np.array([[hi - 1], [hi]]) * len(knot))
                              for hi in range(1, len(s))]
-        return (s.tolist(), pchip.c.T.tolist(), edges.tolist(), pchip(edges).tolist(),
-                pchip.derivative()(edges).tolist(), float(0.02 * f[f > 0.0].min()),
-                brackets, t, slope, base, knot)
+        return (nodes, coefficients, [nodes[0], nodes[-1]], *_pchip_edges(nodes, coefficients),
+                float(0.02 * f[f > 0.0].min()), brackets, t, slope, base, knot)
 
     @cached_property
     def _chi2_grid(self):
@@ -426,11 +446,7 @@ class CalibrationSet:
             = self._layout
         x = float(shift_hz)
         if s[0] <= x <= s[-1]:
-            # the PPoly interval: half-open [s[i], s[i + 1]), the last one closed
-            i = len(s) - 2 if x == s[-1] else bisect_right(s, x) - 1
-            c0, c1, c2, c3 = coefficients[i]
-            d = x - s[i]
-            f_target = c3 + c2 * d + c1 * (d * d) + c0 * (d * d * d)
+            f_target = _pchip(s, coefficients, x)
         else:
             side = int(x > s[-1])
             f_target = max(f_edge[side] + df_edge[side] * (x - edges[side]), f_floor)

@@ -558,8 +558,9 @@ def scipy_curve_fit(*args, **kwargs):
 
 
 def scipy_pchip(x, y):
-    """Reference for ``fitting.PchipInterpolator``: scipy's, as the
-    calibration built it before."""
+    """Reference for ``fitting.pchip_coefficients`` (its ``c``) and for the
+    values and edge slopes ``readout`` sums from them: scipy's interpolant,
+    as the calibration built it before."""
     from scipy.interpolate import PchipInterpolator
     return PchipInterpolator(x, y, extrapolate=False)
 

@@ -203,17 +203,6 @@ class TestExtraction:
         estimate = extract_molecular_shift(sp, op, mu, theta)
         assert estimate.shift_hz == pytest.approx(mol, rel=1e-12)
 
-    def test_dominance_warning(self, crystal):
-        mu, theta = crystal.mu, crystal.theta
-        # SP/OP difference implies a large atomic component
-        with pytest.warns(UserWarning, match="dominance"):
-            estimate = extract_molecular_shift(2000.0, 100.0, mu, theta,
-                                               atomic_shift_bound_hz=500.0)
-        assert estimate.dominance_warning
-        quiet = extract_molecular_shift(2000.0, 1500.0, mu, theta,
-                                        atomic_shift_bound_hz=500.0)
-        assert not quiet.dominance_warning
-
     def test_negative_magnitudes_rejected(self, crystal):
         with pytest.raises(ValueError):
             extract_molecular_shift(-1.0, 1.0, crystal.mu, crystal.theta)

@@ -598,6 +598,19 @@ class TestColdStart:
 
         assert [p.name for p in sorted(package.glob("*.py")) if imports_scipy(p)] == []
 
+    def test_fitting_holds_only_what_readout_imports(self):
+        # fitting transcribes scipy as far as the readout reaches it: each of
+        # its public functions is one that readout imports, and no other
+        package = Path(odfprobe.__file__).parent
+        fitting = ast.parse((package / "fitting.py").read_text(encoding="utf-8"))
+        readout = ast.parse((package / "readout.py").read_text(encoding="utf-8"))
+        public = {node.name for node in fitting.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        imported = {alias.name for node in ast.walk(readout)
+                    if isinstance(node, ast.ImportFrom) and node.module == "fitting"
+                    for alias in node.names}
+        assert public == imported == {"curve_fit", "pchip_coefficients"}
+
     def test_readout_names_load_on_first_use(self):
         assert _fresh_python(READOUT_NAMES) == "[] True"
 
