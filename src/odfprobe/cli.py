@@ -29,6 +29,16 @@ EXIT_NUMERIC = 3
 # spectrum writes one row per state and wavelength: 1e5 wavelengths over the
 # 540 states is already 54 million rows.
 MAX_SPECTRUM_STEPS = 100_000
+# nmax = 2k lists 12 (k + 1)(2k + 1) states, 10 332 at 40.  N = 40 lies about
+# 3150 cm^-1 (B N(N + 1), B = 1.92 cm^-1) above N = 0, fifteen times kT at
+# room temperature, and the shipped line list ends at N'' = 10.
+MAX_NMAX = 40
+# calibrate writes one template file per count: 1000 take about 1 s and 4 MB.
+MAX_CALIBRATION_COUNT = 1000
+# simulate --sweep runs one point per count: about 0.5 s simulated (3 ms
+# pulse), 50 us linearized, where no step budget applies; np.linspace of 1e9
+# points alone is 8 GB.
+MAX_SWEEP_POINTS = 10_000
 
 
 def _write_manifest(outdir: Path, command: str, config: RunConfig, extra=None):
@@ -51,7 +61,13 @@ def _outdir(args) -> Path:
     return outdir
 
 
+def _check_nmax(nmax: int) -> None:
+    if nmax > MAX_NMAX:
+        raise ValueError(f"--nmax must be at most {MAX_NMAX}, got {nmax}")
+
+
 def cmd_enumerate(args, config: RunConfig) -> int:
+    _check_nmax(args.nmax)
     from .states import enumerate_states
 
     states = enumerate_states(args.nmax)
@@ -67,6 +83,7 @@ def cmd_enumerate(args, config: RunConfig) -> int:
 
 
 def cmd_spectrum(args, config: RunConfig) -> int:
+    _check_nmax(args.nmax)
     if not 1 <= args.steps <= MAX_SPECTRUM_STEPS:
         raise ValueError(f"--steps must be in [1, {MAX_SPECTRUM_STEPS}], got {args.steps}")
     for flag, value in (("--lambda-min", args.lambda_min),
@@ -122,6 +139,9 @@ def cmd_simulate(args, config: RunConfig) -> int:
         lo, hi, count = args.sweep
         if not (count >= 1 and count.is_integer()):
             raise ValueError(f"--sweep COUNT must be an integer >= 1, got {count:g}")
+        if count > MAX_SWEEP_POINTS:
+            raise ValueError(f"--sweep COUNT must be at most {MAX_SWEEP_POINTS}, "
+                             f"got {count:g}")
         check_flag("--sweep LO", "beat_frequency_hz", lo)
         check_flag("--sweep HI", "beat_frequency_hz", hi)
     import numpy as np
@@ -191,9 +211,12 @@ def cmd_calibrate(args, config: RunConfig) -> int:
     for flag, value in (("--shift-min", args.shift_min), ("--shift-max", args.shift_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value:g}")
+    if args.count > MAX_CALIBRATION_COUNT:
+        raise ValueError(f"--count must be at most {MAX_CALIBRATION_COUNT}, "
+                         f"got {args.count}")
     import numpy as np
 
-    from .readout import FitError, ReadoutPipeline, build_calibration
+    from .readout import ReadoutPipeline, build_calibration
 
     crystal = config.crystal()
     pipeline = ReadoutPipeline(
@@ -205,13 +228,9 @@ def cmd_calibrate(args, config: RunConfig) -> int:
         decoherence_tau_s=config.decoherence_tau_ms * 1e-3,
     )
     shifts = np.linspace(args.shift_min, args.shift_max, args.count)
-    try:
-        cal = build_calibration(shifts, pipeline,
-                                shots=None if args.noiseless else config.shots,
-                                seed=config.seed)
-    except FitError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    cal = build_calibration(shifts, pipeline,
+                            shots=None if args.noiseless else config.shots,
+                            seed=config.seed)
     outdir = _outdir(args)
     for shift, template in zip(cal.shifts_hz, cal.templates):
         # the shortest repr, so distinct shifts never share a file name
@@ -227,6 +246,7 @@ def cmd_calibrate(args, config: RunConfig) -> int:
 
 
 def cmd_identify(args, config: RunConfig) -> int:
+    _check_nmax(args.nmax)
     from .identify import (background_shift_hz, format_report_text,
                            identification_report, predict_catalog_shifts,
                            read_measurements, write_report_json)

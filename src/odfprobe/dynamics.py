@@ -313,8 +313,9 @@ def _integrate(config: SimulationConfig, samples: int, stride: int) -> np.ndarra
     up, um = crystal.to_modes(v1, v2)
     bp, up = _turn(bp, up / omega_p, omega_p * half_drift)
     bm, um = _turn(bm, um / omega_m, omega_m * half_drift)
-    states = np.empty((samples, 4))
-    store = memoryview(states.reshape(-1))
+    result = np.empty((samples + 1, 4))
+    result[0] = config.initial_state
+    store = memoryview(result[1:].reshape(-1))
     for sample in range(samples):
         for step in range(sample * stride, (sample + 1) * stride):
             phase = omega_d * (step * dt)
@@ -339,14 +340,28 @@ def _integrate(config: SimulationConfig, samples: int, stride: int) -> np.ndarra
                 bp, up = cp * bp + sp * up, cp * up - sp * bp
                 bm, um = cm * bm + sm * um, cm * um - sm * bm
         k = 4 * sample
-        store[k], store[k + 1], store[k + 2], store[k + 3] = bp, up, bm, um
-    bp, up, bm, um = states.T
-    bp, up = _turn(bp, up, -omega_p * half_drift)
-    bm, um = _turn(bm, um, -omega_m * half_drift)
-    result = np.empty((samples + 1, 4))
-    result[0] = config.initial_state
-    result[1:, 0], result[1:, 1] = crystal.from_modes(d * bp, d * bm)
-    result[1:, 2], result[1:, 3] = crystal.from_modes(d * omega_p * up, d * omega_m * um)
+        store[k], store[k + 1], store[k + 2], store[k + 3] = bp, bm, up, um
+    # The half drift and the mode transform are undone in place, a column at
+    # a time, in _turn's and crystal.from_modes' arithmetic order, so that no
+    # second copy of the samples is held.
+    bp, bm, up, um = result[1:].T
+    for b, u, omega in ((bp, up, omega_p), (bm, um, omega_m)):
+        angle = -omega * half_drift
+        cos_a, sin_a = math.cos(angle), math.sin(angle)
+        turned = cos_a * b
+        turned += sin_a * u
+        u *= cos_a
+        u -= sin_a * b
+        b[...] = turned
+        b *= d
+        u *= d * omega
+    for plus, minus in ((bp, bm), (up, um)):
+        q1 = c * plus
+        q1 += s * minus
+        q1 *= rmu
+        minus *= c
+        minus += -s * plus
+        plus[...] = q1
     return result
 
 

@@ -4,11 +4,13 @@
 no sigma or a 1-D sigma) over ``least_squares`` with its defaults (x_scale 1,
 linear loss, exact trust-region solver, ftol = xtol = gtol = 1e-8) and
 '2-point' finite differences: the trust-region reflective method of M. A.
-Branch, T. F. Coleman and Y. Li (SIAM J. Sci. Comput. 21, 1, 1999).
+Branch, T. F. Coleman and Y. Li (SIAM J. Sci. Comput. 21, 1, 1999).  It
+returns popt alone: ``readout`` reads one fitted frequency, so the
+covariance and the final cost, residuals and Jacobian are not kept.
 ``pchip_coefficients`` is the ``c`` of scipy's ``PchipInterpolator``, its
 slopes those of F. N. Fritsch and J. Butland (SIAM J. Sci. Stat. Comput. 5,
 300, 1984); ``readout`` sums the cubic itself.  Both are transcribed
-statement for statement, so they give scipy's results bit for bit; the
+statement for statement, so they give scipy's popt and ``c`` bit for bit; the
 branches ``readout`` cannot reach (other methods, losses and solvers,
 callbacks, sparse Jacobians, evaluation, input checks its callers already
 make) are left out, and a factor that is exactly 1 under these options is
@@ -19,7 +21,6 @@ BLAS path (and round differently) unless they are given that order too.
 
 from __future__ import annotations
 
-import warnings
 from math import copysign
 
 import numpy as np
@@ -28,21 +29,16 @@ from numpy.linalg import norm, svd
 EPS = np.finfo(float).eps
 
 
-class OptimizeWarning(UserWarning):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # curve_fit (scipy/optimize/_minpack_py.py)
 # ---------------------------------------------------------------------------
 
-def curve_fit(f, xdata, ydata, p0, sigma=None, absolute_sigma=False, *, bounds, max_nfev):
-    """(popt, pcov) of ``f(xdata, *p)`` fitted to ``ydata`` within ``bounds``,
-    a (lower, upper) pair of sequences with one entry per parameter, not all
+def curve_fit(f, xdata, ydata, p0, sigma=None, *, bounds, max_nfev):
+    """popt of ``f(xdata, *p)`` fitted to ``ydata`` within ``bounds``, a
+    (lower, upper) pair of sequences with one entry per parameter, not all
     infinite (scipy runs another method without bounds); ``RuntimeError``
     when the fit stops at ``max_nfev`` evaluations."""
     p0 = np.atleast_1d(p0)
-    n = p0.size
     ydata = np.asarray(ydata, float)
     xdata = np.asarray(xdata, float)
     if sigma is None:
@@ -53,34 +49,11 @@ def curve_fit(f, xdata, ydata, p0, sigma=None, absolute_sigma=False, *, bounds, 
 
         def func(params):
             return transform * (f(xdata, *params) - ydata)
-    x, cost, fun, jac, status = _least_squares(func, p0, bounds, max_nfev)
+    x, status = _least_squares(func, p0, bounds, max_nfev)
     if status <= 0:
         raise RuntimeError("Optimal parameters not found: The maximum number of "
                            "function evaluations is exceeded.")
-    ysize = len(fun)
-    cost = 2 * cost
-    # Moore-Penrose inverse, discarding zero singular values
-    _, s, VT = svd(jac, full_matrices=False)
-    VT = np.asfortranarray(VT)
-    threshold = EPS * max(jac.shape) * s[0]
-    s = s[s > threshold]
-    VT = VT[:s.size]
-    pcov = np.dot(VT.T / s**2, VT)
-    warn_cov = False
-    if np.isnan(pcov).any():
-        pcov = np.full((n, n), np.inf)
-        warn_cov = True
-    elif not absolute_sigma:
-        if ysize > n:
-            s_sq = cost / (ysize - n)
-            pcov = pcov * s_sq
-        else:
-            pcov.fill(np.inf)
-            warn_cov = True
-    if warn_cov:
-        warnings.warn("Covariance of the parameters could not be estimated",
-                      category=OptimizeWarning, stacklevel=2)
-    return x, pcov
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +62,7 @@ def curve_fit(f, xdata, ydata, p0, sigma=None, absolute_sigma=False, *, bounds, 
 # ---------------------------------------------------------------------------
 
 def _least_squares(fun, x0, bounds, max_nfev, ftol=1e-8, xtol=1e-8, gtol=1e-8):
-    """(x, cost, residuals, Jacobian, status) of the bounded TRF solve."""
+    """(x, status) of the bounded TRF solve."""
     x0 = np.atleast_1d(x0).astype(float)
     lb, ub = (np.asarray(b, dtype=float) for b in bounds)
     x0 = _make_strictly_feasible(x0, lb, ub)
@@ -132,7 +105,6 @@ def _jacobian(fun, x0, f0, lb, ub):
 def _trf_bounds(fun, jac, x0, f0, J0, lb, ub, ftol, xtol, gtol, max_nfev):
     x = x0.copy()
     f = f0
-    f_true = f.copy()
     nfev = 1
     J = J0
     m, n = J.shape
@@ -195,13 +167,12 @@ def _trf_bounds(fun, jac, x0, f0, J0, lb, ub, ftol, xtol, gtol, max_nfev):
         if actual_reduction > 0:
             x = x_new
             f = f_new
-            f_true = f.copy()
             cost = cost_new
             J = jac(x, f)
             g = J.T.dot(f)
     if termination_status is None:
         termination_status = 0
-    return x, cost, f_true, J, termination_status
+    return x, termination_status
 
 
 def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):

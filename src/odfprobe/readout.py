@@ -241,22 +241,14 @@ def synthesize_bsb_signal(dist: MotionalDistribution, eta: float, omega0: float,
 # Phenomenological fit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RabiFit:
-    frequency_hz: float
-    contrast: float
-    offset: float
-    decay_tau_s: float
-    covariance: np.ndarray
-
-
 def _rabi_model(t, y0, f, c, tau):
     return y0 + 0.5 * c * (1.0 - np.cos(2.0 * math.pi * f * t)) * np.exp(-t / tau)
 
 
-def fit_rabi(signal: RabiSignal) -> RabiFit:
-    """Least-squares fit of the damped-cosine form
-    P(t) = y0 + (C/2)(1 - cos(2 pi f t)) e^(-t/tau)."""
+def fit_rabi(signal: RabiSignal) -> float:
+    """The flopping frequency f (Hz) of the least-squares fit of the
+    damped-cosine form P(t) = y0 + (C/2)(1 - cos(2 pi f t)) e^(-t/tau), each
+    point weighted by its shot noise when the signal has shots."""
     t, p = signal.times_s, signal.p
     if len(t) < 10:
         raise ValueError(f"need >= 10 points, got {len(t)}")
@@ -276,8 +268,8 @@ def fit_rabi(signal: RabiSignal) -> RabiFit:
         sigma = np.sqrt(np.maximum(p * (1.0 - p), 0.25 / signal.shots) / signal.shots)
     from .fitting import curve_fit
     try:
-        popt, pcov = curve_fit(
-            _rabi_model, t, p, p0=p0, sigma=sigma, absolute_sigma=sigma is not None,
+        popt = curve_fit(
+            _rabi_model, t, p, p0=p0, sigma=sigma,
             bounds=([-0.25, 0.0, 0.0, span / 100.0],
                     [1.0, 0.75 * (len(t) - 1) / span, 1.5, np.inf]),
             max_nfev=20000,
@@ -287,9 +279,7 @@ def fit_rabi(signal: RabiSignal) -> RabiFit:
         raise FitError(
             f"damped-cosine fit did not converge (seed rms residual {residual:.3g})"
         ) from exc
-    y0, f, c, tau = popt
-    return RabiFit(frequency_hz=f, contrast=c, offset=y0, decay_tau_s=tau,
-                   covariance=pcov)
+    return popt[1]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +383,7 @@ class CalibrationSet:
     def template_frequencies_hz(self) -> np.ndarray:
         """Fitted flopping frequency of each template (phase reference for
         the frequency-aligned interpolation), read-only."""
-        frequencies = np.array([fit_rabi(tpl).frequency_hz for tpl in self.templates])
+        frequencies = np.array([fit_rabi(tpl) for tpl in self.templates])
         frequencies.flags.writeable = False
         return frequencies
 
@@ -505,11 +495,13 @@ def _noiseless_calibration(shifts: tuple[float, ...], pipeline: ReadoutPipeline,
 # it visits the same points; only the result object and messages are left out.
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+# scipy's default limit on the search's evaluations
+_MAXFUN = 500
 
 
-def _bounded_minimum(func, a: float, b: float, xatol: float, maxfun: int = 500):
+def _bounded_minimum(func, a: float, b: float, xatol: float):
     """(x, func(x)) at the minimum Brent's search finds on [a, b], finite bounds
-    with a <= b, to within ``xatol`` or after ``maxfun`` evaluations."""
+    with a <= b, to within ``xatol`` or after _MAXFUN evaluations."""
     fulc = a + _GOLDEN_MEAN * (b - a)
     nfc = xf = fulc
     rat = e = 0.0
@@ -566,7 +558,7 @@ def _bounded_minimum(func, a: float, b: float, xatol: float, maxfun: int = 500):
         xm = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
-        if num >= maxfun:
+        if num >= _MAXFUN:
             break
     return xf, fx
 

@@ -551,8 +551,8 @@ def scipy_bounded_minimum(func, a, b, xatol):
 
 def scipy_curve_fit(*args, **kwargs):
     """Reference for ``fitting.curve_fit``: scipy's, which ``fit_rabi`` called
-    with the same arguments before (``max_nfev`` passes through to
-    ``least_squares``)."""
+    before; it returns (popt, pcov), and ``fitting.curve_fit`` popt alone
+    (``max_nfev`` passes through to ``least_squares``)."""
     from scipy.optimize import curve_fit
     return curve_fit(*args, **kwargs)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from odfprobe.catalog import SHIPPED_LINES_FILE, shipped_data_path
 from odfprobe.cli import MAX_SPECTRUM_STEPS, main
-from odfprobe import dynamics, readout, stark
+from odfprobe import dynamics, stark
 from odfprobe.config import KNOWN_KEYS, ConfigError, RunConfig, load_config
 from odfprobe.quantities import ATOMIC_MASS, polarizability_to_shift
 from odfprobe.stark import NearResonanceError, polarizability_breakdown
@@ -388,18 +388,6 @@ class TestCli:
         assert "non-finite mean phonon number" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_calibrate_fit_failure_is_numeric_failure(self, tmp_path, capsys,
-                                                      monkeypatch):
-        def fail(*args, **kwargs):
-            raise readout.FitError("no convergence")
-
-        monkeypatch.setattr(readout, "build_calibration", fail)
-        code = main(["calibrate", "--noiseless", "--out", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "calibration failed: no convergence" in captured.err
-        assert "Traceback" not in captured.err
-
     def test_simulate_crossed_ions_is_numeric_failure(self, tmp_path, capsys):
         # Real ions never cross (the 1-D Coulomb barrier is infinite), so a
         # crossing reports a step too coarse for the motion, as under a
@@ -495,16 +483,34 @@ class TestCli:
         assert elapsed < 10.0
 
     @pytest.mark.parametrize("argv, message", [
-        (["simulate", "--molecular-shift", "1e10"], "ions crossed"),
-        (["calibrate", "--noiseless"], "calibration failed: no convergence"),
-    ], ids=["simulate-ions-crossed", "calibrate-fit-failure"])
-    def test_numeric_failure_makes_no_output_directory(self, tmp_path, capsys, monkeypatch,
-                                                       argv, message):
-        # --out was once made before the work ran, so a failed run left it empty
-        def fail(*args, **kwargs):
-            raise readout.FitError("no convergence")
+        # about 6e10 states
+        (["enumerate", "--nmax", "100000"], "--nmax must be at most 40, got 100000"),
+        (["spectrum", "--nmax", "42"], "--nmax must be at most 40, got 42"),
+        (["identify", "--nmax", "100000", "--measurements", "missing.csv"],
+         "--nmax must be at most 40, got 100000"),
+        # one template per count
+        (["calibrate", "--count", "1000000000"],
+         "--count must be at most 1000, got 1000000000"),
+        # np.linspace of 1e9 points alone is 8 GB
+        (["simulate", "--linearized", "--sweep", "690000", "700000", "1e9"],
+         "--sweep COUNT must be at most 10000, got 1e+09"),
+    ], ids=["nmax-enumerate", "nmax-spectrum", "nmax-identify", "count", "sweep"])
+    def test_counts_beyond_their_bound_are_validation_errors(self, tmp_path, capsys, argv,
+                                                             message):
+        start = time.monotonic()
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        elapsed = time.monotonic() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+        assert elapsed < 5.0
 
-        monkeypatch.setattr(readout, "build_calibration", fail)
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--molecular-shift", "1e10"], "ions crossed"),
+    ], ids=["simulate-ions-crossed"])
+    def test_numeric_failure_makes_no_output_directory(self, tmp_path, capsys, argv, message):
+        # --out was once made before the work ran, so a failed run left it empty
         code = main(argv + ["--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == 3

@@ -127,6 +127,18 @@ class TestSimulateOdf:
                     ([f"{x:.12e}" for x in row] for row in zip(*columns)))
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "fields.csv").read_bytes()
 
+    def test_trajectory_held_about_once(self, crystal):
+        # Turned out of the mode frame in place, the samples peak at 1.8 times
+        # the trajectory's bytes; new arrays per step of that turn made it 4.5.
+        config = make_config(crystal, shift1=-1000.0, shift2=-402.9, duration=0.1e-3)
+        tracemalloc.start()
+        try:
+            trajectory = simulate_odf(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 4 * trajectory.q1.nbytes
+
 
 class TestModeAmplitude:
     def test_pure_minus_mode_stays_pure(self, crystal):
@@ -516,8 +528,7 @@ from odfprobe.readout import ReadoutPipeline, build_calibration, extract_shift, 
 pipeline = ReadoutPipeline(load_config("default").crystal())
 cal = build_calibration([800.0, 2700.0, 4600.0], pipeline)
 record("build_calibration")
-fit = fit_rabi(cal.templates[0])
-record("fit_rabi", int(not fit.frequency_hz > 0.0))
+record("fit_rabi", int(not fit_rabi(cal.templates[0]) > 0.0))
 estimate = extract_shift(pipeline.signal(2700.0), cal)
 record("extract_shift", int(not abs(estimate.shift_hz - 2700.0) < 1e-3))
 print(json.dumps(steps))

@@ -86,7 +86,7 @@ class TestSynthesis:
         for n_mean in (1.0, 4.0, 16.0, 64.0):
             dist = MotionalDistribution.coherent(n_mean)
             signal = synthesize_bsb_signal(dist, ETA, OMEGA0, TIMES)
-            rates.append(fit_rabi(signal).frequency_hz)
+            rates.append(fit_rabi(signal))
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
     def test_first_order_lamb_dicke_rates(self):
@@ -187,29 +187,7 @@ class TestFitRabi:
     def test_recovers_ground_state_frequency(self):
         dist = MotionalDistribution.coherent(0.0)
         signal = synthesize_bsb_signal(dist, ETA, OMEGA0, TIMES)
-        fit = fit_rabi(signal)
-        assert fit.frequency_hz == pytest.approx(OMEGA0 * ETA / (2.0 * math.pi),
-                                                 rel=1e-3)
-        assert fit.contrast == pytest.approx(1.0, rel=1e-2)
-
-    def test_noisy_recovery_within_three_sigma(self):
-        dist = MotionalDistribution.coherent(0.0)
-        truth = OMEGA0 * ETA / (2.0 * math.pi)
-        hits = 0
-        trials = 40
-        for seed in range(trials):
-            signal = synthesize_bsb_signal(dist, ETA, OMEGA0, TIMES,
-                                           shots=20, seed=seed)
-            fit = fit_rabi(signal)
-            if abs(fit.frequency_hz - truth) <= 3.0 * max(math.sqrt(fit.covariance[1, 1]), 1e-9):
-                hits += 1
-        assert hits >= 0.95 * trials
-
-    def test_flat_signal_zero_contrast(self):
-        rng = np.random.default_rng(1)
-        p = np.clip(0.02 + 0.01 * rng.standard_normal(len(TIMES)), 0.0, 1.0)
-        fit = fit_rabi(RabiSignal(TIMES, p, shots=400))
-        assert fit.contrast <= 2.0 * max(math.sqrt(fit.covariance[2, 2]), 1e-3) + 0.05
+        assert fit_rabi(signal) == pytest.approx(OMEGA0 * ETA / (2.0 * math.pi), rel=1e-3)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match=">= 10"):
@@ -245,15 +223,14 @@ def recorded_fits(monkeypatch, signals):
 
 
 class TestFitTranscription:
-    """``fitting.curve_fit`` gives scipy's popt and pcov, bit for bit, on the
-    fits ``fit_rabi`` makes."""
+    """``fitting.curve_fit`` gives scipy's popt, bit for bit, on the fits
+    ``fit_rabi`` makes."""
 
     @staticmethod
     def assert_equal_to_scipy(calls):
-        for args, kwargs, (popt, pcov) in calls:
-            expected_popt, expected_pcov = scipy_curve_fit(*args, **kwargs)
+        for args, kwargs, popt in calls:
+            expected_popt, _ = scipy_curve_fit(*args, **kwargs)
             assert np.array_equal(popt, expected_popt)
-            assert np.array_equal(pcov, expected_pcov)
 
     @pytest.mark.parametrize("shifts, partner", [
         (np.geomspace(150.0, 5200.0, 12), 0.0),
@@ -308,29 +285,10 @@ class TestFitTranscription:
         x = np.linspace(0.0, 3.0, 7)
         y = np.array([0.1, 0.7, 0.4, 0.9, 0.3, 0.8, 1.2])
         bounds = ([0.0, -10.0, -10.0, -10.0], [10.0] * 4)
-        popt, pcov = fitting.curve_fit(self.cubic, x, y, p0=np.zeros(4), bounds=bounds,
-                                       max_nfev=400)
-        expected_popt, expected_pcov = scipy_curve_fit(self.cubic, x, y, p0=np.zeros(4),
-                                                       bounds=bounds, max_nfev=400)
+        popt = fitting.curve_fit(self.cubic, x, y, p0=np.zeros(4), bounds=bounds, max_nfev=400)
+        expected_popt, _ = scipy_curve_fit(self.cubic, x, y, p0=np.zeros(4),
+                                           bounds=bounds, max_nfev=400)
         assert np.array_equal(popt, expected_popt)
-        assert np.array_equal(pcov, expected_pcov)
-
-    def test_unestimable_covariance_warns(self):
-        # as many points as parameters leave no residual to scale pcov by
-        x = np.array([0.0, 1.0, 2.0, 3.0])
-        y = np.array([0.1, 0.7, 0.4, 0.9])
-        cubic = self.cubic
-        bounds = ([-10.0] * 4, [10.0] * 4)
-        with pytest.warns(UserWarning, match="^Covariance of the parameters could not "
-                                             "be estimated$") as theirs:
-            expected_popt, expected_pcov = scipy_curve_fit(cubic, x, y, p0=np.zeros(4),
-                                                           bounds=bounds, max_nfev=400)
-        with pytest.warns(fitting.OptimizeWarning, match=str(theirs[0].message)):
-            popt, pcov = fitting.curve_fit(cubic, x, y, p0=np.zeros(4), bounds=bounds,
-                                           max_nfev=400)
-        assert np.array_equal(popt, expected_popt)
-        assert np.array_equal(pcov, expected_pcov)
-        assert np.isinf(pcov).all()
 
 
 def frequency_nodes(cal):
