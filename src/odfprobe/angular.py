@@ -41,12 +41,6 @@ class HalfInt:
     def value(self) -> float:
         return self.twice / 2.0
 
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
-
     def __str__(self) -> str:
         if self.twice % 2 == 0:
             return str(self.twice // 2)

@@ -127,9 +127,8 @@ class LineCatalog:
     """Compared and hashed by identity, so caches key on the catalog object."""
 
     lines: tuple[TransitionLine, ...]
-    far_bands: tuple[FarBand, ...] = ()
-    core_polarizability_au: float = 0.0
-    pi_coupling: PiCoupling | None = None
+    far_bands: tuple[FarBand, ...]
+    core_polarizability_au: float
 
     def lines_from(self, n_lower: int, j_lower: HalfInt) -> list[TransitionLine]:
         return [
@@ -190,12 +189,10 @@ def read_table(path, columns) -> tuple[list[tuple[str, dict]], dict]:
     return rows, meta
 
 
-def write_table(path, header, rows, comments=()) -> None:
+def write_table(path, header, rows) -> None:
     """Write ``rows`` (any iterable, consumed as it is written) under
-    ``header`` as CSV, after one ``# `` line per comment."""
+    ``header`` as CSV."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -204,12 +201,24 @@ def write_table(path, header, rows, comments=()) -> None:
 def load_line_catalog(lines_path, far_bands_path=None) -> LineCatalog:
     """Load a catalog from its line CSV and optional far-band CSV.
 
-    Metadata is carried as ``# key = value`` comment lines in the line file;
-    ``core_polarizability_au`` and the upper-state coupling constants
-    (``pi_spin_orbit_A_cm1``, ``pi_rotational_B_cm1``) are recognized.
+    Metadata is carried as ``# key = value`` comment lines in the line file,
+    which must state a finite ``core_polarizability_au``; the upper-state
+    coupling constants (``pi_spin_orbit_A_cm1``, ``pi_rotational_B_cm1``) are
+    needed only by ``einstein_A`` rows.
     """
     rows, meta = read_table(lines_path, LINE_COLUMNS)
-    coupling = _pi_coupling(meta)
+    core = meta.get("core_polarizability_au")
+    try:
+        core_au = float(core)
+    except (TypeError, ValueError):
+        core_au = math.nan
+    if not math.isfinite(core_au):
+        raise CatalogError(f"{lines_path}: the metadata must state a finite "
+                           f"core_polarizability_au, got {core!r}")
+    coupling = None
+    if "pi_spin_orbit_A_cm1" in meta and "pi_rotational_B_cm1" in meta:
+        coupling = PiCoupling(spin_orbit_a=float(meta["pi_spin_orbit_A_cm1"]),
+                              rotational_b=float(meta["pi_rotational_B_cm1"]))
     lines = []
     seen = {}
     for where, row in rows:
@@ -257,9 +266,7 @@ def load_line_catalog(lines_path, far_bands_path=None) -> LineCatalog:
 
     far_bands = []
     if far_bands_path is not None:
-        far_rows, far_meta = read_table(far_bands_path, FAR_BAND_COLUMNS)
-        meta = {**far_meta, **meta}
-        for where, row in far_rows:
+        for where, row in read_table(far_bands_path, FAR_BAND_COLUMNS)[0]:
             try:
                 far_bands.append(FarBand(
                     band=row["band"].strip(),
@@ -272,17 +279,8 @@ def load_line_catalog(lines_path, far_bands_path=None) -> LineCatalog:
     return LineCatalog(
         lines=tuple(sorted(lines, key=lambda l: (l.n_lower, l.j_lower.twice, l.branch))),
         far_bands=tuple(far_bands),
-        core_polarizability_au=float(meta.get("core_polarizability_au", 0.0)),
-        pi_coupling=_pi_coupling(meta),
+        core_polarizability_au=core_au,
     )
-
-
-def _pi_coupling(meta: dict) -> PiCoupling | None:
-    """The upper-state coupling, if the metadata gives both of its constants."""
-    if "pi_spin_orbit_A_cm1" in meta and "pi_rotational_B_cm1" in meta:
-        return PiCoupling(spin_orbit_a=float(meta["pi_spin_orbit_A_cm1"]),
-                          rotational_b=float(meta["pi_rotational_B_cm1"]))
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def cmd_identify(args, config: RunConfig) -> int:
         print(f"--- measurement {index} ---")
         try:
             background = background_shift_hz(meas.wavelength_nm, meas.intensity_w_m2,
-                                             catalog)
+                                             catalog, config.resonance_guard_hz)
         except NearResonanceError as exc:
             background = None
             print(f"background shift unavailable: {exc}")

@@ -120,11 +120,6 @@ class TwoIonCrystal:
         s, c, rmu = math.sin(self.theta), math.cos(self.theta), math.sqrt(self.mu)
         return c / rmu * q1 - s * q2, s / rmu * q1 + c * q2
 
-    def from_modes(self, beta_plus, beta_minus):
-        """Normal-mode coordinates -> displacements (q1, q2)."""
-        s, c, rmu = math.sin(self.theta), math.cos(self.theta), math.sqrt(self.mu)
-        return rmu * (c * beta_plus + s * beta_minus), -s * beta_plus + c * beta_minus
-
     def mode_weights(self) -> tuple[float, float]:
         """(sqrt(mu) sin(theta), cos(theta)): per-ion force weights of the
         in-phase mode."""
@@ -225,14 +220,12 @@ def combined_mode_shift(shift1_hz: float, shift2_hz: float, phi21: float,
 class MolecularShiftEstimate:
     """Result of inverting an SP/OP magnitude pair."""
 
-    shift_hz: float              # |dE_m0|, magnitude of the molecular shift
-    atomic_component_hz: float   # inferred |cos(theta) dE_2^0|
+    shift_hz: float     # |dE_m0|, magnitude of the molecular shift
 
 
 def extract_molecular_shift(mag_sp_hz: float, mag_op_hz: float, mu: float,
                             theta: float) -> MolecularShiftEstimate:
-    """|dE_m0| = (|SP| + |OP|) / (2 sqrt(mu) sin(theta)), with the atomic
-    component |SP - OP| / 2.
+    """|dE_m0| = (|SP| + |OP|) / (2 sqrt(mu) sin(theta)).
 
     Valid under the dominance assumption |sqrt(mu) sin(theta) dE1| >
     |cos(theta) dE2|.
@@ -240,9 +233,7 @@ def extract_molecular_shift(mag_sp_hz: float, mag_op_hz: float, mu: float,
     if mag_sp_hz < 0.0 or mag_op_hz < 0.0:
         raise ValueError("SP/OP magnitudes must be >= 0")
     weight = 2.0 * math.sqrt(mu) * math.sin(theta)
-    shift = (mag_sp_hz + mag_op_hz) / weight
-    atomic = abs(mag_sp_hz - mag_op_hz) / 2.0
-    return MolecularShiftEstimate(shift_hz=shift, atomic_component_hz=atomic)
+    return MolecularShiftEstimate(shift_hz=(mag_sp_hz + mag_op_hz) / weight)
 
 
 def infer_detuning_sign(mag_sp_hz: float, mag_op_hz: float, sigma_hz: float,

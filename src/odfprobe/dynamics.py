@@ -341,9 +341,9 @@ def _integrate(config: SimulationConfig, samples: int, stride: int) -> np.ndarra
                 bm, um = cm * bm + sm * um, cm * um - sm * bm
         k = 4 * sample
         store[k], store[k + 1], store[k + 2], store[k + 3] = bp, bm, up, um
-    # The half drift and the mode transform are undone in place, a column at
-    # a time, in _turn's and crystal.from_modes' arithmetic order, so that no
-    # second copy of the samples is held.
+    # The half drift and the mode transform (q1 = sqrt(mu) (c b+ + s b-),
+    # q2 = c b- - s b+) are undone in place, a column at a time, in _turn's
+    # arithmetic order, so that no second copy of the samples is held.
     bp, bm, up, um = result[1:].T
     for b, u, omega in ((bp, up, omega_p), (bm, um, omega_m)):
         angle = -omega * half_drift

@@ -123,10 +123,11 @@ def predict_catalog_shifts(wavelength_nm: float, intensity_w_m2: float,
 
 
 def background_shift_hz(wavelength_nm: float, intensity_w_m2: float,
-                        catalog: LineCatalog) -> float:
+                        catalog: LineCatalog,
+                        guard_hz: float = DEFAULT_RESONANCE_GUARD_HZ) -> float:
     """Shift magnitude a state far from every resolved line would show
     (far-band plus core polarizability only)."""
-    alpha = total_polarizability_au(0.0, wavelength_nm, catalog)
+    alpha = total_polarizability_au(0.0, wavelength_nm, catalog, guard_hz)
     return abs(polarizability_to_shift(alpha, intensity_w_m2))
 
 

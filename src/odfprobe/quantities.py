@@ -37,11 +37,6 @@ AU_DIPOLE_SQUARED = (ELEMENTARY_CHARGE * BOHR_RADIUS) ** 2
 COULOMB_PREFACTOR = ELEMENTARY_CHARGE**2 / (4.0 * math.pi * VACUUM_PERMITTIVITY)
 
 
-def polarizability_au_to_si(alpha_au: float) -> float:
-    """au -> C^2 m^2 / J."""
-    return alpha_au * AU_POLARIZABILITY
-
-
 def wavelength_to_angular_frequency(wavelength_nm: float) -> float:
     """Vacuum wavelength in nm -> angular frequency in rad/s."""
     if not math.isfinite(wavelength_nm) or wavelength_nm <= 0.0:
@@ -63,7 +58,7 @@ def polarizability_to_shift(alpha_au, intensity: float):
         raise ValueError("alpha and intensity must be finite")
     if intensity < 0.0:
         raise ValueError(f"intensity must be >= 0, got {intensity}")
-    alpha_si = polarizability_au_to_si(alpha_au)
+    alpha_si = alpha_au * AU_POLARIZABILITY
     return -alpha_si * intensity / (2.0 * VACUUM_PERMITTIVITY * SPEED_OF_LIGHT * PLANCK)
 
 
@@ -82,7 +77,7 @@ def shift_to_intensity(alpha_au: float, shift_hz: float) -> float:
             f"shift ({shift_hz} Hz) and polarizability ({alpha_au} au) must have "
             "opposite signs"
         )
-    alpha_si = polarizability_au_to_si(alpha_au)
+    alpha_si = alpha_au * AU_POLARIZABILITY
     return -shift_hz * 2.0 * VACUUM_PERMITTIVITY * SPEED_OF_LIGHT * PLANCK / alpha_si
 
 

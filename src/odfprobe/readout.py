@@ -29,6 +29,10 @@ class ConvergenceError(RuntimeError):
     pass
 
 
+class FockCutoffError(ValueError):
+    """A mode shift whose coherent state reaches past ``MAX_FOCK``."""
+
+
 # Building calibration templates fits nothing: the fits and the interpolant
 # import ``fitting`` on use, so a process that only synthesizes never compiles it.
 def PchipInterpolator(x, y):
@@ -108,7 +112,7 @@ def _log_factorials(n_cut: int) -> np.ndarray:
 
 
 # The pipeline's Fock cutoff; a coherent state reaching past it is refused
-# ("populations must sum to 1").
+# with FockCutoffError ("populations must sum to 1 ...").
 MAX_FOCK = 1600
 
 
@@ -339,7 +343,15 @@ class ReadoutPipeline:
         if not math.isfinite(n_mean):
             raise ValueError(f"a {mode_shift_hz:g} Hz shift gives a non-finite mean "
                              f"phonon number ({n_mean:g})")
-        return MotionalDistribution.coherent(n_mean, min(MAX_FOCK, _coherent_cut(n_mean)))
+        n_cut = _coherent_cut(n_mean)
+        try:
+            return MotionalDistribution.coherent(n_mean, min(MAX_FOCK, n_cut))
+        except ValueError as exc:
+            if n_cut <= MAX_FOCK:
+                raise
+            raise FockCutoffError(
+                f"{exc}: a {mode_shift_hz:g} Hz mode shift gives a mean phonon number "
+                f"of {n_mean:.0f}, beyond the {MAX_FOCK}-level Fock cutoff") from exc
 
     def signal(self, mode_shift_hz: float, shots: int | None = None,
                seed: int | None = None) -> RabiSignal:

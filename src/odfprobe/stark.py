@@ -39,9 +39,6 @@ class NearResonanceError(ValueError):
 
     def __init__(self, line: TransitionLine | FarBand, detuning_hz: float,
                  guard_hz: float):
-        self.line = line
-        self.detuning_hz = detuning_hz
-        self.guard_hz = guard_hz
         name = (f"far band {line.band}" if isinstance(line, FarBand)
                 else f"{line.branch}({line.j_lower})")
         super().__init__(
@@ -319,7 +316,7 @@ class AtomicLevelModel:
 
     def __post_init__(self):
         if abs(self.m.twice) > self.j.twice:
-            raise ValueError(f"|m| = {abs(self.m)} exceeds J = {self.j}")
+            raise ValueError(f"|m| = {HalfInt(abs(self.m.twice))} exceeds J = {self.j}")
         if len(self.wavelengths_nm) < 2:
             raise ValueError("need at least two wavelength samples to interpolate")
         if not (len(self.wavelengths_nm) == len(self.alpha_scalar_au)

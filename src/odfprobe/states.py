@@ -9,7 +9,7 @@ J (I = 0) or of F (I = 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .angular import HalfInt
 
@@ -25,7 +25,6 @@ class MolecularState:
     i_nuc: int                   # total nuclear spin, 0 or 2
     f: HalfInt | None            # present iff i_nuc == 2
     m: HalfInt                   # projection of J (I=0) or of F (I=2)
-    v: int = field(default=0)    # vibrational quantum number
 
     def __post_init__(self):
         if self.n < 0 or self.n % 2 != 0:
@@ -49,14 +48,14 @@ class MolecularState:
         # the generated dataclass hash, taken once: state sets and the Stark
         # table cache hash every state of a 540-state tuple per lookup
         object.__setattr__(self, "_hash",
-                           hash((self.n, self.j, self.i_nuc, self.f, self.m, self.v)))
+                           hash((self.n, self.j, self.i_nuc, self.f, self.m)))
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
         # rebuilt through __init__: hash(None) differs between processes
-        return type(self), (self.n, self.j, self.i_nuc, self.f, self.m, self.v)
+        return type(self), (self.n, self.j, self.i_nuc, self.f, self.m)
 
     def sort_key(self):
         two_f = self.f.twice if self.f is not None else -1

@@ -20,6 +20,7 @@ reads the list from its CSV.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -444,7 +445,7 @@ def generate_lines(constants: BandConstants, n_max: int) -> list[TransitionLine]
 
 
 def write_line_catalog(lines, path, metadata: dict | None = None) -> None:
-    """Write lines to CSV with ``# key = value`` metadata comments."""
+    """Write lines to CSV, after one ``# key = value`` metadata comment per item."""
     write_table(path, LINE_COLUMNS, (
         [line.band, line.branch, line.n_lower,
          line.j_lower.twice, line.j_upper.twice,
@@ -452,7 +453,10 @@ def write_line_catalog(lines, path, metadata: dict | None = None) -> None:
          "" if line.einstein_a is None else f"{line.einstein_a:.6g}",
          "" if line.einstein_a is not None else f"{line.strength_au:.8e}"]
         for line in sorted(lines, key=lambda l: l.wavelength_nm)
-    ), comments=[f"{key} = {value}" for key, value in (metadata or {}).items()])
+    ))
+    comments = "".join(f"# {key} = {value}\n" for key, value in (metadata or {}).items())
+    path = Path(path)
+    path.write_bytes(comments.encode("utf-8") + path.read_bytes())
 
 
 # Constants behind the shipped line list (cm^-1); the band origin is an

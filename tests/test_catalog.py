@@ -5,8 +5,9 @@ import pytest
 
 import odfprobe
 from odfprobe.angular import HalfInt
-from odfprobe.catalog import (CatalogError, FarBand, TransitionLine,
-                              band_dipole_squared_au, load_line_catalog)
+from odfprobe.catalog import (LINE_COLUMNS, SHIPPED_LINES_FILE, CatalogError, FarBand,
+                              TransitionLine, band_dipole_squared_au, load_line_catalog,
+                              read_table, shipped_data_path)
 
 from oracles import (N2PLUS_BAND, PiConstants, SigmaConstants, generate_lines,
                      pi_term_energy, sigma_term_energy, write_line_catalog)
@@ -104,10 +105,11 @@ class TestShippedCatalog:
 
     def test_round_trip_write_load(self, catalog, tmp_path):
         path = tmp_path / "lines.csv"
+        shipped_meta = read_table(shipped_data_path(SHIPPED_LINES_FILE), LINE_COLUMNS)[1]
         write_line_catalog(catalog.lines, path, metadata={
             "core_polarizability_au": catalog.core_polarizability_au,
-            "pi_spin_orbit_A_cm1": catalog.pi_coupling.spin_orbit_a,
-            "pi_rotational_B_cm1": catalog.pi_coupling.rotational_b,
+            "pi_spin_orbit_A_cm1": shipped_meta["pi_spin_orbit_A_cm1"],
+            "pi_rotational_B_cm1": shipped_meta["pi_rotational_B_cm1"],
         })
         again = load_line_catalog(path)
         assert len(again.lines) == len(catalog.lines)
@@ -207,6 +209,27 @@ class TestIngestion:
         path.write_text(META + HEADER + f"A-X,Q12,6,11,11,{wavelength},{einstein_a},\n")
         with pytest.raises(CatalogError, match=f"lines.csv:5: .*{message}"):
             load_line_catalog(path)
+
+    @pytest.mark.parametrize("meta, got", [
+        ("", "None"), ("# core_polarizability_au = seven\n", "'seven'"),
+        ("# core_polarizability_au = nan\n", "'nan'"),
+        ("# core_polarizability_au = inf\n", "'inf'"),
+    ])
+    def test_core_polarizability_required_and_finite(self, tmp_path, meta, got):
+        path = tmp_path / "lines.csv"
+        path.write_text(meta + HEADER + "A-X,Q12,6,11,11,789.1872,,1.0e-3\n")
+        with pytest.raises(CatalogError, match=f"lines.csv: .*core_polarizability_au, got {got}"):
+            load_line_catalog(path)
+
+    def test_core_polarizability_is_read_from_the_line_file_only(self, tmp_path):
+        # a far-band file's metadata was once merged into the line file's
+        lines = tmp_path / "lines.csv"
+        lines.write_text(HEADER + "A-X,Q12,6,11,11,789.1872,,1.0e-3\n")
+        far = tmp_path / "far.csv"
+        far.write_text("# core_polarizability_au = 99\nband,wavelength_nm,einstein_A\n"
+                       "A-X,1109.14,4.3e4\n")
+        with pytest.raises(CatalogError, match="lines.csv: .*core_polarizability_au"):
+            load_line_catalog(lines, far)
 
     def test_unreadable_path(self):
         with pytest.raises(CatalogError, match="cannot read"):

@@ -368,6 +368,23 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.glob("template_*Hz.csv")) \
             == sorted(f"template_{name}Hz.csv" for name in names)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("trap", "lattice_periods_n", "1000"), ("trap", "atomic_frequency_hz", "1000"),
+        ("lattice", "pulse_ms", "100"), ("masses", "molecule_u", "1e4"),
+        ("masses", "atom_u", "1"),
+    ])
+    def test_calibrate_beyond_the_fock_cutoff_is_named(self, tmp_path, capsys, section, key,
+                                                       value):
+        path = config_with(tmp_path, section, key, value)
+        code = main(["calibrate", "--noiseless", "--count", "3", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: populations must sum to 1 within 1e-6, got ")
+        assert "Hz mode shift gives a mean phonon number of" in captured.err
+        assert captured.err.endswith(", beyond the 1600-level Fock cutoff\n")
+        assert not (tmp_path / "out").exists()
+
     def test_calibrate_non_finite_shift_is_validation_error(self, tmp_path, capsys):
         code = main(["calibrate", "--noiseless", "--shift-min", "nan",
                      "--out", str(tmp_path)])
@@ -568,6 +585,25 @@ class TestCli:
         assert "Traceback" not in captured.err
         (report,) = json.loads((tmp_path / "identification.json").read_text())["reports"]
         assert report["background_shift_hz"] is None
+
+    @pytest.mark.parametrize("guard, background", [("1e6", 9372129.0), ("1e9", None)])
+    def test_identify_background_uses_the_configured_guard(self, tmp_path, capsys, guard,
+                                                           background):
+        # 0.37 GHz from the A(v'=0) far band: inside the default guard only
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MEASUREMENTS.splitlines()[0] + "\n"
+                        + "1109.1415,1.1508e7,900.0,95.0,red,694920.0\n")
+        path = config_with(tmp_path, "thresholds", "resonance_guard_hz", guard)
+        code = main(["identify", "--measurements", str(meas), "--config", str(path),
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert ("background shift unavailable" in captured.out) == (background is None)
+        (report,) = json.loads((tmp_path / "identification.json").read_text())["reports"]
+        if background is None:
+            assert report["background_shift_hz"] is None
+        else:
+            assert report["background_shift_hz"] == pytest.approx(background, abs=1.0)
 
     def test_missing_measurement_file_is_validation_error(self, tmp_path, capsys):
         code = main(["identify", "--measurements", "/nonexistent.csv",

@@ -188,7 +188,6 @@ class TestExtraction:
         estimate = extract_molecular_shift(700.0, 700.0, mu, theta)
         assert estimate.shift_hz == pytest.approx(
             700.0 / (math.sqrt(mu) * math.sin(theta)), rel=1e-12)
-        assert estimate.atomic_component_hz == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(50.0, 5000.0), st.floats(0.0, 1.0), st.booleans(), st.booleans())

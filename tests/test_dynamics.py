@@ -145,7 +145,8 @@ class TestModeAmplitude:
         # keep the displacement small: the real Coulomb anharmonicity mixes
         # the modes at order beta/d
         beta_minus = 0.1e-9
-        q1, q2 = crystal.from_modes(0.0, beta_minus)
+        weight1, weight2 = crystal.mode_weights()
+        q1, q2 = weight1 * beta_minus, weight2 * beta_minus
         config = make_config(crystal, shift1=0.0, duration=0.3e-3,
                              initial=(q1, q2, 0.0, 0.0))
         excitation = mode_amplitude(simulate_odf(config))
@@ -665,3 +666,19 @@ class TestColdStart:
                 value = getattr(odfprobe, name)
                 assert value is getattr(home, name)
                 assert value.__module__ == home.__name__
+
+    def test_readme_library_example(self):
+        # README's example runs, and its commented values are what it computes
+        readme = Path(odfprobe.__file__).resolve().parents[2] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("## Library example\n\n```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(block, namespace)
+        said = {code.strip(): comment.strip() for code, comment in
+                (line.split("#", 1) for line in block.splitlines() if "#" in line)}
+        shift = namespace["shift"]
+        assert said[next(c for c in said if c.startswith("shift ="))] \
+            == f"{shift / 1e3:+.2f} kHz ({'blue' if shift > 0.0 else 'red'})"
+        assert said["crystal.f_ip"] == f"{eval('crystal.f_ip', namespace) / 1e3:.2f} kHz"
+        sign = next(c for c in said if c.startswith("op.infer_detuning_sign("))
+        assert said[sign] == repr(eval(sign, namespace)) == "'red'"

@@ -11,7 +11,7 @@ from scipy.special import gammaln
 import odfprobe.readout as readout
 from odfprobe import fitting
 from odfprobe.crystal import TwoIonCrystal
-from odfprobe.readout import (CalibrationSet, ConvergenceError, FitError,
+from odfprobe.readout import (CalibrationSet, ConvergenceError, FitError, FockCutoffError,
                               MotionalDistribution, RabiSignal, ReadoutPipeline,
                               ShiftEstimate, build_calibration, extract_shift, fit_rabi,
                               iterate_partner_correction, sideband_rabi_frequencies,
@@ -994,6 +994,21 @@ class TestPipeline:
         # the measurement regime keeps visible Rabi contrast
         for shift in (1000.0, 3000.0, 5000.0):
             assert 1.0 < pipeline.mode_n_mean(shift) < 500.0
+
+    @pytest.mark.parametrize("shift", [20e3, 50e3, 100e3])
+    def test_shift_beyond_the_fock_cutoff_is_named(self, pipeline, shift):
+        # the message keeps the population check's text as its prefix
+        with pytest.raises(FockCutoffError) as raised:
+            pipeline.signal(shift)
+        message = str(raised.value)
+        assert message.startswith("populations must sum to 1 within 1e-6, got ")
+        assert message.endswith(
+            f": a {shift:g} Hz mode shift gives a mean phonon number of "
+            f"{pipeline.mode_n_mean(shift):.0f}, beyond the {readout.MAX_FOCK}-level "
+            "Fock cutoff")
+
+    def test_shift_inside_the_fock_cutoff_works(self, pipeline):
+        assert pipeline.signal(9000.0).p.shape == TIMES.shape
 
     def test_signal_reproducible(self, pipeline):
         a = pipeline.signal(1500.0, shots=20, seed=3)

@@ -98,7 +98,7 @@ class TestTransitionStrength:
             if state.i_nuc == 0:
                 if abs(m.twice) > j_up.twice:
                     return 0.0
-                zeeman = wigner_3j(j_up, 1, j_low, -m, 0, m)
+                zeeman = wigner_3j(j_up, 1, j_low, HalfInt(-m.twice), 0, m)
                 return line.strength_au * zeeman * zeeman
             f_low, total = state.f, 0.0
             for two_fp in range(abs(j_up.twice - 2 * state.i_nuc),
@@ -109,7 +109,7 @@ class TestTransitionStrength:
                 if abs(m.twice) > two_fp:
                     continue
                 six = wigner_6j(j_up, f_up, state.i_nuc, f_low, j_low, 1)
-                zeeman = wigner_3j(f_up, 1, f_low, -m, 0, m)
+                zeeman = wigner_3j(f_up, 1, f_low, HalfInt(-m.twice), 0, m)
                 total += ((two_fp + 1.0) * (f_low.twice + 1.0)
                           * six * six * zeeman * zeeman)
             return line.strength_au * total
@@ -249,6 +249,11 @@ class TestAtomicPolarizability:
         with pytest.warns(UserWarning, match="tensor"):
             value = atomic_polarizability(model, 789.0) - model.core_au
         assert value == pytest.approx(np.interp(789.0, (785.0, 790.0), (97.9, 97.4)))
+
+    @pytest.mark.parametrize("m, named", [(-3.5, "7/2"), (3.5, "7/2"), (-4, "4")])
+    def test_projection_beyond_j_is_named(self, m, named):
+        with pytest.raises(ValueError, match=f"\\|m\\| = {named} exceeds J = 5/2"):
+            load_shipped_atomic_model("D5/2", m=m)
 
     def test_table_range_enforced(self):
         model = load_shipped_atomic_model("D5/2")

@@ -57,7 +57,6 @@ class TestEnumeration:
 class TestMolecularState:
     def test_valid_state(self):
         s = MolecularState(6, HalfInt(11), 2, HalfInt(15), HalfInt(-11))
-        assert s.v == 0
         assert "F=15/2" in s.label()
 
     def test_odd_n_rejected(self):
@@ -91,7 +90,7 @@ class TestMolecularState:
     def test_stored_hash_is_the_field_tuple_hash(self):
         # the generated dataclass hash, so sets of states keep their order
         for s in enumerate_states(4):
-            assert hash(s) == hash((s.n, s.j, s.i_nuc, s.f, s.m, s.v))
+            assert hash(s) == hash((s.n, s.j, s.i_nuc, s.f, s.m))
 
     def test_states_pickled_in_another_process_hash_here(self):
         # hash(None) differs between processes, and every I = 0 state has F = None
