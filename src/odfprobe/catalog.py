@@ -217,8 +217,12 @@ def load_line_catalog(lines_path, far_bands_path=None) -> LineCatalog:
                            f"core_polarizability_au, got {core!r}")
     coupling = None
     if "pi_spin_orbit_A_cm1" in meta and "pi_rotational_B_cm1" in meta:
-        coupling = PiCoupling(spin_orbit_a=float(meta["pi_spin_orbit_A_cm1"]),
-                              rotational_b=float(meta["pi_rotational_B_cm1"]))
+        try:
+            coupling = PiCoupling(spin_orbit_a=float(meta["pi_spin_orbit_A_cm1"]),
+                                  rotational_b=float(meta["pi_rotational_B_cm1"]))
+        except ValueError as exc:
+            raise CatalogError(f"{lines_path}: pi_spin_orbit_A_cm1 and pi_rotational_B_cm1 "
+                               f"must be numbers: {exc}") from exc
     lines = []
     seen = {}
     for where, row in rows:

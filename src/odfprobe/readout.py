@@ -92,28 +92,17 @@ def _lgam_integer(x: float) -> float:
     return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
 
 
-_LOG_FACTORIALS = np.zeros(0)
-
-
-def _log_factorials(n_cut: int) -> np.ndarray:
-    """log n! for n = 0..n_cut, a read-only slice of one table per process
-    that doubles (from 2048 entries) whenever a call needs more."""
-    global _LOG_FACTORIALS
-    table = _LOG_FACTORIALS     # sliced below, so a concurrent regrow is harmless
-    if n_cut >= len(table):
-        size = max(2048, len(table))
-        while size <= n_cut:
-            size *= 2
-        table = np.concatenate([table, [_lgam_integer(n + 1.0)
-                                        for n in range(len(table), size)]])
-        table.flags.writeable = False
-        _LOG_FACTORIALS = table
-    return table[:n_cut + 1]
-
-
 # The pipeline's Fock cutoff; a coherent state reaching past it is refused
 # with FockCutoffError ("populations must sum to 1 ...").
 MAX_FOCK = 1600
+
+
+@lru_cache(maxsize=1)
+def _log_factorials() -> np.ndarray:
+    """log n! for n = 0..MAX_FOCK, one read-only table per process."""
+    table = np.array([_lgam_integer(n + 1.0) for n in range(MAX_FOCK + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def _coherent_cut(n_mean: float) -> int:
@@ -137,18 +126,18 @@ class MotionalDistribution:
         object.__setattr__(self, "p_n", p)
 
     @classmethod
-    def coherent(cls, n_mean: float, n_cut: int | None = None) -> "MotionalDistribution":
-        """Poissonian distribution of a coherent state with mean phonon number."""
+    def coherent(cls, n_mean: float) -> "MotionalDistribution":
+        """Poissonian distribution of a coherent state with mean phonon number,
+        truncated at ``MAX_FOCK``; one reaching past it fails the sum check."""
         if n_mean < 0.0:
             raise ValueError("mean phonon number must be >= 0")
-        if n_cut is None:
-            n_cut = _coherent_cut(n_mean)
-        n = np.arange(n_cut + 1)
+        n_cut = min(MAX_FOCK, _coherent_cut(n_mean))
         if n_mean == 0.0:
             p = np.zeros(n_cut + 1)
             p[0] = 1.0
         else:
-            log_p = -n_mean + n * math.log(n_mean) - _log_factorials(n_cut)
+            n = np.arange(n_cut + 1)
+            log_p = -n_mean + n * math.log(n_mean) - _log_factorials()[:n_cut + 1]
             p = np.exp(log_p)
         return cls(p)
 
@@ -343,11 +332,10 @@ class ReadoutPipeline:
         if not math.isfinite(n_mean):
             raise ValueError(f"a {mode_shift_hz:g} Hz shift gives a non-finite mean "
                              f"phonon number ({n_mean:g})")
-        n_cut = _coherent_cut(n_mean)
         try:
-            return MotionalDistribution.coherent(n_mean, min(MAX_FOCK, n_cut))
+            return MotionalDistribution.coherent(n_mean)
         except ValueError as exc:
-            if n_cut <= MAX_FOCK:
+            if _coherent_cut(n_mean) <= MAX_FOCK:
                 raise
             raise FockCutoffError(
                 f"{exc}: a {mode_shift_hz:g} Hz mode shift gives a mean phonon number "

@@ -14,7 +14,6 @@ linewidth, so evaluation inside a configurable detuning guard refuses with
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -277,7 +276,12 @@ def _build_table(states: tuple[MolecularState, ...], catalog: LineCatalog) -> St
     position = {line: k for k, line in enumerate(catalog.lines)}
     rows = {level: [position[line] for line in catalog.lines_from(*level)]
             for level in dict.fromkeys((s.n, s.j) for s in states)}
-    width = max(1, *map(len, rows.values()))   # at least the padding slot
+    for (n, j), row in rows.items():
+        if not row:
+            raise ValueError(f"the catalog has no line from N'' = {n}, J'' = {j} "
+                             f"(it covers N'' <= {catalog.max_n_lower}); "
+                             "its shifts cannot be predicted")
+    width = max(map(len, rows.values()))
     line_index = np.full((len(states), width), len(catalog.lines), dtype=np.intp)
     mu2_si = np.zeros((len(states), width))
     for i, state in enumerate(states):
@@ -345,20 +349,11 @@ class AtomicLevelModel:
 
 def atomic_polarizability(model: AtomicLevelModel, wavelength_nm: float) -> float:
     """Lattice polarizability (au) of the atomic level at the given wavelength:
-    the valence value plus the core term, since the lattice couples to core
-    and valence electrons alike.  For J = 1/2 the tensor term is undefined
-    and the valence value is the scalar one, returned with a warning.
+    the valence value (scalar plus tensor) plus the core term, since the
+    lattice couples to core and valence electrons alike.
     """
     alpha = model._interp(model.alpha_scalar_au, wavelength_nm)
-    if model.j.twice > 1:
-        alpha += model.tensor_prefactor() * model._interp(
-            model.alpha_tensor_au, wavelength_nm)
-    elif any(model.alpha_tensor_au):
-        warnings.warn(
-            f"level {model.level}: tensor polarizability undefined for J = 1/2; "
-            "returning the scalar part only",
-            stacklevel=2,
-        )
+    alpha += model.tensor_prefactor() * model._interp(model.alpha_tensor_au, wavelength_nm)
     return alpha + model.core_au
 
 
@@ -370,16 +365,16 @@ def atomic_stark_shift(model: AtomicLevelModel, wavelength_nm: float,
 
 SHIPPED_ATOMIC_FILE = "ca_polarizabilities.csv"
 ATOMIC_COLUMNS = ("level", "wavelength_nm", "alpha_scalar_au", "alpha_tensor_au")
-_ATOMIC_CORES_AU = {"S1/2": 3.134, "D5/2": 3.03}
-_ATOMIC_J = {"S1/2": HalfInt(1), "D5/2": HalfInt(5)}
+_ATOMIC_CORES_AU = {"D5/2": 3.03}
+_ATOMIC_J = {"D5/2": HalfInt(5)}
 
 
-def load_shipped_atomic_model(level: str = "D5/2", m=None,
+def load_shipped_atomic_model(level: str = "D5/2", m=HalfInt(-5),
                               theta: float = 0.0) -> AtomicLevelModel:
     """Atomic-level model from the shipped polarizability table.
 
     Defaults to the metastable D5/2(m = -5/2) level the reference ion is
-    shelved in during lattice pulses.
+    shelved in during lattice pulses, the only level shipped.
     """
     if level not in _ATOMIC_J:
         raise ValueError(f"unknown level {level!r}; shipped: {sorted(_ATOMIC_J)}")
@@ -387,8 +382,6 @@ def load_shipped_atomic_model(level: str = "D5/2", m=None,
                   for _, row in read_table(shipped_data_path(SHIPPED_ATOMIC_FILE),
                                            ATOMIC_COLUMNS)[0]
                   if row["level"].strip() == level)
-    if m is None:
-        m = HalfInt(-1) if level == "S1/2" else HalfInt(-5)
     return AtomicLevelModel(
         level=level,
         j=_ATOMIC_J[level],

@@ -221,6 +221,15 @@ class TestIngestion:
         with pytest.raises(CatalogError, match=f"lines.csv: .*core_polarizability_au, got {got}"):
             load_line_catalog(path)
 
+    @pytest.mark.parametrize("key", ["pi_spin_orbit_A_cm1", "pi_rotational_B_cm1"])
+    def test_unparsable_pi_constant_names_its_file(self, tmp_path, key):
+        path = tmp_path / "lines.csv"
+        meta = "".join(line if key not in line else f"# {key} = abc\n"
+                       for line in META.splitlines(keepends=True))
+        path.write_text(meta + HEADER + "A-X,Q12,6,11,11,789.1872,4.3e4,\n")
+        with pytest.raises(CatalogError, match="lines.csv: .*must be numbers: .*'abc'"):
+            load_line_catalog(path)
+
     def test_core_polarizability_is_read_from_the_line_file_only(self, tmp_path):
         # a far-band file's metadata was once merged into the line file's
         lines = tmp_path / "lines.csv"

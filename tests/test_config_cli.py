@@ -847,6 +847,56 @@ class TestBadInputFiles:
         assert "Traceback" not in captured.err
         assert "excluded" not in captured.out
 
+    def test_unparsable_pi_constant_names_its_file(self, tmp_path, capsys):
+        # once printed "error: could not convert string to float: 'abc'" alone
+        text = shipped_data_path(SHIPPED_LINES_FILE).read_text(encoding="utf-8")
+        path = catalog_config(tmp_path, text.replace("# pi_spin_orbit_A_cm1 = -74.62",
+                                                     "# pi_spin_orbit_A_cm1 = abc"),
+                              FAR_HEADER)
+        code = main(["windows", "--exclude-up-to", "4", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"error: {tmp_path}/lines.csv: pi_spin_orbit_A_cm1 and "
+                                "pi_rotational_B_cm1 must be numbers: could not convert "
+                                "string to float: 'abc'\n")
+        assert not (tmp_path / "out").exists()
+
+
+class TestCatalogCoverage:
+    """The shipped catalog ends at N'' = 10: a state above it has no line to
+    predict its shift from, and is refused instead of given the far-band and
+    core background alone."""
+
+    @pytest.mark.parametrize("argv", [
+        ["identify", "--nmax", "12"],
+        ["spectrum", "--nmin", "12", "--nmax", "12", "--steps", "2"],
+    ], ids=["identify", "spectrum"])
+    def test_levels_beyond_the_catalog_are_refused(self, tmp_path, capsys, argv):
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MEASUREMENTS)
+        if argv[0] == "identify":
+            argv = argv + ["--measurements", str(meas)]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: the catalog has no line from N'' = 12, J'' = ")
+        assert "(it covers N'' <= 10)" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["identify", "--nmax", "10"],
+        ["spectrum", "--nmin", "10", "--nmax", "10", "--steps", "2"],
+    ], ids=["identify", "spectrum"])
+    def test_levels_the_catalog_covers_are_predicted(self, tmp_path, capsys, argv):
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MEASUREMENTS)
+        if argv[0] == "identify":
+            argv = argv + ["--measurements", str(meas)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert any((tmp_path / "out").iterdir())
+
 
 def _refuse_constant(name):
     raise ValueError(f"identification.json holds {name}, which is not JSON")

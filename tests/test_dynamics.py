@@ -623,6 +623,17 @@ class TestColdStart:
                     for alias in node.names}
         assert public == imported == {"curve_fit", "pchip_coefficients"}
 
+    def test_no_module_rebinds_a_global(self):
+        # process-wide state lives in lru_cache tables, never in a name a
+        # function rebinds with ``global``
+        package = Path(odfprobe.__file__).parent
+
+        def rebinds(path):
+            return any(isinstance(node, ast.Global)
+                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+        assert [p.name for p in sorted(package.glob("*.py")) if rebinds(p)] == []
+
     def test_readout_names_load_on_first_use(self):
         assert _fresh_python(READOUT_NAMES) == "[] True"
 

@@ -44,27 +44,32 @@ class TestMotionalDistribution:
 
 
 class TestLogFactorials:
-    @pytest.mark.parametrize("n", [0, 1, 2, 12, 13, 999, 1000, 1600, 70_000])
+    @pytest.mark.parametrize("n", [0, 1, 2, 12, 13, 999, 1000, 1600])
     def test_bit_equal_to_gammaln(self, n):
-        # 70 000 needs the table regrown past its first 2048 entries
         expected = gammaln(np.arange(n + 1) + 1.0)
-        assert np.array_equal(readout._log_factorials(n), expected)
+        assert np.array_equal(readout._log_factorials()[:n + 1], expected)
 
-    def test_one_read_only_table_sliced_per_call(self):
-        short, full = readout._log_factorials(10), readout._log_factorials(1600)
-        assert np.shares_memory(short, full)
-        assert not full.flags.writeable
+    def test_one_read_only_table_up_to_max_fock(self):
+        table = readout._log_factorials()
+        assert np.array_equal(table, gammaln(np.arange(readout.MAX_FOCK + 1) + 1.0))
+        assert not table.flags.writeable
+        assert readout._log_factorials() is table
 
+    # n_cut: the level the distribution ends at, None for _coherent_cut(n_mean)
     @pytest.mark.parametrize("n_mean, n_cut", [
-        (0.3, None), (12.5, None), (400.0, None), (1500.0, None),
-        # readout.MAX_FOCK (1500 no longer sums to 1 within it)
-        (1400.0, 1600), (12.5, 1600),
+        (0.3, None), (12.5, None), (400.0, None),
+        (1400.0, 1600),     # truncated at readout.MAX_FOCK
     ])
     def test_coherent_weights_match_gammaln(self, n_mean, n_cut):
-        dist = MotionalDistribution.coherent(n_mean, n_cut)
-        n = np.arange(len(dist.p_n))
+        dist = MotionalDistribution.coherent(n_mean)
+        n = np.arange((readout._coherent_cut(n_mean) if n_cut is None else n_cut) + 1)
         expected = np.exp(-n_mean + n * math.log(n_mean) - gammaln(n + 1.0))
         assert np.array_equal(dist.p_n, expected)
+
+    def test_coherent_state_past_max_fock_refused(self):
+        # _coherent_cut(1500) = 1912; the 1601 levels kept do not sum to 1
+        with pytest.raises(ValueError, match="populations must sum to 1"):
+            MotionalDistribution.coherent(1500.0)
 
 
 class TestSynthesis:

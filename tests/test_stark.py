@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -219,13 +218,11 @@ class TestAtomicPolarizability:
         assert atomic_polarizability(model, 789.0) \
             == pytest.approx(4.44 + 3.03, rel=1e-12)
 
-    def test_s_state_scalar_only(self):
-        for theta in (0.0, 0.4, 1.2):
-            model = load_shipped_atomic_model("S1/2", theta=theta)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                value = atomic_polarizability(model, 789.0) - model.core_au
-            assert value == pytest.approx(97.5, rel=1e-12)
+    @pytest.mark.parametrize("level", ["S1/2", "D3/2"])
+    def test_only_the_shelved_level_is_shipped(self, level):
+        # the reference ion is shelved in D5/2 during lattice pulses
+        with pytest.raises(ValueError, match=f"unknown level '{level}'; shipped: \\['D5/2'\\]"):
+            load_shipped_atomic_model(level)
 
     def test_magic_angle_kills_tensor_term(self):
         theta = math.acos(math.sqrt(1.0 / 3.0))
@@ -243,12 +240,12 @@ class TestAtomicPolarizability:
             level="S1/2", j=HalfInt(1), m=HalfInt(-1),
             wavelengths_nm=(785.0, 790.0),
             alpha_scalar_au=(97.9, 97.4),
-            alpha_tensor_au=(0.5, 0.5),   # bogus tensor entry must be flagged
+            alpha_tensor_au=(0.0, 0.0),
             core_au=3.134,
         )
-        with pytest.warns(UserWarning, match="tensor"):
-            value = atomic_polarizability(model, 789.0) - model.core_au
-        assert value == pytest.approx(np.interp(789.0, (785.0, 790.0), (97.9, 97.4)))
+        # every valence value carries the tensor term, which J = 1/2 lacks
+        with pytest.raises(ValueError, match="tensor contribution undefined for J = 1/2"):
+            atomic_polarizability(model, 789.0)
 
     @pytest.mark.parametrize("m, named", [(-3.5, "7/2"), (3.5, "7/2"), (-4, "4")])
     def test_projection_beyond_j_is_named(self, m, named):
