@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import write_table
-from .config import ConfigError, RunConfig, check_flag, load_config
+from .config import ConfigError, RunConfig, check_bound, load_config
 
 # Each cmd_* imports the modules it calls, so a cold command loads only what
 # it runs: a config error stops at config, and only calibrate loads readout.
@@ -90,7 +90,7 @@ def cmd_spectrum(args, config: RunConfig) -> int:
                         ("--lambda-max", args.lambda_max)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{flag} must be positive and finite, got {value:g}")
-        check_flag(flag, "wavelength_nm", value)
+        check_bound("wavelength_nm", value, flag)
     import numpy as np
 
     from .stark import stark_table
@@ -115,8 +115,8 @@ def cmd_spectrum(args, config: RunConfig) -> int:
         # one wavelength at a time: the sweep is never held whole
         nonlocal skipped
         for lam in wavelengths:
-            shifts, flagged, _ = table.shifts(lam, config.intensity_w_m2,
-                                              guard_hz=config.resonance_guard_hz)
+            shifts, flagged = table.shifts(lam, config.intensity_w_m2,
+                                           guard_hz=config.resonance_guard_hz)
             lam_text = f"{lam:.5f}"
             for columns, shift, hit in zip(fixed, shifts.tolist(), flagged.tolist()):
                 if hit:
@@ -142,8 +142,8 @@ def cmd_simulate(args, config: RunConfig) -> int:
         if count > MAX_SWEEP_POINTS:
             raise ValueError(f"--sweep COUNT must be at most {MAX_SWEEP_POINTS}, "
                              f"got {count:g}")
-        check_flag("--sweep LO", "beat_frequency_hz", lo)
-        check_flag("--sweep HI", "beat_frequency_hz", hi)
+        check_bound("beat_frequency_hz", lo, "--sweep LO")
+        check_bound("beat_frequency_hz", hi, "--sweep HI")
     import numpy as np
 
     from .crystal import LatticeDrive, TwoIonCrystal

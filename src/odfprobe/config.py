@@ -146,13 +146,14 @@ KNOWN_KEYS = {section: tuple(k for s, k, _ in _DECLARED.values() if s == section
               for section, _, _ in _DECLARED.values()}
 
 
-def check_flag(flag: str, name: str, value: float) -> None:
-    """Hold a command-line flag that carries the quantity of the RunConfig
-    field ``name`` to the bound declared there, which must admit only finite
-    values."""
+def check_bound(name: str, value: float, flag: str | None = None) -> None:
+    """Hold ``value``, a quantity of the RunConfig field ``name``, to the bound
+    declared there, which must admit only finite values; the error names
+    ``flag``, the command-line flag that carried the value, if given."""
     _, key, declared = _DECLARED[name]
     if not declared["ok"](value):
-        raise ValueError(f"{flag}: {key} must be finite and {declared['rule']}, "
+        where = f"{flag}: " if flag else ""
+        raise ValueError(f"{where}{key} must be finite and {declared['rule']}, "
                          f"got {value:g}")
 
 

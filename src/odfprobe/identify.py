@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import LineCatalog, read_table
+from .config import check_bound
 from .quantities import polarizability_to_shift
 from .stark import DEFAULT_RESONANCE_GUARD_HZ, StarkTable, stark_table, total_polarizability_au
 from .states import MolecularState
@@ -55,6 +56,8 @@ class Measurement:
         for name in ("wavelength_nm", "intensity_w_m2", "shift_hz", "sigma_hz", "f_ip_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("wavelength_nm", "intensity_w_m2"):     # a config's bounds
+            check_bound(name, getattr(self, name))
         if self.f_ip_hz <= 0.0:
             raise ValueError("in-phase mode frequency must be > 0")
         if self.shift_hz < 0.0:
@@ -75,7 +78,6 @@ class Measurement:
 class ShiftPrediction:
     state: MolecularState
     shift_hz: float | None        # None when the state sits inside the guard
-    flagged_line: str | None = None
 
     @property
     def sign(self) -> str:
@@ -91,17 +93,15 @@ class ShiftPredictions(Sequence):
 
     table: StarkTable
     shifts: np.ndarray
-    reasons: tuple[str | None, ...]
     flagged: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.reasons)
+        return len(self.shifts)
 
     def __getitem__(self, index: int) -> ShiftPrediction:
         i = range(len(self))[index]         # an int (negative too); a slice is refused
-        reason = self.reasons[i]
         return ShiftPrediction(self.table.states[i],
-                               None if reason else float(self.shifts[i]), reason)
+                               None if self.flagged[i] else float(self.shifts[i]))
 
     def matching(self, measurement: Measurement, k: float) -> list[int]:
         """Indices of the states not flagged, of the measured sign and within k sigma."""
@@ -117,9 +117,9 @@ def predict_catalog_shifts(wavelength_nm: float, intensity_w_m2: float,
     """Signed shift of every state in ``sort_key`` order, one evaluation of its table;
     states with a catalog line inside the guard are flagged, not dropped."""
     table = stark_table(states, catalog)
-    shifts, flagged, reasons = table.shifts(wavelength_nm, intensity_w_m2, guard_hz)
+    shifts, flagged = table.shifts(wavelength_nm, intensity_w_m2, guard_hz)
     shifts.flags.writeable = flagged.flags.writeable = False
-    return ShiftPredictions(table, shifts, tuple(reasons), flagged)
+    return ShiftPredictions(table, shifts, flagged)
 
 
 def background_shift_hz(wavelength_nm: float, intensity_w_m2: float,
@@ -136,7 +136,6 @@ class CandidateSet:
     """States consistent with a measurement at one sigma multiplier."""
 
     k: float
-    measurement: Measurement
     candidates: tuple[ShiftPrediction, ...]
     flagged: tuple[ShiftPrediction, ...]
     total_states: int
@@ -158,7 +157,7 @@ def match_candidates(measurement: Measurement, predictions: ShiftPredictions,
     if not len(predictions):
         raise ValueError("empty prediction table")
     pick = predictions.__getitem__
-    return CandidateSet(k, measurement, tuple(map(pick, predictions.matching(measurement, k))),
+    return CandidateSet(k, tuple(map(pick, predictions.matching(measurement, k))),
                         tuple(map(pick, np.flatnonzero(predictions.flagged).tolist())),
                         len(predictions))
 

@@ -192,54 +192,43 @@ class StarkTable:
 
     def shifts(self, wavelength_nm: float, intensity_w_m2: float,
                guard_hz: float = DEFAULT_RESONANCE_GUARD_HZ,
-               ) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+               ) -> tuple[np.ndarray, np.ndarray]:
         """Each state's single-beam shift (Hz, signed), bit for bit that of the
-        per-state ``polarizability_breakdown`` path, whether each state is
-        flagged (a line inside the guard; its shift is 0.0), and why (None
-        for the others).  Everything but the intensity is evaluated once per
-        (table, wavelength, guard) while among the last 16; each call
-        returns arrays and a list of its own."""
-        alpha, flagged, reasons = _evaluation(self, wavelength_nm, guard_hz)
+        per-state ``polarizability_breakdown`` path, and whether each state is
+        flagged (a line inside the guard; its shift is 0.0).  Everything but
+        the intensity is evaluated once per (table, wavelength, guard) while
+        among the last 16; each call returns arrays of its own."""
+        alpha, flagged = _evaluation(self, wavelength_nm, guard_hz)
         if alpha is None:       # a far band inside the guard: every state is flagged
-            return np.zeros(len(reasons)), flagged.copy(), list(reasons)
+            return np.zeros(len(flagged)), flagged.copy()
         shifts = np.where(flagged, 0.0, polarizability_to_shift(alpha, intensity_w_m2))
-        return shifts, flagged.copy(), list(reasons)
+        return shifts, flagged.copy()
 
 
 @lru_cache(maxsize=16)
 def _evaluation(table: StarkTable, wavelength_nm: float, guard_hz: float):
-    """(polarizability (au), flagged, reasons) of the table's states at one
-    wavelength, read-only; the polarizability is None when a far band is
-    inside the guard, and every state is then flagged."""
-    lines, count = table.catalog.lines, len(table.states)
+    """(polarizability (au), flagged) of the table's states at one wavelength,
+    read-only; the polarizability is None when a far band is inside the
+    guard, and every state is then flagged."""
     omega = wavelength_to_angular_frequency(wavelength_nm)
     omegas = _line_angular_frequencies(table.catalog)
-    detunings = [_detuning_hz(omega_k, omega) for omega_k in omegas]
-    inside = [abs(d) < guard_hz for d in detunings] + [False]
+    inside = [abs(_detuning_hz(omega_k, omega)) < guard_hz for omega_k in omegas] + [False]
     coefficients = [0.0 if hit else _sum_coefficient(omega_k, omega)
                     for omega_k, hit in zip(omegas, inside)] + [0.0]
     terms = np.array(coefficients)[table.line_index] * table.mu2_si / AU_POLARIZABILITY
-    resonant = np.zeros(count)
+    resonant = np.zeros(len(table.states))
     for column in terms.T:      # left to right, as the per-state loop adds
         resonant += column
-
-    hits = np.array(inside)[table.line_index]
-    flagged = hits.any(axis=1)
-    reasons = [None] * count
-    rows = np.flatnonzero(flagged)
-    first_hit = table.line_index[rows, hits[rows].argmax(axis=1)]
-    for i, k in zip(rows.tolist(), first_hit.tolist()):
-        reasons[i] = str(NearResonanceError(lines[k], detunings[k], guard_hz))
     try:
         alpha = total_polarizability_au(resonant, wavelength_nm, table.catalog, guard_hz)
-    except NearResonanceError as exc:
-        alpha, flagged = None, np.ones(count, dtype=bool)
-        reasons = [reason or str(exc) for reason in reasons]
+    except NearResonanceError:
+        alpha, flagged = None, np.ones(len(table.states), dtype=bool)
     else:
         alpha.flags.writeable = False
+        flagged = np.array(inside)[table.line_index].any(axis=1)
     # every later call at this wavelength and guard reads these
     flagged.flags.writeable = False
-    return alpha, flagged, tuple(reasons)
+    return alpha, flagged
 
 
 @lru_cache(maxsize=8)

@@ -492,7 +492,6 @@ def match_candidates_loop(measurement, predictions, k=1.0) -> CandidateSet:
             candidates.append(pred)
     return CandidateSet(
         k=k,
-        measurement=measurement,
         candidates=tuple(candidates),
         flagged=tuple(flagged),
         total_states=len(predictions),

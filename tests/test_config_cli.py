@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -621,6 +622,27 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert "excluded" not in captured.out
 
+    @pytest.mark.parametrize("command", ["identify", "windows", "classify"])
+    @pytest.mark.parametrize("row, message", [
+        ("1e-300,11500000.0,500.0,30.0,red,694920.0",
+         "wavelength_nm must be finite and in [1, 1e6] nm, got 1e-300"),
+        ("789.0,1e30,500.0,30.0,red,694920.0",
+         "intensity_w_m2 must be finite and in [0, 1e20] W/m^2, got 1e+30"),
+    ], ids=["wavelength", "intensity"])
+    def test_measurement_outside_config_bound_is_named(self, tmp_path, capsys, command,
+                                                       row, message):
+        # a row at 1e-300 nm once predicted all 540 states at the core term
+        # alone and excluded every one of them
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MEASUREMENTS + row + "\n")
+        code = main(CONTRACT_COMMANDS[command] + ["--measurements", str(meas),
+                                                  "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {meas}:4: {message}\n"
+        assert "excluded" not in captured.out
+        assert not (tmp_path / "out").exists()
+
     def test_zero_f_ip_is_validation_error(self, tmp_path, capsys):
         meas = tmp_path / "meas.csv"
         meas.write_text(MEASUREMENTS.replace("red,694920.0", "red,0.0", 1))
@@ -896,6 +918,72 @@ class TestCatalogCoverage:
             argv = argv + ["--measurements", str(meas)]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert any((tmp_path / "out").iterdir())
+
+
+# One row each: plain, 12 states guarded (18 MHz from R1(1/2)), a far band
+# inside the guard (0.37 GHz from A(v'=0)), and the experiments' wavelength.
+PINNED_MEASUREMENTS = """\
+wavelength_nm,intensity_W_m2,shift_Hz,sigma_Hz,sign,f_ip_Hz
+789.0,11500000.0,500.0,30.0,red,694920.0
+787.4755,11500000.0,800.0,40.0,blue,694920.0
+1109.1415,11500000.0,800.0,40.0,blue,694920.0
+789.71,11500000.0,1032.0,20.0,blue,694920.0
+"""
+
+# SHA-256 of each command's exit code, stdout (output path as "<out>") and
+# output files (name and bytes, in name order).  These commands' arithmetic
+# is IEEE +, -, *, / and sqrt, so their bytes do not depend on the CPU's
+# vector paths; calibrate and simulate are left out for that reason.
+PINNED_OUTPUTS = {
+    "enumerate":
+        "a22222929701928a3ee5cff3a5af9ea90926b3280fde3f90c4fdb04adad1275d",
+    "spectrum-defaults":
+        "fc86c3a98f3c68d8eff92c30f0df2082982f01d9311d95c5a7b5e31d7b78a54c",
+    "spectrum-near-line":
+        "764d693d1fb1c69a98d28318764234b88e82d649d9c706292d7a71ea4a28bdd6",
+    "spectrum-far-band":
+        "d5bb6b87240da42867a5b4fec5e752ac77baa9f6782f5d684f019c8d435f8ea8",
+    "identify":
+        "26aa48b64e779cf8aef29cb9c742492412c8c90fddb679bdfc79d8420ee73102",
+    "windows":
+        "f84a474a377f329db04938b8d330f87285b3964fca1723373b7092bdd122bae3",
+    "classify":
+        "a9aa8db281f07539cc2ab931b17214195d08b1561d6631956d655da7845f8f35",
+}
+
+
+MEAS = object()     # stands for the path of the PINNED_MEASUREMENTS file
+
+
+class TestPinnedOutputs:
+    """The deterministic commands write the same bytes as when recorded."""
+
+    ARGV = {
+        "enumerate": ["enumerate"],
+        "spectrum-defaults": ["spectrum"],
+        # the 12 N = 0, J = 1/2 states guarded at two points: 24 skipped
+        "spectrum-near-line": ["spectrum", "--lambda-min", "787.47",
+                               "--lambda-max", "787.48", "--steps", "5"],
+        # 1109.14 nm, the third point, is the A(v'=0) far band: 540 skipped
+        "spectrum-far-band": ["spectrum", "--lambda-min", "1109.1",
+                              "--lambda-max", "1109.2", "--steps", "6"],
+        "identify": ["identify", "--measurements", MEAS],
+        "windows": ["windows", "--exclude-up-to", "4", "--measurements", MEAS],
+        "classify": ["classify", "--measurements", MEAS],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+    def test_bytes_as_recorded(self, tmp_path, capsys, name):
+        meas = tmp_path / "meas.csv"
+        meas.write_text(PINNED_MEASUREMENTS)
+        out = tmp_path / "out"
+        argv = [str(meas) if arg is MEAS else arg for arg in self.ARGV[name]]
+        code = main(argv + ["--out", str(out)])
+        digest = hashlib.sha256(f"{code}\n".encode())
+        digest.update(capsys.readouterr().out.replace(str(out), "<out>").encode())
+        for path in sorted(out.iterdir()) if out.exists() else ():
+            digest.update(f"\n{path.name}\n".encode() + path.read_bytes())
+        assert digest.hexdigest() == PINNED_OUTPUTS[name]
 
 
 def _refuse_constant(name):

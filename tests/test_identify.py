@@ -70,6 +70,20 @@ class TestMeasurement:
             Measurement(values["wavelength"], values["intensity"], values["shift"],
                         values["sigma"], "red", values["f_ip"])
 
+    @pytest.mark.parametrize("wavelength, intensity, named", [
+        (1e-300, 1e7, "wavelength_nm"), (0.5, 1e7, "wavelength_nm"),
+        (2e6, 1e7, "wavelength_nm"), (789.0, -1.0, "intensity_w_m2"),
+        (789.0, 1e30, "intensity_w_m2")])
+    def test_outside_the_config_bounds_rejected(self, wavelength, intensity, named):
+        # the bounds of [lattice] wavelength_nm and intensity_w_m2: at 1e-300 nm
+        # the lattice frequency overflows and every shift is the core term's
+        with pytest.raises(ValueError, match=f"^{named} must be finite and in \\["):
+            Measurement(wavelength, intensity, 500.0, 30.0, "red", F_IP)
+
+    @pytest.mark.parametrize("wavelength, intensity", [(1.0, 0.0), (1e6, 1e20)])
+    def test_config_bounds_are_inclusive(self, wavelength, intensity):
+        Measurement(wavelength, intensity, 500.0, 30.0, "red", F_IP)
+
     @pytest.mark.parametrize("f_ip", [0.0, -F_IP])
     def test_non_positive_f_ip_rejected(self, f_ip):
         with pytest.raises(ValueError, match="in-phase"):
@@ -134,22 +148,24 @@ class TestPredictionView:
         assert all(by_state[p.state] == p for p in listed)
         assert [p.sign for p in listed] == ["red" if p.shift_hz < 0.0 else "blue"
                                             for p in listed]
-        assert all(p.flagged_line is None for p in listed)
+        assert [p.shift_hz for p in listed] == predictions.shifts.tolist()
 
     def test_flagged_elements(self, catalog_module, anchor_module):
         near = predict_catalog_shifts(787.4755, anchor_module, enumerate_states(8),
                                       catalog_module)
         flagged = [p for p in near if p.shift_hz is None]
         assert len(flagged) == 12 == int(near.flagged.sum())
-        assert all(p.sign == "indeterminate" and "R1(1/2)" in p.flagged_line
-                   and (p.state.n, p.state.j.twice) == (0, 1) for p in flagged)
-        assert [p.flagged_line for p in near] == list(near.reasons)
+        assert [p.shift_hz is None for p in near] == near.flagged.tolist()
+        assert all(p.sign == "indeterminate" and (p.state.n, p.state.j.twice) == (0, 1)
+                   for p in flagged)
+        for p in flagged:       # the per-state path names the line
+            with pytest.raises(NearResonanceError, match=re.escape("R1(1/2)")):
+                polarizability_breakdown(p.state, 787.4755, catalog_module)
 
     def test_arrays_are_read_only(self, catalog_module, anchor_module, predictions):
         for array in (predictions.shifts, predictions.flagged):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
-        assert type(predictions.reasons) is tuple
         with pytest.raises(dataclasses.FrozenInstanceError):
             predictions.shifts = np.zeros(540)
         # a second evaluation at the same wavelength holds arrays of its own
@@ -224,22 +240,25 @@ class TestTierLabels:
 
 
 def scalar_predictions(wavelength, intensity, states, catalog, guard_hz=1e9):
-    """(state, shift, flagged_line) per state from the per-state
-    polarizability_breakdown -> polarizability_to_shift loop."""
+    """(state, shift, flagged) per state from the per-state
+    polarizability_breakdown -> polarizability_to_shift loop: flagged exactly
+    where it raises NearResonanceError."""
     rows = []
     for state in sorted(states, key=MolecularState.sort_key):
         try:
             alpha = polarizability_breakdown(state, wavelength, catalog, guard_hz).total_au
-        except NearResonanceError as exc:
-            rows.append((state, None, str(exc)))
+        except NearResonanceError:
+            rows.append((state, None, True))
             continue
-        rows.append((state, polarizability_to_shift(alpha, intensity), None))
+        rows.append((state, polarizability_to_shift(alpha, intensity), False))
     return rows
 
 
 def table_predictions(wavelength, intensity, states, catalog, guard_hz=1e9):
-    return [(p.state, p.shift_hz, p.flagged_line) for p in
-            predict_catalog_shifts(wavelength, intensity, states, catalog, guard_hz)]
+    """(state, shift, flagged) per state from the view and its flag mask."""
+    predictions = predict_catalog_shifts(wavelength, intensity, states, catalog, guard_hz)
+    return [(p.state, p.shift_hz, hit)
+            for p, hit in zip(predictions, predictions.flagged.tolist())]
 
 
 class TestStrengthTable:
@@ -406,30 +425,31 @@ class TestEvaluationMemo:
         self.clear()
         warm = [table.shifts(wavelength, intensity) for intensity in intensities]
         assert stark._evaluation.cache_info()[:2] == (1, 1)     # one hit, one miss
-        for intensity, (shifts, hits, reasons) in zip(intensities, warm):
+        for intensity, (shifts, hits) in zip(intensities, warm):
             self.clear()
             cold = table.shifts(wavelength, intensity)
             assert np.array_equal(shifts, cold[0]) and np.array_equal(hits, cold[1])
-            assert reasons == cold[2] and int(hits.sum()) == flagged
+            assert int(hits.sum()) == flagged
             assert table_predictions(wavelength, intensity, states, catalog_module) \
                 == scalar_predictions(wavelength, intensity, states, catalog_module)
 
     def test_each_call_owns_its_output(self, catalog_module, anchor_module):
         table = stark.stark_table(enumerate_states(8), catalog_module)
-        shifts, hits, reasons = table.shifts(787.4755, anchor_module)
-        expected = (shifts.copy(), hits.copy(), list(reasons))
-        shifts[:], hits[:], reasons[:] = 1.0, ~hits, ["x"] * len(reasons)
+        shifts, hits = table.shifts(787.4755, anchor_module)
+        expected = (shifts.copy(), hits.copy())
+        shifts[:], hits[:] = 1.0, ~hits
         again = table.shifts(787.4755, anchor_module)
         assert np.array_equal(again[0], expected[0])
-        assert np.array_equal(again[1], expected[1]) and again[2] == expected[2]
+        assert np.array_equal(again[1], expected[1])
 
     def test_far_band_flags_every_state_on_each_call(self, catalog_module, anchor_module):
         # 1109.14 nm is the A(v'=0) far band itself
         states = enumerate_states(8)
         self.clear()
         expected = scalar_predictions(1109.14, anchor_module, states, catalog_module)
-        assert all(shift is None and "far band A(v'=0)" in reason
-                   for _, shift, reason in expected)
+        assert all(shift is None and hit for _, shift, hit in expected)
+        with pytest.raises(NearResonanceError, match=re.escape("far band A(v'=0)")):
+            polarizability_breakdown(states[0], 1109.14, catalog_module)
         for _ in range(2):
             predictions = predict_catalog_shifts(1109.14, anchor_module, states,
                                                  catalog_module)
