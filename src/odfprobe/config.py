@@ -67,7 +67,7 @@ class RunConfig:
     beat_frequency_hz: float | None = _key(     # None -> resonant with the IP mode
         "lattice", _beat, None, lambda v: 0.0 <= v <= 1e9, "in [0, 1e9] Hz (or auto)")
     intensity_w_m2: float = _key(               # resolved value
-        "lattice", float, None, lambda v: 0.0 <= v <= 1e20, "in [0, 1e20] W/m^2")
+        "lattice", float, None, lambda v: 0.0 < v <= 1e20, "in (0, 1e20] W/m^2")
     intensity_mode: str = _key(                 # "core_anchor" | "explicit"
         "lattice", str.strip, "core_anchor")
     polarization_angle_rad: float = _key("lattice", float, 0.0, math.isfinite, "finite")

@@ -46,7 +46,9 @@ _STEPS_PER_PERIOD = 25
 # (93 233 steps, 0.8 s in plain Python); a half-step check then takes twice as
 # many.  A beat far above f_IP sets the step, so the count grows as beat x pulse.
 _MAX_STEPS = 1_000_000
-# Stored samples per out-of-phase period; mode_amplitude needs 20.
+# Stored samples per out-of-phase period: the density of trajectory.csv and
+# of the samples criterion 07b reads its drift at, and simulate_odf's step
+# wherever the run takes one step per sample.
 _SAMPLES_PER_PERIOD = 25
 # A lattice whose curvature 8 k^2 h |dE| reaches this fraction of the trap's
 # u0 can drag an ion across its sites, and the motion may turn chaotic: a
@@ -372,19 +374,9 @@ def _turn(b, u, angle):
 
 
 def mode_amplitude(trajectory: Trajectory) -> ModeExcitation:
-    """End-of-pulse complex mode amplitudes from position/velocity quadratures."""
-    crystal = trajectory.config.crystal
-    t = trajectory.t
-    if len(t) < 3:
-        raise ValueError("trajectory too short to extract mode amplitudes")
-    dt = np.diff(t)
-    min_period = 2.0 * math.pi / crystal.omega_plus
-    if np.max(dt) > min_period / 20.0:
-        raise ValueError(
-            f"trajectory undersampled: step {np.max(dt):.3e} s exceeds 1/20 of the "
-            f"out-of-phase period {min_period:.3e} s"
-        )
-    return _excitation(crystal, trajectory.q1[-1], trajectory.q2[-1],
+    """End-of-pulse complex mode amplitudes, read off the trajectory's last
+    stored state, so exact at any sampling."""
+    return _excitation(trajectory.config.crystal, trajectory.q1[-1], trajectory.q2[-1],
                        trajectory.v1[-1], trajectory.v2[-1])
 
 

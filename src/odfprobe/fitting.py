@@ -27,6 +27,10 @@ import numpy as np
 from numpy.linalg import norm, svd
 
 EPS = np.finfo(float).eps
+# scipy's defaults, which no caller changes: least_squares' tolerances and
+# the trust-region subproblem's
+FTOL = XTOL = GTOL = 1e-8
+SUBPROBLEM_RTOL, SUBPROBLEM_MAX_ITER = 0.01, 10
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +65,7 @@ def curve_fit(f, xdata, ydata, p0, sigma=None, *, bounds, max_nfev):
 # approx_derivative (scipy/optimize/_numdiff.py)
 # ---------------------------------------------------------------------------
 
-def _least_squares(fun, x0, bounds, max_nfev, ftol=1e-8, xtol=1e-8, gtol=1e-8):
+def _least_squares(fun, x0, bounds, max_nfev):
     """(x, status) of the bounded TRF solve."""
     x0 = np.atleast_1d(x0).astype(float)
     lb, ub = (np.asarray(b, dtype=float) for b in bounds)
@@ -71,7 +75,7 @@ def _least_squares(fun, x0, bounds, max_nfev, ftol=1e-8, xtol=1e-8, gtol=1e-8):
         return _jacobian(fun, x, f, lb, ub)
 
     f0 = fun(x0)
-    return _trf_bounds(fun, jac, x0, f0, jac(x0, f0), lb, ub, ftol, xtol, gtol, max_nfev)
+    return _trf_bounds(fun, jac, x0, f0, jac(x0, f0), lb, ub, max_nfev)
 
 
 def _jacobian(fun, x0, f0, lb, ub):
@@ -102,7 +106,7 @@ def _jacobian(fun, x0, f0, lb, ub):
 # trf_bounds (scipy/optimize/_lsq/trf.py)
 # ---------------------------------------------------------------------------
 
-def _trf_bounds(fun, jac, x0, f0, J0, lb, ub, ftol, xtol, gtol, max_nfev):
+def _trf_bounds(fun, jac, x0, f0, J0, lb, ub, max_nfev):
     x = x0.copy()
     f = f0
     nfev = 1
@@ -121,7 +125,7 @@ def _trf_bounds(fun, jac, x0, f0, J0, lb, ub, ftol, xtol, gtol, max_nfev):
     while True:
         v, dv = _cl_scaling_vector(x, g, lb, ub)
         g_norm = norm(g * v, ord=np.inf)
-        if g_norm < gtol:
+        if g_norm < GTOL:
             termination_status = 1
         if termination_status is not None or nfev == max_nfev:
             break
@@ -141,7 +145,7 @@ def _trf_bounds(fun, jac, x0, f0, J0, lb, ub, ftol, xtol, gtol, max_nfev):
         theta = max(0.995, 1 - g_norm)
         actual_reduction = -1
         while actual_reduction <= 0 and nfev < max_nfev:
-            p_h, alpha = _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha)
+            p_h, alpha = _solve_lsq_trust_region(m, uf, s, V, Delta, alpha)
             p = d * p_h
             step, step_h, predicted_reduction = _select_step(
                 x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta)
@@ -159,7 +163,7 @@ def _trf_bounds(fun, jac, x0, f0, J0, lb, ub, ftol, xtol, gtol, max_nfev):
                 step_h_norm, step_h_norm > 0.95 * Delta)
             step_norm = norm(step)
             termination_status = _check_termination(
-                actual_reduction, cost, step_norm, norm(x), ratio, ftol, xtol)
+                actual_reduction, cost, step_norm, norm(x), ratio)
             if termination_status is not None:
                 break
             alpha *= Delta / Delta_new
@@ -260,7 +264,7 @@ def _intersect_trust_region(x, s, Delta):
         return t2, t1
 
 
-def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max_iter=10):
+def _solve_lsq_trust_region(m, uf, s, V, Delta, initial_alpha):
     """(p, alpha) of the trust-region subproblem, by J. J. More's iteration
     (Lecture Notes in Mathematics 630, 105, 1977) on one SVD: uf = U^T f,
     s the singular values, V the transpose of V^T."""
@@ -272,12 +276,9 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max
         return phi, phi_prime
 
     suf = s * uf
-    # full rank: try the Gauss-Newton step
-    if m >= n:
-        threshold = EPS * m * s[0]
-        full_rank = s[-1] > threshold
-    else:
-        full_rank = False
+    # full rank: try the Gauss-Newton step (fit_rabi fits 4 parameters to at
+    # least 10 points, so there are never fewer residuals m than parameters)
+    full_rank = s[-1] > EPS * m * s[0]
     if full_rank:
         p = -V.dot(uf / s)
         if norm(p) <= Delta:
@@ -292,7 +293,7 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max
         alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
     else:
         alpha = initial_alpha
-    for _ in range(max_iter):
+    for _ in range(SUBPROBLEM_MAX_ITER):
         if alpha < alpha_lower or alpha > alpha_upper:
             alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
         phi, phi_prime = phi_and_derivative(alpha, suf, s, Delta)
@@ -301,7 +302,7 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha, rtol=0.01, max
         ratio = phi / phi_prime
         alpha_lower = max(alpha_lower, alpha - ratio)
         alpha -= (phi + Delta) * ratio / Delta
-        if np.abs(phi) < rtol * Delta:
+        if np.abs(phi) < SUBPROBLEM_RTOL * Delta:
             break
     p = -V.dot(suf / (s**2 + alpha))
     # keep p on the trust region's boundary
@@ -423,9 +424,9 @@ def _cl_scaling_vector(x, g, lb, ub):
     return v, dv
 
 
-def _check_termination(dF, F, dx_norm, x_norm, ratio, ftol, xtol):
-    ftol_satisfied = dF < ftol * F and ratio > 0.25
-    xtol_satisfied = dx_norm < xtol * (xtol + x_norm)
+def _check_termination(dF, F, dx_norm, x_norm, ratio):
+    ftol_satisfied = dF < FTOL * F and ratio > 0.25
+    xtol_satisfied = dx_norm < XTOL * (XTOL + x_norm)
     if ftol_satisfied and xtol_satisfied:
         return 4
     elif ftol_satisfied:

@@ -53,10 +53,10 @@ class Measurement:
     f_ip_hz: float
 
     def __post_init__(self):
-        for name in ("wavelength_nm", "intensity_w_m2", "shift_hz", "sigma_hz", "f_ip_hz"):
+        for name in ("shift_hz", "sigma_hz", "f_ip_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("wavelength_nm", "intensity_w_m2"):     # a config's bounds
+        for name in ("wavelength_nm", "intensity_w_m2"):     # a config's finite bounds
             check_bound(name, getattr(self, name))
         if self.f_ip_hz <= 0.0:
             raise ValueError("in-phase mode frequency must be > 0")

@@ -16,7 +16,7 @@ from .angular import HalfInt
 NUCLEAR_SPIN_ISOMERS = (0, 2)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class MolecularState:
     """One hyperfine-Zeeman level of the doublet-Sigma ground state."""
 

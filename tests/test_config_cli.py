@@ -206,11 +206,12 @@ class TestConfig:
         ("masses", "molecule_u", "1e-300", ["simulate"]),
         ("readout", "carrier_rabi_hz", "1e300", ["calibrate", "--noiseless", "--count", "3"]),
         ("thresholds", "sigma_multiplier", "inf", ["enumerate"]),
+        ("lattice", "intensity_w_m2", "0", ["spectrum", "--steps", "2"]),
     ])
     def test_out_of_range_value_is_named(self, tmp_path, capsys, section, key, value,
                                          command):
         # each of these once ended in a traceback, an unnamed "math domain
-        # error" or exit 0
+        # error" or exit 0 (a zero intensity: every shift 0.0 Hz)
         path = config_with(tmp_path, section, key, value)
         code = main(command + ["--config", str(path), "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
@@ -627,12 +628,17 @@ class TestCli:
         ("1e-300,11500000.0,500.0,30.0,red,694920.0",
          "wavelength_nm must be finite and in [1, 1e6] nm, got 1e-300"),
         ("789.0,1e30,500.0,30.0,red,694920.0",
-         "intensity_w_m2 must be finite and in [0, 1e20] W/m^2, got 1e+30"),
-    ], ids=["wavelength", "intensity"])
+         "intensity_w_m2 must be finite and in (0, 1e20] W/m^2, got 1e+30"),
+        ("789.0,0.0,10.0,30.0,red,694920.0",
+         "intensity_w_m2 must be finite and in (0, 1e20] W/m^2, got 0"),
+        ("nan,11500000.0,500.0,30.0,red,694920.0",
+         "wavelength_nm must be finite and in [1, 1e6] nm, got nan"),
+    ], ids=["wavelength", "intensity", "zero-intensity", "nan-wavelength"])
     def test_measurement_outside_config_bound_is_named(self, tmp_path, capsys, command,
                                                        row, message):
         # a row at 1e-300 nm once predicted all 540 states at the core term
-        # alone and excluded every one of them
+        # alone and excluded every one of them; one at 0 W/m^2 predicted
+        # every shift as 0.0 Hz and excluded all 540 states of a red row
         meas = tmp_path / "meas.csv"
         meas.write_text(MEASUREMENTS + row + "\n")
         code = main(CONTRACT_COMMANDS[command] + ["--measurements", str(meas),
@@ -729,12 +735,10 @@ class TestCli:
     @pytest.mark.parametrize("flag", ["--lambda-min", "--lambda-max"])
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
     def test_spectrum_bad_wavelength_flag_is_named(self, tmp_path, capsys, flag, value):
-        # checked before the sweep, which once turned an inf into a nan
-        code = main(["spectrum", "--steps", "2", f"{flag}={value}", "--out", str(tmp_path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert f"{flag} must be positive and finite, got {float(value):g}" in captured.err
-        assert not (tmp_path / "stark_spectrum.csv").exists()
+        # refused by the wavelength bound before the sweep, which once turned
+        # an inf into a nan
+        self.test_spectrum_wavelength_flag_outside_bound_is_named(tmp_path, capsys, flag,
+                                                                  value)
 
     @pytest.mark.parametrize("flag", ["--lambda-min", "--lambda-max"])
     @pytest.mark.parametrize("value", ["1e-300", "0.5", "2e6"])
@@ -1202,6 +1206,7 @@ class TestExitCodeContract:
     @example(setting=("lattice", "wavelength_nm", "1e300"))
     @example(setting=("lattice", "pulse_ms", "inf"))
     @example(setting=("thresholds", "sigma_multiplier", "inf"))
+    @example(setting=("lattice", "intensity_w_m2", "0"))
     def test_config_values_exit_with_a_documented_code(self, setting):
         # a non-finite value is refused by name (but an infinite decoherence
         # time, which means none); any other ends in a documented code, and

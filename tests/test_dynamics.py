@@ -153,15 +153,16 @@ class TestModeAmplitude:
         assert abs(excitation.amplitude_minus) == pytest.approx(beta_minus, rel=1e-6)
         assert abs(excitation.amplitude_plus) < 1e-6 * beta_minus
 
-    def test_undersampled_trajectory_rejected(self, crystal):
-        # 4 samples per out-of-phase period, where 20 are required
+    def test_read_off_the_end_state_at_any_sampling(self, crystal):
+        # 4 samples per out-of-phase period, ending in simulate_odf's end state
         config = make_config(crystal, shift1=-50.0, duration=0.2e-3)
+        full = simulate_odf(config)
         n = int(4 * crystal.omega_plus / (2.0 * math.pi) * 0.2e-3)
-        zeros = np.zeros(n + 1)
-        trajectory = Trajectory(np.linspace(0.0, 0.2e-3, n + 1), zeros, zeros, zeros,
-                                zeros, config)
-        with pytest.raises(ValueError, match="undersampled"):
-            mode_amplitude(trajectory)
+        sparse = Trajectory(np.linspace(0.0, 0.2e-3, n + 1),
+                            *(np.append(np.zeros(n), column[-1])
+                              for column in (full.q1, full.q2, full.v1, full.v2)),
+                            config)
+        assert mode_amplitude(sparse) == mode_amplitude(full)
 
     def test_force_projection_matches_mode_weights(self, crystal):
         # a homogeneous-force lattice drives the in-phase mode with the
