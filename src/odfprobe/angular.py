@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HalfInt:
     """An integer or half-odd-integer quantum number, stored as twice its value."""
 

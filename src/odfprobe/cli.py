@@ -248,12 +248,14 @@ def cmd_identify(args, config: RunConfig) -> int:
     from .identify import (background_shift_hz, format_report_text,
                            identification_report, predict_catalog_shifts,
                            read_measurements, write_report_json)
+
+    # a refused row stops here, before the catalog, the states or stark load
+    measurements = read_measurements(args.measurements)
     from .stark import NearResonanceError
     from .states import enumerate_states
 
     catalog = config.catalog()
     states = enumerate_states(args.nmax)
-    measurements = read_measurements(args.measurements)
     reports = []
     for index, meas in enumerate(measurements, start=1):
         predictions = predict_catalog_shifts(

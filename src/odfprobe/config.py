@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .catalog import (SHIPPED_FAR_BANDS_FILE, SHIPPED_LINES_FILE, LineCatalog,
                       load_line_catalog, shipped_data_path)
-from .quantities import intensity_from_core_anchor
+from .quantities import DEFAULT_RESONANCE_GUARD_HZ, intensity_from_core_anchor
 
 if TYPE_CHECKING:
     from .crystal import TwoIonCrystal
@@ -51,8 +51,10 @@ class RunConfig:
     Every number must be finite (but for an infinite decoherence time, which
     readout reads as none) and inside the range its arithmetic survives: at
     [lattice] wavelength_nm = 1e300 the ion spacing cubed overflows, at
-    [masses] molecule_u = 1e-30 a mode frequency divides by zero, and at
-    [readout] carrier_rabi_hz = 1e300 the Rabi phase has no significant digit.
+    [masses] molecule_u = 1e-30 a mode frequency divides by zero, at
+    [lattice] intensity_w_m2 = 1e-300 every predicted shift underflows to 0.0
+    Hz, and at [readout] carrier_rabi_hz = 1e300 the Rabi phase has no
+    significant digit.
     The bounds lie far outside any trapped-ion experiment.  (A chained
     comparison is False for NaN.)"""
 
@@ -67,7 +69,7 @@ class RunConfig:
     beat_frequency_hz: float | None = _key(     # None -> resonant with the IP mode
         "lattice", _beat, None, lambda v: 0.0 <= v <= 1e9, "in [0, 1e9] Hz (or auto)")
     intensity_w_m2: float = _key(               # resolved value
-        "lattice", float, None, lambda v: 0.0 < v <= 1e20, "in (0, 1e20] W/m^2")
+        "lattice", float, None, lambda v: 1.0 <= v <= 1e20, "in [1, 1e20] W/m^2")
     intensity_mode: str = _key(                 # "core_anchor" | "explicit"
         "lattice", str.strip, "core_anchor")
     polarization_angle_rad: float = _key("lattice", float, 0.0, math.isfinite, "finite")
@@ -93,7 +95,7 @@ class RunConfig:
     # thresholds
     sigma_multiplier: float = _key("thresholds", float, 2.0,
                                    lambda v: 0.0 < v <= 100.0, "in (0, 100]")
-    resonance_guard_hz: float = _key("thresholds", float, 1e9,
+    resonance_guard_hz: float = _key("thresholds", float, DEFAULT_RESONANCE_GUARD_HZ,
                                      lambda v: 0.0 < v < math.inf, "finite and > 0 Hz")
     reaction_rel_change: float = _key("thresholds", float, 3e-3,
                                       lambda v: 0.0 < v < 1.0, "in (0, 1)")

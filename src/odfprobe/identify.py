@@ -21,9 +21,11 @@ import numpy as np
 
 from .catalog import LineCatalog, read_table
 from .config import check_bound
-from .quantities import polarizability_to_shift
-from .stark import DEFAULT_RESONANCE_GUARD_HZ, StarkTable, stark_table, total_polarizability_au
-from .states import MolecularState
+from .quantities import DEFAULT_RESONANCE_GUARD_HZ, polarizability_to_shift
+
+# stark loads with the first prediction, so reading, windowing and classifying
+# rows load neither it nor states; StarkTable and MolecularState below are
+# annotations only.
 
 # Fractional intensity (lattice power) uncertainty folded into measurement
 # sigmas in quadrature.
@@ -116,6 +118,8 @@ def predict_catalog_shifts(wavelength_nm: float, intensity_w_m2: float,
                            ) -> ShiftPredictions:
     """Signed shift of every state in ``sort_key`` order, one evaluation of its table;
     states with a catalog line inside the guard are flagged, not dropped."""
+    from .stark import stark_table
+
     table = stark_table(states, catalog)
     shifts, flagged = table.shifts(wavelength_nm, intensity_w_m2, guard_hz)
     shifts.flags.writeable = flagged.flags.writeable = False
@@ -127,6 +131,8 @@ def background_shift_hz(wavelength_nm: float, intensity_w_m2: float,
                         guard_hz: float = DEFAULT_RESONANCE_GUARD_HZ) -> float:
     """Shift magnitude a state far from every resolved line would show
     (far-band plus core polarizability only)."""
+    from .stark import total_polarizability_au
+
     alpha = total_polarizability_au(0.0, wavelength_nm, catalog, guard_hz)
     return abs(polarizability_to_shift(alpha, intensity_w_m2))
 

@@ -36,6 +36,11 @@ AU_DIPOLE_SQUARED = (ELEMENTARY_CHARGE * BOHR_RADIUS) ** 2
 # Coulomb force/energy prefactor e^2 / (4 pi eps0), in J m.
 COULOMB_PREFACTOR = ELEMENTARY_CHARGE**2 / (4.0 * math.pi * VACUUM_PERMITTIVITY)
 
+# Detuning (Hz) from a catalog line inside which the linewidth-free
+# sum-over-transitions polarizability is refused: the default of every
+# prediction and of [thresholds] resonance_guard_hz.
+DEFAULT_RESONANCE_GUARD_HZ = 1e9
+
 
 def wavelength_to_angular_frequency(wavelength_nm: float) -> float:
     """Vacuum wavelength in nm -> angular frequency in rad/s."""

@@ -25,12 +25,13 @@ from .quantities import (
     HBAR,
     AU_DIPOLE_SQUARED,
     AU_POLARIZABILITY,
+    DEFAULT_RESONANCE_GUARD_HZ,
     polarizability_to_shift,
     wavelength_to_angular_frequency,
 )
-from .states import MolecularState
 
-DEFAULT_RESONANCE_GUARD_HZ = 1e9
+# states loads only when stark_table sorts a new state set; elsewhere here
+# MolecularState is an annotation.
 
 
 class NearResonanceError(ValueError):
@@ -252,6 +253,8 @@ def stark_table(states, catalog: LineCatalog) -> StarkTable:
     last_given, last_table = slot[0]
     if given == last_given:
         return last_table
+    from .states import MolecularState
+
     ordered = tuple(sorted(given, key=MolecularState.sort_key))
     if not ordered:
         raise ValueError("no states supplied")

@@ -207,11 +207,12 @@ class TestConfig:
         ("readout", "carrier_rabi_hz", "1e300", ["calibrate", "--noiseless", "--count", "3"]),
         ("thresholds", "sigma_multiplier", "inf", ["enumerate"]),
         ("lattice", "intensity_w_m2", "0", ["spectrum", "--steps", "2"]),
+        ("lattice", "intensity_w_m2", "1e-300", ["spectrum", "--steps", "2"]),
     ])
     def test_out_of_range_value_is_named(self, tmp_path, capsys, section, key, value,
                                          command):
         # each of these once ended in a traceback, an unnamed "math domain
-        # error" or exit 0 (a zero intensity: every shift 0.0 Hz)
+        # error" or exit 0 (a zero or underflowing intensity: every shift 0.0 Hz)
         path = config_with(tmp_path, section, key, value)
         code = main(command + ["--config", str(path), "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
@@ -628,17 +629,21 @@ class TestCli:
         ("1e-300,11500000.0,500.0,30.0,red,694920.0",
          "wavelength_nm must be finite and in [1, 1e6] nm, got 1e-300"),
         ("789.0,1e30,500.0,30.0,red,694920.0",
-         "intensity_w_m2 must be finite and in (0, 1e20] W/m^2, got 1e+30"),
+         "intensity_w_m2 must be finite and in [1, 1e20] W/m^2, got 1e+30"),
         ("789.0,0.0,10.0,30.0,red,694920.0",
-         "intensity_w_m2 must be finite and in (0, 1e20] W/m^2, got 0"),
+         "intensity_w_m2 must be finite and in [1, 1e20] W/m^2, got 0"),
+        ("789.0,1e-300,10.0,30.0,red,694920.0",
+         "intensity_w_m2 must be finite and in [1, 1e20] W/m^2, got 1e-300"),
         ("nan,11500000.0,500.0,30.0,red,694920.0",
          "wavelength_nm must be finite and in [1, 1e6] nm, got nan"),
-    ], ids=["wavelength", "intensity", "zero-intensity", "nan-wavelength"])
+    ], ids=["wavelength", "intensity", "zero-intensity", "underflow-intensity",
+            "nan-wavelength"])
     def test_measurement_outside_config_bound_is_named(self, tmp_path, capsys, command,
                                                        row, message):
         # a row at 1e-300 nm once predicted all 540 states at the core term
         # alone and excluded every one of them; one at 0 W/m^2 predicted
-        # every shift as 0.0 Hz and excluded all 540 states of a red row
+        # every shift as 0.0 Hz and excluded all 540 states of a red row, and
+        # so did one at 1e-300 W/m^2, where every shift underflows to 0.0 Hz
         meas = tmp_path / "meas.csv"
         meas.write_text(MEASUREMENTS + row + "\n")
         code = main(CONTRACT_COMMANDS[command] + ["--measurements", str(meas),

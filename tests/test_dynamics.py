@@ -563,6 +563,8 @@ steps.append(loaded())
 print(json.dumps([steps, code, "fractions" in sys.modules]))
 """
 
+# One measurement row, read by identify, windows and classify.
+ROW = "789.0,1.1508e7,1229.9,130.0,red,694920.0"
 # What a command that runs nothing but the CLI and its config loads.
 CLI_MODULES = {"odfprobe.angular", "odfprobe.catalog", "odfprobe.cli", "odfprobe.config",
                "odfprobe.quantities"}
@@ -638,22 +640,28 @@ class TestColdStart:
     def test_readout_names_load_on_first_use(self):
         assert _fresh_python(READOUT_NAMES) == "[] True"
 
-    @pytest.mark.parametrize("command, extra, code", [
-        (["enumerate"], {"states"}, 0),
-        (["identify", "--measurements"], {"states", "stark", "identify"}, 0),
-        (["simulate", "--linearized", "--sweep", "694000", "698000", "3"],
-         {"states", "stark", "crystal", "dynamics"}, 0),
-        (["calibrate", "--noiseless", "--count", "3"], {"crystal", "readout"}, 0),
-        (["enumerate", "--config"], set(), 2),
-    ], ids=["enumerate", "identify", "simulate", "calibrate", "config-error"])
-    def test_each_command_loads_only_its_modules(self, tmp_path, command, extra, code):
+    @pytest.mark.parametrize("command, rows, extra, code", [
+        (["enumerate"], None, {"states"}, 0),
+        (["identify", "--measurements"], [ROW], {"states", "stark", "identify"}, 0),
+        (["identify", "--measurements"], [ROW.replace("1229.9", "nan")], {"identify"}, 2),
+        (["windows", "--exclude-up-to", "4", "--measurements"], [ROW], {"identify"}, 0),
+        (["classify", "--measurements"], [ROW, ROW], {"identify"}, 0),
+        (["simulate", "--linearized", "--sweep", "694000", "698000", "3"], None,
+         {"stark", "crystal", "dynamics"}, 0),
+        (["calibrate", "--noiseless", "--count", "3"], None, {"crystal", "readout"}, 0),
+        (["enumerate", "--config"], None, set(), 2),
+    ], ids=["enumerate", "identify", "identify-nan", "windows", "classify", "simulate",
+            "calibrate", "config-error"])
+    def test_each_command_loads_only_its_modules(self, tmp_path, command, rows, extra,
+                                                 code):
         # ``import odfprobe`` loads no submodule, ``import odfprobe.cli`` only
         # the config and catalog it reads first, and each command the modules
-        # it calls; the Wigner kernels need no fractions.
-        if command[-1] == "--measurements":
+        # it calls: reading, windowing and classifying rows, and refusing one,
+        # need no Stark layer.  The Wigner kernels need no fractions.
+        if rows is not None:
             meas = tmp_path / "meas.csv"
             meas.write_text("wavelength_nm,intensity_W_m2,shift_Hz,sigma_Hz,sign,f_ip_Hz\n"
-                            "789.0,1.1508e7,1229.9,130.0,red,694920.0\n")
+                            + "".join(row + "\n" for row in rows))
             command = command + [str(meas)]
         elif command[-1] == "--config":
             bad = tmp_path / "bad.cfg"

@@ -73,17 +73,18 @@ class TestMeasurement:
     @pytest.mark.parametrize("wavelength, intensity, named", [
         (1e-300, 1e7, "wavelength_nm"), (0.5, 1e7, "wavelength_nm"),
         (2e6, 1e7, "wavelength_nm"), (789.0, -1.0, "intensity_w_m2"),
-        (789.0, 0.0, "intensity_w_m2"), (789.0, 1e30, "intensity_w_m2")])
+        (789.0, 0.0, "intensity_w_m2"), (789.0, 0.5, "intensity_w_m2"),
+        (789.0, 1e30, "intensity_w_m2")])
     def test_outside_the_config_bounds_rejected(self, wavelength, intensity, named):
         # the bounds of [lattice] wavelength_nm and intensity_w_m2: at 1e-300 nm
         # the lattice frequency overflows and every shift is the core term's,
-        # and at 0 W/m^2 every shift is 0.0 Hz
-        with pytest.raises(ValueError, match=f"^{named} must be finite and in [(\\[]"):
+        # and at 0 W/m^2 (or below about 3e-284 W/m^2, underflowing) every
+        # shift is 0.0 Hz
+        with pytest.raises(ValueError, match=f"^{named} must be finite and in \\["):
             Measurement(wavelength, intensity, 500.0, 30.0, "red", F_IP)
 
-    @pytest.mark.parametrize("wavelength, intensity", [(1.0, 5e-324), (1e6, 1e20)])
+    @pytest.mark.parametrize("wavelength, intensity", [(1.0, 1.0), (1e6, 1e20)])
     def test_config_bounds_are_inclusive(self, wavelength, intensity):
-        # the intensity's lower end, 0, is open: the least positive float passes
         Measurement(wavelength, intensity, 500.0, 30.0, "red", F_IP)
 
     @pytest.mark.parametrize("f_ip", [0.0, -F_IP])
